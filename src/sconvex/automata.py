@@ -8,14 +8,10 @@ shared freely across threads; every operation below is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections import deque
 
 from .errors import AlphabetMismatch, FormatError, NotMinimal, ResourceCap
 
 SUBSET_CAP = 1 << 22
-
-# the number of states of a minimal complete DFA; plain int, named for clarity
-ComplexityValue = int
 
 
 def _check_alphabet(alphabet):
@@ -505,6 +501,37 @@ def direct_product(d1: Dfa, d2: Dfa, op: str) -> Dfa:
     return Dfa(len(order), sigma, tuple(tuple(r) for r in rows), finals)
 
 
+def reachable_pairs(rows1, rows2, seeds, parent=None):
+    """Yield the state pairs reachable from `seeds`, breadth first.
+
+    Letter k takes (x, y) to (rows1[k][x], rows2[k][y]).  The seeds come
+    first, in order and without repeats, then each new pair as it is
+    discovered, so a caller that stops early skips the rest of the walk.
+    When `parent` is a dict, it is filled with seed -> None and
+    pair -> (previous pair, k), enough to spell a word back to a seed.
+    """
+    if parent is None:
+        parent = {}
+    letters = list(enumerate(zip(rows1, rows2)))
+    order = []
+    for seed in seeds:
+        if seed not in parent:
+            parent[seed] = None
+            order.append(seed)
+            yield seed
+    i = 0
+    while i < len(order):
+        pair = order[i]
+        i += 1
+        (x, y) = pair
+        for k, (row1, row2) in letters:
+            t = (row1[x], row2[y])
+            if t not in parent:
+                parent[t] = (pair, k)
+                order.append(t)
+                yield t
+
+
 def quotient_contains(d: Dfa, p: int, q: int) -> bool:
     """Whether the left quotient at state p is contained in the one at q.
 
@@ -513,37 +540,18 @@ def quotient_contains(d: Dfa, p: int, q: int) -> bool:
     """
     if not (0 <= p < d.n and 0 <= q < d.n):
         raise ValueError("states out of range")
-    seen = {(p, q)}
-    frontier = deque([(p, q)])
-    while frontier:
-        (x, y) = frontier.popleft()
-        if x in d.finals and y not in d.finals:
-            return False
-        for row in d.delta:
-            t = (row[x], row[y])
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return True
+    finals = d.finals
+    return not any(x in finals and y not in finals
+                   for x, y in reachable_pairs(d.delta, d.delta, [(p, q)]))
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
     '''Whether L(d1) = L(d2), by pairwise reachability.  Alphabets must match.'''
     if set(d1.alphabet) != set(d2.alphabet):
         raise AlphabetMismatch("cannot compare languages over different alphabets")
-    k2 = [d2.letter_index(letter) for letter in d1.alphabet]
-    seen = {(0, 0)}
-    frontier = deque([(0, 0)])
-    while frontier:
-        (x, y) = frontier.popleft()
-        if (x in d1.finals) != (y in d2.finals):
-            return False
-        for k in range(len(d1.alphabet)):
-            t = (d1.delta[k][x], d2.delta[k2[k]][y])
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return True
+    rows2 = [d2.action(letter) for letter in d1.alphabet]
+    return all((x in d1.finals) == (y in d2.finals)
+               for x, y in reachable_pairs(d1.delta, rows2, [(0, 0)]))
 
 
 def is_minimal(d: Dfa) -> bool:

@@ -1,9 +1,27 @@
 """Decision procedures for suffix-convexity and its three special cases.
 
-A language is suffix-convex when w in L and uvw in L force vw in L.  The
+A language L is suffix-convex when w in L and uvw in L force vw in L.  The
 special cases are left ideals (nonempty, closed under adding any prefix),
 suffix-closed languages, and suffix-free languages.  A language is proper
 when it is suffix-convex and none of the three.
+
+All four are decided on a DFA by walking pairs of states, with no subset
+construction.  Write L_q for the language accepted from state q, so that
+the left quotient of L by a word u is L_{0u}.  A pair (x, y) reached from
+(p, q) on a word w is (final, non-final) exactly when w is in L_p but not
+in L_q, so L_p is contained in L_q when no such pair is reachable.  For q
+ranging over the reachable states:
+
+- L is a left ideal when it is nonempty and uw in L whenever w is, that
+  is, L is contained in every quotient L_q: no pair reachable from any
+  (0, q) is (final, non-final).
+- L is suffix-closed when w in L whenever uw is, that is, every quotient
+  L_q is contained in L: no pair reachable from any (q, 0) is (final,
+  non-final).
+- L is suffix-free when w in L and uw in L never hold together for a
+  nonempty u, that is, L is disjoint from every quotient by a nonempty
+  word, whose states are the successors delta(q, a): no pair reachable
+  from any (delta(q, a), 0) is (final, final).
 """
 
 from __future__ import annotations
@@ -11,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import deque
 
-from .automata import Dfa, Nfa, determinize, direct_product, equivalent, minimize
+from .automata import Dfa, minimize, reachable_pairs
 
 Word = tuple[str, ...]
 
@@ -48,10 +66,10 @@ def is_suffix_convex(d: Dfa):
     Returns (True, None), or (False, (u, v, w)) with each word a tuple of
     letter names such that w and uvw are accepted but vw is not.
 
-    The search runs on the minimal DFA.  Stage 1 collects every pair
-    (0uv, 0v) by closing {(q, 0) | q reachable} under the letters; stage 2
-    walks triples (0w', 0uvw', 0vw') from each (0, q, r) seed looking for
-    an accepted pair whose third coordinate is rejected.
+    The search runs on the minimal DFA.  Stage 1 walks the pairs (0uv, 0v)
+    reachable from {(q, 0) | q reachable}; stage 2 walks triples
+    (0w', 0uvw', 0vw') from each (0, q, r) seed, in stage 1's order, looking
+    for an accepted pair whose third coordinate is rejected.
     """
     d = minimize(d)
     nletters = len(d.alphabet)
@@ -59,21 +77,8 @@ def is_suffix_convex(d: Dfa):
     order, uword = _reach_words(d)
 
     pair_parent = {}
-    pair_order = []
-    for q in order:
-        seed = (q, 0)
-        if seed not in pair_parent:
-            pair_parent[seed] = None
-            pair_order.append(seed)
-    i = 0
-    while i < len(pair_order):
-        (x, y) = pair_order[i]
-        i += 1
-        for k in range(nletters):
-            t = (d.delta[k][x], d.delta[k][y])
-            if t not in pair_parent:
-                pair_parent[t] = ((x, y), k)
-                pair_order.append(t)
+    pairs = reachable_pairs(d.delta, d.delta, [(q, 0) for q in order],
+                            pair_parent)
 
     triple_parent = {}
     frontier = deque()
@@ -83,7 +88,7 @@ def is_suffix_convex(d: Dfa):
         return p in d.finals and q in d.finals and r not in d.finals
 
     bad = None
-    for (q, r) in pair_order:
+    for (q, r) in pairs:
         seed = (0, q, r)
         if seed not in triple_parent:
             triple_parent[seed] = None
@@ -127,58 +132,28 @@ def is_suffix_convex(d: Dfa):
     return False, (tuple(u), tuple(v), tuple(w))
 
 
-def _nonempty(d):
-    return any(q in d.finals for q in d.reachable())
-
-
-def _prepend_sigma_star(d):
-    '''NFA for sigma* L(d): a looping fresh initial state feeds state 0.'''
-    s = d.n
-    empty = frozenset()
-    delta = [tuple(frozenset({d.delta[k][q]}) for k in range(len(d.alphabet)))
-             for q in range(d.n)]
-    delta.append(tuple(frozenset({s}) for _ in d.alphabet))
-    eps = [empty] * d.n + [frozenset({0})]
-    return Nfa(d.n + 1, d.alphabet, tuple(delta), tuple(eps),
-               initials=frozenset({s}), finals=d.finals)
-
-
-def _prepend_sigma_plus(d):
-    '''NFA for sigma+ L(d): two fresh states force at least one letter first.'''
-    s0, s1 = d.n, d.n + 1
-    empty = frozenset()
-    delta = [tuple(frozenset({d.delta[k][q]}) for k in range(len(d.alphabet)))
-             for q in range(d.n)]
-    delta.append(tuple(frozenset({s1}) for _ in d.alphabet))
-    delta.append(tuple(frozenset({s1}) for _ in d.alphabet))
-    eps = [empty] * d.n + [empty, frozenset({0})]
-    return Nfa(d.n + 2, d.alphabet, tuple(delta), tuple(eps),
-               initials=frozenset({s0}), finals=d.finals)
-
-
-def _suffixes(d):
-    '''NFA for the suffix language: every reachable state is initial.'''
-    empty = frozenset()
-    delta = [tuple(frozenset({d.delta[k][q]}) for k in range(len(d.alphabet)))
-             for q in range(d.n)]
-    return Nfa(d.n, d.alphabet, tuple(delta), tuple([empty] * d.n),
-               initials=frozenset(d.reachable()), finals=d.finals)
-
-
 def is_left_ideal(d: Dfa) -> bool:
     '''Whether L(d) is nonempty and equal to sigma* L(d).'''
-    return _nonempty(d) and equivalent(d, determinize(_prepend_sigma_star(d)))
+    reach = d.reachable()
+    if not any(q in d.finals for q in reach):
+        return False
+    return not any(x in d.finals and y not in d.finals
+                   for x, y in reachable_pairs(d.delta, d.delta,
+                                               [(0, q) for q in reach]))
 
 
 def is_suffix_closed(d: Dfa) -> bool:
     '''Whether every suffix of every accepted word is accepted.'''
-    return equivalent(d, determinize(_suffixes(d)))
+    seeds = [(q, 0) for q in d.reachable()]
+    return not any(x in d.finals and y not in d.finals
+                   for x, y in reachable_pairs(d.delta, d.delta, seeds))
 
 
 def is_suffix_free(d: Dfa) -> bool:
     '''Whether no accepted word is a proper suffix of another.'''
-    product = direct_product(d, determinize(_prepend_sigma_plus(d)), "intersect")
-    return not _nonempty(product)
+    seeds = [(row[q], 0) for q in d.reachable() for row in d.delta]
+    return not any(x in d.finals and y in d.finals
+                   for x, y in reachable_pairs(d.delta, d.delta, seeds))
 
 
 def classify(d: Dfa) -> Classification:

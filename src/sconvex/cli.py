@@ -15,12 +15,8 @@ from .automata import (Dfa, complete_to, complexity, determinize, direct_product
                        union_alphabet)
 from .classify import classify
 from .errors import ResourceCap, SconvexError
-from .harness import (DEFAULT_SEED, EXCLUSION_RANGE, MONOTONE_RANGE,
-                      PRODUCT_RANGE, REVERSAL_RANGE, STAR_RANGE,
-                      SYNTACTIC_RANGE, probe_conjecture, random_suffix_convex,
-                      reports_to_json, verify_boolean, verify_exclusions,
-                      verify_monotone_counts, verify_product, verify_reversal,
-                      verify_star, verify_syntactic)
+from .harness import (DEFAULT_SEED, SUITES, probe_conjecture,
+                      random_suffix_convex, reports_to_json)
 from .transformations import CLOSURE_CAP, transition_semigroup
 from .triples import canonical_system, preorder_of
 from .witnesses import (LetterMap, dialect, reversal_system, reversal_witness,
@@ -151,27 +147,16 @@ def _clamp(default, args):
 
 def _cmd_verify(args):
     reports = []
-    suites = ([args.suite] if args.suite != "all" else
-              ["star", "product", "boolean", "reversal", "syntactic",
-               "monotone", "exclusions"])
-    for name in suites:
-        if name == "star":
-            reports.extend(verify_star(_clamp(STAR_RANGE, args)))
-        elif name == "product":
-            r = _clamp(PRODUCT_RANGE, args)
-            reports.extend(verify_product(r, r))
-        elif name == "boolean":
-            r = _clamp(PRODUCT_RANGE, args)
-            reports.extend(verify_boolean(r, r))
+    for name in SUITES if args.suite == "all" else [args.suite]:
+        suite = SUITES[name]
+        # every suite's first parameter defaults to its own range of n
+        r = _clamp(suite.__defaults__[0], args)
+        if name in ("product", "boolean"):
+            reports.extend(suite(r, r))
         elif name == "reversal":
-            reports.extend(verify_reversal(_clamp(REVERSAL_RANGE, args),
-                                           samples=args.samples, seed=args.seed))
-        elif name == "syntactic":
-            reports.extend(verify_syntactic(_clamp(SYNTACTIC_RANGE, args)))
-        elif name == "monotone":
-            reports.extend(verify_monotone_counts(_clamp(MONOTONE_RANGE, args)))
-        elif name == "exclusions":
-            reports.extend(verify_exclusions(_clamp(EXCLUSION_RANGE, args)))
+            reports.extend(suite(r, samples=args.samples, seed=args.seed))
+        else:
+            reports.extend(suite(r))
     for r in reports:
         print(r.line())
     if args.json:
@@ -256,9 +241,7 @@ def build_parser():
     p.add_argument("-o", "--output")
 
     p = add("verify", _cmd_verify, "run verification suites")
-    p.add_argument("--suite", default="all",
-                   choices=["star", "product", "boolean", "reversal",
-                            "syntactic", "monotone", "exclusions", "all"])
+    p.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     p.add_argument("--min-n", type=int)
     p.add_argument("--max-n", type=int)
     p.add_argument("--samples", type=int, default=500)

@@ -21,9 +21,9 @@ from .automata import (Dfa, atom_count, complexity, determinize, minimize,
 from .classify import classify
 from .errors import BadSize, ResourceCap
 from .transformations import CLOSURE_CAP, syntactic_complexity
-from .triples import (Preorder, canonical_system, letter_names,
-                      monotone_dfa, monotone_transformations, order_properties,
-                      preorder_of, total_order)
+from .triples import (Preorder, _convex_violation, canonical_system,
+                      letter_names, monotone_dfa, monotone_transformations,
+                      order_properties, preorder_of, total_order)
 from .witnesses import (LetterMap, dialect, reversal_order, reversal_witness,
                         star_witness, syntactic_witness)
 
@@ -101,10 +101,10 @@ def monotone_reversal_count(n: int) -> int:
 # ---------------------------------------------------------------------------
 # verification suites
 
-def verify_star(ns=None):
+def verify_star(ns=STAR_RANGE):
     '''Star of the a,b,c,d dialect of the star witness hits its bound.'''
     reports = []
-    for n in STAR_RANGE if ns is None else ns:
+    for n in ns:
         t0 = time.perf_counter()
         w = star_witness(n)
         four = dialect(w, LetterMap.keep(w.alphabet, ("a", "b", "c", "d", None, None)))
@@ -113,13 +113,13 @@ def verify_star(ns=None):
     return reports
 
 
-def verify_product(ms=None, ns=None):
+def verify_product(ms=PRODUCT_RANGE, ns=PRODUCT_RANGE):
     '''Concatenating the two star-witness dialects hits the product bound.'''
     reports = []
-    for m in PRODUCT_RANGE if ms is None else ms:
+    for m in ms:
         left = dialect(star_witness(m),
                        LetterMap.keep("abcdef", ("a", "b", "c", None, "e", "f")))
-        for n in PRODUCT_RANGE if ns is None else ns:
+        for n in ns:
             t0 = time.perf_counter()
             right = dialect(star_witness(n),
                             LetterMap.keep("abcdef", ("e", "f", None, None, "a", "b")))
@@ -133,13 +133,13 @@ def verify_product(ms=None, ns=None):
 BOOLEAN_OPS = ("union", "xor", "diff", "intersect")
 
 
-def verify_boolean(ms=None, ns=None):
+def verify_boolean(ms=BOOLEAN_RANGE, ns=BOOLEAN_RANGE):
     '''All four boolean operations on the dialect pair hit m times n.'''
     reports = []
-    for m in BOOLEAN_RANGE if ms is None else ms:
+    for m in ms:
         left = dialect(star_witness(m),
                        LetterMap.keep("abcdef", ("a", "b", None, None, "e", "f")))
-        for n in BOOLEAN_RANGE if ns is None else ns:
+        for n in ns:
             right = dialect(star_witness(n),
                             LetterMap.keep("abcdef", ("e", "f", None, None, "a", "b")))
             for op in BOOLEAN_OPS:
@@ -150,7 +150,7 @@ def verify_boolean(ms=None, ns=None):
     return reports
 
 
-def verify_reversal(ns=None, samples=500, max_n=8, max_letters=6,
+def verify_reversal(ns=REVERSAL_RANGE, samples=500, max_n=8, max_letters=6,
                     seed=DEFAULT_SEED):
     """Reversal witness values, plus the upper bound on random samples.
 
@@ -160,7 +160,7 @@ def verify_reversal(ns=None, samples=500, max_n=8, max_letters=6,
     in integers.
     """
     reports = []
-    for n in REVERSAL_RANGE if ns is None else ns:
+    for n in ns:
         t0 = time.perf_counter()
         actual = atom_count(minimize(reversal_witness(n)))
         reports.append(_report("reversal", [("n", n)], reversal_bound(n), actual, t0))
@@ -179,20 +179,20 @@ def verify_reversal(ns=None, samples=500, max_n=8, max_letters=6,
     return reports
 
 
-def verify_syntactic(ns=None, cap=CLOSURE_CAP):
+def verify_syntactic(ns=SYNTACTIC_RANGE, cap=CLOSURE_CAP):
     '''Transition semigroup of the syntactic witness hits the size bound.'''
     reports = []
-    for n in SYNTACTIC_RANGE if ns is None else ns:
+    for n in ns:
         t0 = time.perf_counter()
         actual = syntactic_complexity(syntactic_witness(n), cap)
         reports.append(_report("syntactic", [("n", n)], syntactic_bound(n), actual, t0))
     return reports
 
 
-def verify_monotone_counts(ns=None, cap=CLOSURE_CAP):
+def verify_monotone_counts(ns=MONOTONE_RANGE, cap=CLOSURE_CAP):
     '''Exhaustive monotone-map counts match the closed formulas.'''
     reports = []
-    for n in MONOTONE_RANGE if ns is None else ns:
+    for n in ns:
         t0 = time.perf_counter()
         actual = len(monotone_transformations(total_order(n), cap))
         reports.append(_report("monotone-total", [("n", n)],
@@ -216,7 +216,7 @@ def _containment_breaches(d: Dfa) -> int:
     return count
 
 
-def verify_exclusions(ns=None):
+def verify_exclusions(ns=EXCLUSION_RANGE):
     """Each witness strictly misses the other bounds, with the structure
     of the canonical systems pinned down.
 
@@ -229,7 +229,7 @@ def verify_exclusions(ns=None):
     distinct states other than possibly initial-into-final.
     """
     reports = []
-    for n in EXCLUSION_RANGE if ns is None else ns:
+    for n in ns:
         # the witnesses are minimal as built; keep their own state numbering,
         # since the structural predicates below name specific states
         star = star_witness(n)
@@ -308,20 +308,11 @@ def _random_order(rng, n):
     return Preorder(n, tuple(tuple(row) for row in leq))
 
 
-def _is_convex(leq, finals, n):
-    for f in finals:
-        for h in finals:
-            for g in range(n):
-                if g not in finals and leq[f][g] and leq[g][h]:
-                    return False
-    return True
-
-
 def _random_convex_finals(rng, po):
     n = po.n
     for _ in range(64):
         finals = frozenset(q for q in range(n) if rng.random() < 0.5)
-        if finals and len(finals) < n and _is_convex(po.leq, finals, n):
+        if finals and len(finals) < n and _convex_violation(po, finals) is None:
             return finals
     return frozenset({rng.randrange(n)})
 
@@ -451,7 +442,7 @@ def _convex_subsets(po):
     n = po.n
     for bits in range(1, (1 << n) - 1):
         finals = frozenset(q for q in range(n) if bits >> q & 1)
-        if _is_convex(po.leq, finals, n):
+        if _convex_violation(po, finals) is None:
             yield finals
 
 

@@ -349,13 +349,22 @@ def _require_partial_order(po: Preorder):
         raise NotPartialOrder(f"states {pair[0]} and {pair[1]} are equivalent")
 
 
-def _check_convex_finals(po: Preorder, finals):
+def _convex_violation(po: Preorder, finals):
+    '''The first (f, g, h) with f <= g <= h, f and h final and g not, or None.'''
+    leq = po.leq
     for f in finals:
         for h in finals:
             for g in range(po.n):
-                if g not in finals and po.leq[f][g] and po.leq[g][h]:
-                    raise NonConvexFinals(
-                        f"{f} <= {g} <= {h} with {g} outside the final set")
+                if g not in finals and leq[f][g] and leq[g][h]:
+                    return (f, g, h)
+    return None
+
+
+def _check_convex_finals(po: Preorder, finals):
+    bad = _convex_violation(po, finals)
+    if bad is not None:
+        (f, g, h) = bad
+        raise NonConvexFinals(f"{f} <= {g} <= {h} with {g} outside the final set")
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,41 @@ def brute_force_suffix_convex(d, max_len=None):
     return True, None
 
 
+def brute_force_special_classes(d):
+    """Left ideal, suffix-closed and suffix-free flags from a walk over words.
+
+    A word x is summarised by (s, S): s is the state reached by x, and S is
+    the set of states reached by the proper suffixes of x, the empty word
+    among them once x is nonempty.  The proper suffixes of xa are ya for
+    each proper suffix y of x, plus the empty word, so appending a letter
+    maps (s, S) to (s.a, S.a | {0}).  The space of summaries is finite, and
+    a worklist visits the summary of every word.  Then:
+
+    - left ideal: some word is accepted, and x is accepted whenever one of
+      its proper suffixes is;
+    - suffix-closed: every proper suffix of an accepted word is accepted;
+    - suffix-free: no proper suffix of an accepted word is accepted.
+
+    Returns (left_ideal, suffix_closed, suffix_free).
+    """
+    start = (0, frozenset())
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        s, suffixes = frontier.pop()
+        for row in d.delta:
+            nxt = (row[s], frozenset(row[t] for t in suffixes) | {0})
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    accepted = [suffixes for s, suffixes in seen if s in d.finals]
+    left_ideal = bool(accepted) and all(
+        s in d.finals for s, suffixes in seen if suffixes & d.finals)
+    suffix_closed = all(suffixes <= d.finals for suffixes in accepted)
+    suffix_free = not any(suffixes & d.finals for suffixes in accepted)
+    return left_ideal, suffix_closed, suffix_free
+
+
 def signature_atom_count(d):
     """Count distinct acceptance signatures over all words.
 

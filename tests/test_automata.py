@@ -8,6 +8,7 @@ from sconvex import (AlphabetMismatch, Dfa, FormatError, Nfa, NotMinimal,
                      determinize, direct_product, equivalent, is_minimal,
                      minimize, product_nfa, quotient_contains, reverse_nfa,
                      star_nfa, union_alphabet)
+from sconvex.automata import reachable_pairs
 
 from conftest import random_dfa
 from oracles import signature_atom_count, table_filling_complexity
@@ -220,6 +221,26 @@ def test_equivalent():
     assert not equivalent(ODD_A, Dfa(2, ("a",), ((1, 0),), frozenset({0})))
     with pytest.raises(AlphabetMismatch):
         equivalent(ODD_A, ENDS_A)
+    # letters are matched by name, not by position
+    assert equivalent(ENDS_A, Dfa(2, ("b", "a"), ENDS_B.delta, ENDS_B.finals))
+    assert not equivalent(ENDS_A, Dfa(2, ("b", "a"), ENDS_A.delta, ENDS_A.finals))
+
+
+def test_reachable_pairs_is_lazy_and_breadth_first():
+    rows = A_OR_BAA.delta
+    parent = {}
+    walk = reachable_pairs(rows, rows, [(1, 0), (1, 0), (2, 0)], parent)
+    assert next(walk) == (1, 0)
+    assert parent == {(1, 0): None}
+    pairs = [(1, 0)] + list(walk)
+    assert pairs[1] == (2, 0) and parent[(2, 0)] is None
+    assert len(pairs) == len(set(pairs)) == len(parent)
+    for pair in pairs[2:]:
+        prev, k = parent[pair]
+        assert (rows[k][prev[0]], rows[k][prev[1]]) == pair
+    # breadth first: each pair's parent comes no earlier than the last one's
+    found_from = [pairs.index(parent[pair][0]) for pair in pairs[2:]]
+    assert found_from == sorted(found_from)
 
 
 def test_atom_count_requires_minimal():

@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from sconvex import (Dfa, classify, is_left_ideal, is_suffix_closed,
                      is_suffix_convex, is_suffix_free, minimize,
-                     random_suffix_convex)
+                     random_suffix_convex, reversal_witness, star_witness,
+                     syntactic_witness)
 
 from conftest import random_dfa
-from oracles import accepts, brute_force_suffix_convex
+from oracles import (accepts, brute_force_special_classes,
+                     brute_force_suffix_convex)
 
 A_OR_BAA = Dfa(5, ("a", "b"),
                ((1, 4, 3, 1, 4), (2, 4, 4, 4, 4)),
@@ -99,8 +101,10 @@ def test_special_classes_are_convex(seed):
         assert c.suffix_convex
 
 
+# the deadline would time the word-level oracle, which can take longer
+# than the default on some seeds, not the library
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 def test_agrees_with_word_level_search(seed):
     rng = random.Random(seed)
     d = random_dfa(rng, rng.randint(2, 5), rng.randint(1, 3))
@@ -121,3 +125,24 @@ def test_classification_is_language_level(seed):
     c, m = classify(d), classify(minimize(d))
     assert (c.suffix_convex, c.left_ideal, c.suffix_closed, c.suffix_free) == \
         (m.suffix_convex, m.left_ideal, m.suffix_closed, m.suffix_free)
+
+
+def _special_classes(d):
+    c = classify(d)
+    return (c.left_ideal, c.suffix_closed, c.suffix_free)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_special_classes_agree_with_oracle(seed):
+    rng = random.Random(seed)
+    d = random_dfa(rng, rng.randint(1, 6), rng.randint(1, 3))
+    assert _special_classes(d) == brute_force_special_classes(d)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("family", [star_witness, reversal_witness,
+                                    syntactic_witness])
+def test_special_classes_of_witnesses_agree_with_oracle(family, n):
+    d = family(n)
+    assert _special_classes(d) == brute_force_special_classes(d)
