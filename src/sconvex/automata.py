@@ -19,7 +19,7 @@ def _check_alphabet(alphabet):
         raise FormatError("alphabet must contain at least one letter")
     seen = set()
     for name in alphabet:
-        if not name or any(ch.isspace() for ch in name) or "#" in name:
+        if name.split() != [name] or "#" in name:
             raise FormatError(f"bad letter name {name!r}")
         if name in seen:
             raise FormatError(f"duplicate letter {name!r}")

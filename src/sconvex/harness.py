@@ -15,15 +15,16 @@ import time
 from dataclasses import dataclass
 from itertools import permutations
 
-from .automata import (Dfa, atom_count, complexity, determinize, minimize,
-                       product_nfa, direct_product, quotient_contains,
-                       reverse_nfa, star_nfa)
+from .automata import (Dfa, atom_count, complexity, determinize, is_minimal,
+                       minimize, product_nfa, direct_product,
+                       quotient_contains, star_nfa)
 from .classify import classify
-from .errors import BadSize, ResourceCap
+from .errors import BadSize, NotMinimal, ResourceCap
 from .transformations import CLOSURE_CAP, syntactic_complexity
-from .triples import (Preorder, _convex_violation, canonical_system,
-                      letter_names, monotone_dfa, monotone_transformations,
-                      order_properties, preorder_of, total_order)
+from .triples import (Preorder, _convex_violation, _respecting_maps,
+                      canonical_system, letter_names, monotone_dfa,
+                      monotone_transformations, order_properties, preorder_of,
+                      total_order)
 from .witnesses import (LetterMap, dialect, reversal_order, reversal_witness,
                         star_witness, syntactic_witness)
 
@@ -317,39 +318,6 @@ def _random_convex_finals(rng, po):
     return frozenset({rng.randrange(n)})
 
 
-def _random_monotone(rng, po):
-    n = po.n
-    leq = po.leq
-    image = [None] * n
-
-    def fits(q, v):
-        for p in range(n):
-            w = image[p]
-            if w is None or p == q:
-                continue
-            if leq[p][q] and not leq[w][v]:
-                return False
-            if leq[q][p] and not leq[v][w]:
-                return False
-        return True
-
-    def assign(q):
-        if q == n:
-            return True
-        choices = list(range(n))
-        rng.shuffle(choices)
-        for v in choices:
-            if fits(q, v):
-                image[q] = v
-                if assign(q + 1):
-                    return True
-                image[q] = None
-        return False
-
-    assign(0)
-    return tuple(image)
-
-
 def random_suffix_convex(n: int, letters: int, seed: int) -> Dfa:
     """A random DFA that is suffix-convex by construction.
 
@@ -357,8 +325,9 @@ def random_suffix_convex(n: int, letters: int, seed: int) -> Dfa:
     on-line transitive closure), a convex proper final set, and `letters`
     random order-monotone transformations.  Monotone letters plus a convex
     final set keep the language suffix-convex.  Fully determined by seed.
-    The letters are drawn by randomized backtracking, which reaches every
-    monotone map but not with perfectly uniform weight.
+    Each letter is the first map of the shuffled walk of the monotone-map
+    enumerator, which reaches every monotone map but not with perfectly
+    uniform weight.
     """
     if n < 2:
         raise BadSize(f"need n >= 2 for a proper final set, got {n}")
@@ -367,7 +336,8 @@ def random_suffix_convex(n: int, letters: int, seed: int) -> Dfa:
     rng = random.Random(seed)
     po = _random_order(rng, n)
     finals = _random_convex_finals(rng, po)
-    delta = tuple(_random_monotone(rng, po) for _ in range(letters))
+    delta = tuple(next(_respecting_maps(n, po.leq, rng=rng))
+                  for _ in range(letters))
     return Dfa(n, letter_names(letters), delta, finals)
 
 
@@ -453,9 +423,10 @@ def probe_conjecture(n: int, cap: int = CLOSURE_CAP) -> ProbeResult:
     Enumerates every partial order on Q_n with maximum 0 (up to relabeling
     of the non-zero states) and every convex proper final set, builds the
     DFA with all monotone transformations as letters, keeps the ones that
-    classify as proper, and records the maximum syntactic complexity seen.
-    The search space covers only order-generated systems, so the result is
-    an exploratory lower bound, not a refutation procedure.
+    classify as proper, and records the maximum syntactic complexity seen:
+    the letter count, once the DFA is checked to be minimal.  The search
+    space covers only order-generated systems, so the result is an
+    exploratory lower bound, not a refutation procedure.
     """
     if not 2 <= n <= 5:
         raise ResourceCap(f"the probe enumerates orders only for 2 <= n <= 5, got {n}")
@@ -475,7 +446,12 @@ def probe_conjecture(n: int, cap: int = CLOSURE_CAP) -> ProbeResult:
             if not classify(d).proper:
                 continue
             proper_count += 1
-            syn = syntactic_complexity(d, cap)
+            # the letters are every monotone map, closed under composition,
+            # so a minimal d has exactly its letters as syntactic semigroup
+            if not is_minimal(d):
+                raise NotMinimal(f"monotone DFA on {n} states with finals "
+                                 f"{sorted(finals)} is not minimal")
+            syn = len(d.alphabet)
             if best is None or syn > best[0]:
                 best = (syn, po, finals)
     if best is None:

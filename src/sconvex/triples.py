@@ -18,8 +18,7 @@ its letters do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import islice
 
 from .automata import Dfa, is_minimal
 from .classify import is_suffix_convex
@@ -54,39 +53,20 @@ class TripleSystem:
     def contains(self, p: int, q: int, r: int) -> bool:
         return (p, q, r) in self.triples
 
-    def cube(self) -> np.ndarray:
-        '''Dense membership cube, shape (n, n, n), cached.'''
-        cached = self.__dict__.get("_cube")
-        if cached is None:
-            cached = np.zeros((self.n, self.n, self.n), dtype=bool)
-            for (p, q, r) in self.triples:
-                cached[p, q, r] = True
-            cached.setflags(write=False)
-            object.__setattr__(self, "_cube", cached)
-        return cached
-
-    def scan_triples(self) -> np.ndarray:
-        """Triples that a Condition-1 scan must visit, as an array of rows.
+    def scan_triples(self) -> tuple[Triple, ...]:
+        """Triples that a Condition-1 scan must visit, sorted.
 
         Triples with third coordinate p or q hold in every system by axioms
         (A) and (B), and (B) pairs (p,q,r) with (q,p,r), so the scan keeps
         one representative with p <= q and a third coordinate outside {p,q}.
         """
-        cached = self.__dict__.get("_scan")
-        if cached is None:
-            rows = sorted((p, q, r) for (p, q, r) in self.triples
-                          if p <= q and r != p and r != q)
-            cached = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_scan", cached)
-        return cached
+        return tuple(sorted((p, q, r) for (p, q, r) in self.triples
+                            if p <= q and r != p and r != q))
 
     def to_text(self) -> str:
         lines = [f"states {self.n}",
                  "final" + "".join(f" {q}" for q in sorted(self.finals))]
-        listed = sorted((p, q, r) for (p, q, r) in self.triples
-                        if p <= q and r != p and r != q)
-        lines.extend(f"{p} {q} {r}" for (p, q, r) in listed)
+        lines.extend(f"{p} {q} {r}" for (p, q, r) in self.scan_triples())
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -223,13 +203,14 @@ def canonical_system(d: Dfa) -> TripleSystem:
     for k in range(len(d.alphabet)):
         for p in range(n):
             pre[k][d.delta[k][p]].append(p)
-    reaches_bad = np.zeros((n, n, n), dtype=bool)
+    # reaches_bad[(p * n + q) * n + r] marks the triple (p, q, r)
+    reaches_bad = bytearray(n ** 3)
     stack = []
     for p in d.finals:
         for q in d.finals:
             for r in range(n):
                 if r not in d.finals:
-                    reaches_bad[p, q, r] = True
+                    reaches_bad[(p * n + q) * n + r] = 1
                     stack.append((p, q, r))
     while stack:
         (x, y, z) = stack.pop()
@@ -237,12 +218,13 @@ def canonical_system(d: Dfa) -> TripleSystem:
             for p in pre[k][x]:
                 for q in pre[k][y]:
                     for r in pre[k][z]:
-                        if not reaches_bad[p, q, r]:
-                            reaches_bad[p, q, r] = True
+                        i = (p * n + q) * n + r
+                        if not reaches_bad[i]:
+                            reaches_bad[i] = 1
                             stack.append((p, q, r))
     triples = {(p, q, r)
                for p in range(n) for q in range(n) for r in range(n)
-               if not reaches_bad[p, q, r]}
+               if not reaches_bad[(p * n + q) * n + r]}
     return make_triple_system(n, d.finals, triples)
 
 
@@ -269,14 +251,15 @@ class Preorder:
                 raise FormatError(f"preorder not reflexive at {p}")
             if not self.leq[p][0]:
                 raise FormatError(f"state 0 must be a maximum, but {p} is not below it")
+        # up[p] has bit r set when p <= r; transitivity is up[q] within up[p]
+        up = [sum(1 << r for r, x in enumerate(row) if x) for row in self.leq]
         for p in range(self.n):
             for q in range(self.n):
-                if not self.leq[p][q]:
-                    continue
-                for r in range(self.n):
-                    if self.leq[q][r] and not self.leq[p][r]:
-                        raise FormatError(
-                            f"preorder not transitive: {p} <= {q} <= {r}")
+                extra = up[q] & ~up[p] if self.leq[p][q] else 0
+                if extra:
+                    r = (extra & -extra).bit_length() - 1
+                    raise FormatError(
+                        f"preorder not transitive: {p} <= {q} <= {r}")
 
     def below(self, p: int, q: int) -> bool:
         return self.leq[p][q]
@@ -286,9 +269,6 @@ class Preorder:
 
     def equivalent(self, p: int, q: int) -> bool:
         return self.leq[p][q] and self.leq[q][p]
-
-    def matrix(self) -> np.ndarray:
-        return np.array(self.leq, dtype=bool)
 
     def dump(self) -> str:
         '''n lines of n space-separated 0/1 entries.'''
@@ -370,31 +350,78 @@ def _check_convex_finals(po: Preorder, finals):
 # ---------------------------------------------------------------------------
 # monotone transformations and the order construction
 
-def _all_maps(n: int, cap: int) -> np.ndarray:
-    '''Every image vector of Q_n, lexicographic, as an (n^n, n) uint8 array.'''
-    total = n ** n
-    if total > cap:
-        raise ResourceCap(f"{total} candidate transformations exceed the cap {cap}")
-    arr = np.empty((total, n), dtype=np.uint8)
-    for pos in range(n):
-        block = n ** (n - 1 - pos)
-        pattern = np.repeat(np.arange(n, dtype=np.uint8), block)
-        arr[:, pos] = np.tile(pattern, n ** pos)
-    return arr
+# Enumerations that store every map cost time and memory in proportion to
+# cap * n before they hit the cap, so they refuse more states than this at
+# once: at 13 even a total order has 5,200,300 maps, over the default cap.
+ENUM_MAX_STATES = 12
 
 
-def _monotone_mask(arr: np.ndarray, leq: np.ndarray) -> np.ndarray:
-    n = leq.shape[0]
-    mask = np.ones(len(arr), dtype=bool)
-    for p in range(n):
-        for q in range(n):
-            if p != q and leq[p][q]:
-                mask &= leq[arr[:, p], arr[:, q]]
-    return mask
+def _respecting_maps(n: int, leq, scan=(), triples=frozenset(), rng=None):
+    """Every map of Q_n that is monotone for leq and keeps each scan triple
+    inside `triples`, as image bytes (tuples above 256 states).
+
+    States get their images in the order 0..n-1.  The candidates for q are
+    the values at or above the image of every earlier state below q, and
+    at or below the image of every earlier state above q; a scan triple is
+    checked as soon as its largest state has an image.  Values are tried
+    in increasing order, so the maps come out lexicographically.  With
+    `rng`, each level is entered with one `rng.shuffle` of 0..n-1 and
+    tries the values in that order instead: a randomized walk.
+    """
+    values = range(n)
+    up = [sum(1 << v for v in values if leq[w][v]) for w in values]
+    down = [sum(1 << v for v in values if leq[v][w]) for w in values]
+    below = [[p for p in range(q) if leq[p][q]] for q in values]
+    above = [[p for p in range(q) if leq[q][p]] for q in values]
+    checks = [[] for _ in values]
+    for t in scan:
+        checks[max(t)].append(t)
+    image = [0] * n
+    pack = bytes if n <= 256 else tuple
+
+    def candidates(q):
+        mask = (1 << n) - 1
+        for p in below[q]:
+            mask &= up[image[p]]
+        for p in above[q]:
+            mask &= down[image[p]]
+        order = list(values)
+        if rng is not None:
+            rng.shuffle(order)
+        out = []
+        for v in order:
+            if mask >> v & 1:
+                image[q] = v
+                if all((image[a], image[b], image[c]) in triples
+                       for (a, b, c) in checks[q]):
+                    out.append(v)
+        return out
+
+    if n == 0:
+        yield b""
+        return
+    # pending[q] iterates over the candidates of state q not yet tried
+    pending = [iter(candidates(0))]
+    while pending:
+        q = len(pending) - 1
+        for image[q] in pending[q]:
+            if q < n - 1:
+                pending.append(iter(candidates(q + 1)))
+                break
+            yield pack(image)
+        else:
+            pending.pop()
 
 
-def _semigroup_from_rows(n: int, rows: np.ndarray) -> Semigroup:
-    images = tuple(bytes(row) for row in rows)
+def _semigroup_of(n: int, maps, cap: int) -> Semigroup:
+    '''The maps of a composition-closed set as a Semigroup, at most cap of them.'''
+    if n > ENUM_MAX_STATES:
+        raise ResourceCap(f"map enumeration supports at most {ENUM_MAX_STATES} "
+                          f"states, got {n}")
+    images = tuple(islice(maps, cap + 1))
+    if len(images) > cap:
+        raise ResourceCap(f"enumeration on {n} states reached {len(images)} maps, "
+                          f"over the cap {cap}")
     return Semigroup(n, (), images)
 
 
@@ -404,32 +431,24 @@ def monotone_transformations(po: Preorder, cap: int = CLOSURE_CAP) -> Semigroup:
     Monotone means p below q forces pt below qt.  The order must be
     antisymmetric with maximum 0; the collection is closed under
     composition, so it is returned as a Semigroup with no generator list.
+    ResourceCap is raised once more than `cap` maps have been produced,
+    and at once for more than ENUM_MAX_STATES states.
     """
     _require_partial_order(po)
-    arr = _all_maps(po.n, cap)
-    mask = _monotone_mask(arr, po.matrix())
-    return _semigroup_from_rows(po.n, arr[mask])
+    return _semigroup_of(po.n, _respecting_maps(po.n, po.leq), cap)
 
 
 def maximal_semigroup(s: TripleSystem, cap: int = CLOSURE_CAP) -> Semigroup:
-    """Every transformation respecting s, by exhaustive enumeration.
+    """Every transformation respecting s, lexicographic.
 
-    Candidates failing Condition 2 (monotonicity for the derived preorder)
-    are pruned before the triple scan.  Lexicographic element order.
+    Condition 2 is monotonicity for the derived preorder, so the maps are
+    enumerated state by state as monotone maps, and each scan triple of
+    Condition 1 prunes as soon as its states have images.  ResourceCap is
+    raised once more than `cap` maps have been produced, and at once for
+    more than ENUM_MAX_STATES states.
     """
-    n = s.n
-    arr = _all_maps(n, cap)
-    leq = preorder_of(s).matrix()
-    arr = arr[_monotone_mask(arr, leq)]
-    scan = s.scan_triples()
-    if len(scan) and len(arr):
-        cube_flat = s.cube().reshape(-1)
-        mask = np.ones(len(arr), dtype=bool)
-        for (p, q, r) in scan:
-            idx = (arr[:, p].astype(np.int64) * n + arr[:, q]) * n + arr[:, r]
-            mask &= cube_flat[idx]
-        arr = arr[mask]
-    return _semigroup_from_rows(n, arr)
+    maps = _respecting_maps(s.n, preorder_of(s).leq, s.scan_triples(), s.triples)
+    return _semigroup_of(s.n, maps, cap)
 
 
 def order_system(po: Preorder, finals) -> TripleSystem:

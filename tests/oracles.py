@@ -160,6 +160,20 @@ def naive_monotone_maps(po):
     return out
 
 
+def naive_respecting_maps(s):
+    """All self-maps t respecting a triple system, lexicographic, straight
+    from the definition: (pt, qt, rt) is in R for every (p, q, r) in R
+    (Condition 1), and (0, qt, rt) is in R for every (0, q, r) in R
+    (Condition 2)."""
+    R = s.triples
+    out = []
+    for image in product(range(s.n), repeat=s.n):
+        if all((image[p], image[q], image[r]) in R for (p, q, r) in R) and \
+                all((0, image[q], image[r]) in R for (z, q, r) in R if z == 0):
+            out.append(image)
+    return out
+
+
 def naive_closure(generators):
     """Semigroup closure as a plain worklist over image tuples."""
     gens = [tuple(t.image) for t in generators]

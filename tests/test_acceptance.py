@@ -79,6 +79,12 @@ def test_monotone_counts():
     _conclude("monotone-counts n=3..7", verify_monotone_counts())
 
 
+def test_monotone_counts_at_eight():
+    # 6,435 and 524,390 maps out of 8^8 = 16,777,216 candidates: within
+    # the default cap, which bounds maps produced, not candidates
+    _conclude("monotone-counts n=8", verify_monotone_counts(range(8, 9)))
+
+
 def test_witness_families_are_proper():
     bad = []
     for family, first in ((star_witness, 3), (reversal_witness, 4),

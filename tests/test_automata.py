@@ -48,6 +48,13 @@ def test_construction_rejects_bad_tables():
         Dfa(2, ("a",), ((1, 0),), frozenset(), initial=1)
 
 
+@pytest.mark.parametrize("name", ["", " ", "a b", "a\tb", "a\n", "\u2003a",
+                                  "a\x1cb", "a#b"])
+def test_construction_rejects_bad_letter_names(name):
+    with pytest.raises(FormatError, match="bad letter name"):
+        Dfa(1, ("a", name), ((0,), (0,)), frozenset())
+
+
 def test_text_round_trip():
     for d in (ODD_A, A_OR_BAA, ENDS_A):
         assert Dfa.from_text(d.to_text()) == d

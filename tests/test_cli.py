@@ -116,6 +116,12 @@ def test_verify_exclusions_range_control(capsys):
     assert all(line.endswith("result=PASS") for line in lines)
 
 
+def test_verify_monotone_refuses_large_n_at_once(capsys):
+    assert main(["verify", "--suite", "monotone", "--min-n", "1000",
+                 "--max-n", "1000"]) == 3
+    assert "at most 12 states, got 1000" in capsys.readouterr().err
+
+
 def test_random_then_classify(tmp_path, capsys):
     out = tmp_path / "random.txt"
     assert main(["random", "--n", "5", "--letters", "3", "--seed", "7",

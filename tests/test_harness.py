@@ -2,13 +2,14 @@ import json
 
 import pytest
 
-from sconvex import (Report, ResourceCap, classify, is_suffix_convex,
-                     monotone_reversal_count, monotone_total_count,
-                     probe_conjecture, product_bound, random_suffix_convex,
-                     reports_to_json, reversal_bound, star_bound,
-                     syntactic_bound, verify_boolean, verify_exclusions,
-                     verify_product, verify_reversal, verify_star,
-                     verify_syntactic)
+from sconvex import (Dfa, NotMinimal, Report, ResourceCap, classify, harness,
+                     is_suffix_convex, monotone_reversal_count,
+                     monotone_total_count, probe_conjecture, product_bound,
+                     random_suffix_convex, reports_to_json, reversal_bound,
+                     star_bound, syntactic_bound, verify_boolean,
+                     verify_exclusions, verify_product, verify_reversal,
+                     verify_star, verify_syntactic)
+from sconvex.triples import letter_names
 
 
 def test_report_line_shape():
@@ -89,6 +90,24 @@ def test_random_suffix_convex_is_deterministic():
     assert a != c
 
 
+# Pinned samples: any drift in the random draws of the shuffled walk that
+# picks the letters changes at least one of these.
+GOLDEN_RANDOM = [
+    ((4, 2, 1), {1}, ((1, 2, 2, 2), (2, 2, 2, 2))),
+    ((6, 3, 7), {1, 2, 3, 5},
+     ((0, 2, 0, 5, 0, 4), (1, 1, 1, 3, 1, 1), (1, 1, 1, 3, 1, 1))),
+    ((5, 4, 20260819), {1, 4},
+     ((2, 2, 2, 2, 2), (3, 2, 4, 4, 4), (1, 1, 1, 1, 1), (4, 4, 4, 4, 4))),
+]
+
+
+@pytest.mark.parametrize("args, finals, delta", GOLDEN_RANDOM)
+def test_random_suffix_convex_golden_text(args, finals, delta):
+    n, letters, seed = args
+    want = Dfa(n, letter_names(letters), delta, finals)
+    assert random_suffix_convex(n, letters, seed).to_text() == want.to_text()
+
+
 @pytest.mark.parametrize("n, letters", [(2, 1), (3, 2), (5, 4), (8, 6)])
 def test_random_suffix_convex_shape_and_convexity(n, letters, seed=9):
     d = random_suffix_convex(n, letters, seed)
@@ -115,6 +134,13 @@ def test_probe_reaches_formula_at_three():
     assert result.proper_count == 1
     text = "\n".join(result.lines())
     assert "max=10" in text and "achieves=true" in text
+
+
+def test_probe_refuses_a_non_minimal_dfa(monkeypatch):
+    # the letter count is the syntactic size only for a minimal DFA
+    monkeypatch.setattr(harness, "is_minimal", lambda d: False)
+    with pytest.raises(NotMinimal):
+        probe_conjecture(3)
 
 
 def test_probe_at_two_is_degenerate():

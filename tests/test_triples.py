@@ -1,16 +1,25 @@
-import numpy as np
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import sconvex
 from sconvex import (AxiomViolation, Dfa, FormatError, NonConvexFinals,
                      NotMinimal, NotPartialOrder, NotSuffixConvex, Preorder,
                      ResourceCap, Transformation, TripleSystem,
                      antichain_order, base_triples, canonical_system,
                      dfa_respects, make_triple_system, maximal_semigroup,
-                     monotone_dfa, monotone_transformations, order_properties,
-                     order_system, preorder_of, respects, reversal_order,
-                     star_system, star_witness, syntactic_system, total_order)
+                     minimize, monotone_dfa, monotone_transformations,
+                     order_properties, order_system, preorder_of,
+                     random_suffix_convex, respects, reversal_order,
+                     reversal_system, star_system, star_witness,
+                     syntactic_system, total_order)
+from sconvex.harness import _random_order
+from sconvex.triples import _respecting_maps
 
-from oracles import naive_monotone_maps
+from oracles import naive_monotone_maps, naive_respecting_maps
 
 ENDS_A = Dfa(2, ("a", "b"), ((1, 1), (0, 0)), frozenset({1}))
 
@@ -87,12 +96,9 @@ def test_triple_from_text_rejects(text):
 
 def test_cube_and_scan_agree_with_membership():
     s = star_system(4)
-    cube = s.cube()
-    for p in range(4):
-        for q in range(4):
-            for r in range(4):
-                assert cube[p, q, r] == s.contains(p, q, r)
-    for (p, q, r) in s.scan_triples():
+    scan = s.scan_triples()
+    assert list(scan) == sorted(scan)
+    for (p, q, r) in scan:
         assert p <= q and r not in (p, q)
         assert s.contains(p, q, r)
 
@@ -170,12 +176,17 @@ def test_order_system_rejects_bad_finals():
         order_system(preorder_of(syntactic_system(4)), {2})
 
 
+def _images(sg):
+    return [tuple(img) for img in sg.images]
+
+
 def test_monotone_transformations_match_naive_filter():
+    rng = random.Random(31337)
+    seeded = [_random_order(rng, rng.randint(2, 6)) for _ in range(12)]
     for po in (total_order(3), total_order(4), antichain_order(3),
-               reversal_order(4)):
-        sg = monotone_transformations(po)
-        assert sorted(t.image for t in sg.elements()) == \
-            sorted(naive_monotone_maps(po))
+               reversal_order(4), *seeded):
+        # same maps, in the same lexicographic order
+        assert _images(monotone_transformations(po)) == naive_monotone_maps(po)
 
 
 def test_monotone_counts_small():
@@ -185,8 +196,55 @@ def test_monotone_counts_small():
 
 
 def test_monotone_cap():
-    with pytest.raises(ResourceCap):
+    with pytest.raises(ResourceCap, match="8 states reached 101 maps"):
         monotone_transformations(total_order(8), cap=100)
+    # the cap bounds the maps produced, not the n^n candidates
+    assert len(monotone_transformations(total_order(8), cap=6435)) == 6435
+
+
+def test_enumeration_refuses_too_many_states_before_producing_maps():
+    # with cap=10 a missing size check would show as the cap message instead
+    with pytest.raises(ResourceCap, match="at most 12 states, got 1000"):
+        monotone_transformations(total_order(1000), cap=10)
+    with pytest.raises(ResourceCap, match="at most 12 states, got 13"):
+        maximal_semigroup(star_system(13), cap=10)
+
+
+def test_monotone_transformations_of_empty_order():
+    assert monotone_transformations(total_order(0)).images == (b"",)
+
+
+def test_random_walk_beyond_byte_images():
+    n = 300
+    po = _random_order(random.Random(8), n)
+    image = next(_respecting_maps(n, po.leq, rng=random.Random(9)))
+    assert len(image) == n and max(image) < n
+    assert all(po.leq[image[p]][image[q]]
+               for p in range(n) for q in range(n) if po.leq[p][q])
+
+
+@pytest.mark.parametrize("family", [star_system, reversal_system,
+                                    syntactic_system])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_maximal_semigroup_matches_naive_respect(family, n):
+    s = family(n)
+    assert _images(maximal_semigroup(s)) == naive_respecting_maps(s)
+
+
+def test_maximal_semigroup_matches_naive_respect_on_random_systems():
+    rng = random.Random(5150)
+    for _ in range(30):
+        d = minimize(random_suffix_convex(rng.randint(2, 5), rng.randint(1, 3),
+                                          rng.randrange(2 ** 32)))
+        s = canonical_system(d)
+        assert _images(maximal_semigroup(s)) == naive_respecting_maps(s)
+
+
+def test_library_imports_without_numpy():
+    src = Path(sconvex.__file__).resolve().parents[1]
+    code = "import sconvex, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={"PYTHONPATH": str(src)})
 
 
 def test_maximal_semigroup_of_bare_system():
