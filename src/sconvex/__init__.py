@@ -24,8 +24,9 @@ from .transformations import (Semigroup, Transformation, apply_to_set,
 from .triples import (OrderProperties, Preorder, RespectCheck, TripleSystem,
                       antichain_order, base_triples, canonical_system,
                       dfa_respects, make_triple_system, maximal_semigroup,
-                      monotone_dfa, monotone_transformations, order_properties,
-                      order_system, preorder_of, respects, total_order)
+                      monotone_dfa, monotone_maps, monotone_transformations,
+                      order_properties, order_system, preorder_of, respects,
+                      total_order)
 from .witnesses import (LetterMap, dialect, reversal_order, reversal_system,
                         reversal_witness, star_system, star_witness,
                         syntactic_system, syntactic_witness)

@@ -221,9 +221,14 @@ def _parse_dfa(text):
         if not 0 <= q < n:
             raise FormatError(f"line {ln}: final state {q} out of range")
 
+    # a full table needs a line per cell; checking first keeps a huge
+    # declared size from allocating a table its file cannot fill
+    cells = n * len(alphabet)
+    if len(rows) - 4 < cells:
+        raise FormatError(f"incomplete transition table: {len(rows) - 4} "
+                          f"transition lines, need {cells}")
     index = {letter: k for k, letter in enumerate(alphabet)}
     table = [[None] * n for _ in alphabet]
-    count = 0
     for (ln, toks) in rows[4:]:
         if len(toks) != 3:
             raise FormatError(f"line {ln}: expected '<state> <letter> <state>'")
@@ -239,12 +244,7 @@ def _parse_dfa(text):
         if table[index[letter]][src] is not None:
             raise FormatError(f"line {ln}: duplicate transition for ({src}, {letter})")
         table[index[letter]][src] = dst
-        count += 1
-    if count != n * len(alphabet):
-        missing = [(q, letter) for k, letter in enumerate(alphabet)
-                   for q in range(n) if table[k][q] is None]
-        raise FormatError(f"incomplete transition table, missing {missing[:5]}"
-                          + ("..." if len(missing) > 5 else ""))
+    # at least one line per cell and no cell twice: the table is full
     return Dfa(n, alphabet, tuple(tuple(row) for row in table), finals)
 
 
@@ -501,18 +501,21 @@ def direct_product(d1: Dfa, d2: Dfa, op: str) -> Dfa:
     return Dfa(len(order), sigma, tuple(tuple(r) for r in rows), finals)
 
 
-def reachable_pairs(rows1, rows2, seeds, parent=None):
-    """Yield the state pairs reachable from `seeds`, breadth first.
+def reachable_tuples(rows, seeds, parent=None):
+    """Yield the state tuples reachable from `seeds`, breadth first.
 
-    Letter k takes (x, y) to (rows1[k][x], rows2[k][y]).  The seeds come
-    first, in order and without repeats, then each new pair as it is
-    discovered, so a caller that stops early skips the rest of the walk.
-    When `parent` is a dict, it is filled with seed -> None and
-    pair -> (previous pair, k), enough to spell a word back to a seed.
+    Letter k takes (x1, ..., xm) to (rows[k][x1], ..., rows[k][xm]), for
+    tuples of any length m.  The seeds come first, in order and without
+    repeats, then each new tuple as it is discovered, so a caller that stops
+    early skips the rest of the walk, and `seeds` may itself be lazy.  When
+    `parent` is a dict, it is filled with seed -> None and
+    tuple -> (previous tuple, k), enough to spell a word back to a seed.
     """
     if parent is None:
         parent = {}
-    letters = list(enumerate(zip(rows1, rows2)))
+    # column[q][k] is rows[k][q], so zipping a tuple's columns steps it by
+    # every letter at once
+    column = list(zip(*rows)).__getitem__
     order = []
     for seed in seeds:
         if seed not in parent:
@@ -521,13 +524,11 @@ def reachable_pairs(rows1, rows2, seeds, parent=None):
             yield seed
     i = 0
     while i < len(order):
-        pair = order[i]
+        node = order[i]
         i += 1
-        (x, y) = pair
-        for k, (row1, row2) in letters:
-            t = (row1[x], row2[y])
+        for k, t in enumerate(zip(*map(column, node))):
             if t not in parent:
-                parent[t] = (pair, k)
+                parent[t] = (node, k)
                 order.append(t)
                 yield t
 
@@ -542,16 +543,23 @@ def quotient_contains(d: Dfa, p: int, q: int) -> bool:
         raise ValueError("states out of range")
     finals = d.finals
     return not any(x in finals and y not in finals
-                   for x, y in reachable_pairs(d.delta, d.delta, [(p, q)]))
+                   for x, y in reachable_tuples(d.delta, [(p, q)]))
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
-    '''Whether L(d1) = L(d2), by pairwise reachability.  Alphabets must match.'''
+    """Whether L(d1) = L(d2), by pairwise reachability.  Alphabets must match.
+
+    The walk runs on the disjoint union, with d2's states shifted by d1.n
+    and its letters matched to d1's by name, from the pair of initial states.
+    """
     if set(d1.alphabet) != set(d2.alphabet):
         raise AlphabetMismatch("cannot compare languages over different alphabets")
-    rows2 = [d2.action(letter) for letter in d1.alphabet]
-    return all((x in d1.finals) == (y in d2.finals)
-               for x, y in reachable_pairs(d1.delta, rows2, [(0, 0)]))
+    m = d1.n
+    rows = [row + tuple(m + t for t in d2.action(letter))
+            for row, letter in zip(d1.delta, d1.alphabet)]
+    finals = d1.finals | {m + q for q in d2.finals}
+    return all((x in finals) == (y in finals)
+               for x, y in reachable_tuples(rows, [(0, m)]))
 
 
 def is_minimal(d: Dfa) -> bool:

@@ -18,7 +18,6 @@ its letters do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .automata import Dfa, is_minimal
 from .classify import is_suffix_convex
@@ -350,9 +349,10 @@ def _check_convex_finals(po: Preorder, finals):
 # ---------------------------------------------------------------------------
 # monotone transformations and the order construction
 
-# Enumerations that store every map cost time and memory in proportion to
-# cap * n before they hit the cap, so they refuse more states than this at
-# once: at 13 even a total order has 5,200,300 maps, over the default cap.
+# An enumeration costs time in proportion to cap * n before it hits the cap
+# (and memory too when it stores the maps), so it refuses more states than
+# this at once: at 13 even a total order has 5,200,300 maps, over the
+# default cap.
 ENUM_MAX_STATES = 12
 
 
@@ -385,15 +385,16 @@ def _respecting_maps(n: int, leq, scan=(), triples=frozenset(), rng=None):
             mask &= up[image[p]]
         for p in above[q]:
             mask &= down[image[p]]
-        order = list(values)
+        order = values
         if rng is not None:
+            order = list(values)
             rng.shuffle(order)
         out = []
         for v in order:
             if mask >> v & 1:
                 image[q] = v
-                if all((image[a], image[b], image[c]) in triples
-                       for (a, b, c) in checks[q]):
+                if not checks[q] or all((image[a], image[b], image[c]) in triples
+                                        for (a, b, c) in checks[q]):
                     out.append(v)
         return out
 
@@ -413,29 +414,37 @@ def _respecting_maps(n: int, leq, scan=(), triples=frozenset(), rng=None):
             pending.pop()
 
 
-def _semigroup_of(n: int, maps, cap: int) -> Semigroup:
-    '''The maps of a composition-closed set as a Semigroup, at most cap of them.'''
+def _capped(n: int, maps, cap: int):
+    '''Pass the maps on, refusing more than ENUM_MAX_STATES states at once
+    and raising ResourceCap once more than cap of them have come.'''
     if n > ENUM_MAX_STATES:
         raise ResourceCap(f"map enumeration supports at most {ENUM_MAX_STATES} "
                           f"states, got {n}")
-    images = tuple(islice(maps, cap + 1))
-    if len(images) > cap:
-        raise ResourceCap(f"enumeration on {n} states reached {len(images)} maps, "
-                          f"over the cap {cap}")
-    return Semigroup(n, (), images)
+    for count, image in enumerate(maps, 1):
+        if count > cap:
+            raise ResourceCap(f"enumeration on {n} states reached {count} maps, "
+                              f"over the cap {cap}")
+        yield image
+
+
+def monotone_maps(po: Preorder, cap: int = CLOSURE_CAP):
+    """An iterator over the maps monotone for a partial order, lexicographic,
+    as image bytes, so they can be counted without being stored.
+
+    Monotone means p below q forces pt below qt.  The order must be
+    antisymmetric with maximum 0.  ResourceCap is raised once more than
+    `cap` maps have been produced, and at once for more than
+    ENUM_MAX_STATES states.
+    """
+    _require_partial_order(po)
+    return _capped(po.n, _respecting_maps(po.n, po.leq), cap)
 
 
 def monotone_transformations(po: Preorder, cap: int = CLOSURE_CAP) -> Semigroup:
-    """All transformations monotone for a partial order, lexicographic.
-
-    Monotone means p below q forces pt below qt.  The order must be
-    antisymmetric with maximum 0; the collection is closed under
-    composition, so it is returned as a Semigroup with no generator list.
-    ResourceCap is raised once more than `cap` maps have been produced,
-    and at once for more than ENUM_MAX_STATES states.
+    """All of monotone_maps(po, cap), as a Semigroup with no generator list:
+    the monotone maps are closed under composition.
     """
-    _require_partial_order(po)
-    return _semigroup_of(po.n, _respecting_maps(po.n, po.leq), cap)
+    return Semigroup(po.n, (), tuple(monotone_maps(po, cap)))
 
 
 def maximal_semigroup(s: TripleSystem, cap: int = CLOSURE_CAP) -> Semigroup:
@@ -448,7 +457,7 @@ def maximal_semigroup(s: TripleSystem, cap: int = CLOSURE_CAP) -> Semigroup:
     more than ENUM_MAX_STATES states.
     """
     maps = _respecting_maps(s.n, preorder_of(s).leq, s.scan_triples(), s.triples)
-    return _semigroup_of(s.n, maps, cap)
+    return Semigroup(s.n, (), tuple(_capped(s.n, maps, cap)))
 
 
 def order_system(po: Preorder, finals) -> TripleSystem:

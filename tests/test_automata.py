@@ -1,14 +1,16 @@
 import random
+import tracemalloc
+from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sconvex import (AlphabetMismatch, Dfa, FormatError, Nfa, NotMinimal,
                      ResourceCap, atom_count, complete_to, complexity,
                      determinize, direct_product, equivalent, is_minimal,
                      minimize, product_nfa, quotient_contains, reverse_nfa,
                      star_nfa, union_alphabet)
-from sconvex.automata import reachable_pairs
+from sconvex.automata import reachable_tuples
 
 from conftest import random_dfa
 from oracles import signature_atom_count, table_filling_complexity
@@ -86,6 +88,22 @@ def test_from_text_tolerates_comments_and_blank_lines():
 def test_from_text_rejects(mutation, message):
     with pytest.raises(FormatError, match=message):
         Dfa.from_text(mutation)
+
+
+# 75 bytes declaring 9,000,000 transition cells
+HUGE_DECLARED = ("states 3000000\nalphabet a b c\ninitial 0\nfinal 1 2\n"
+                 "0 a 1\n0 b 0\n0 c 2\n1 a 10\n")
+
+
+def test_from_text_refuses_a_huge_declared_size_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="incomplete transition table"):
+            Dfa.from_text(HUGE_DECLARED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_minimize_merges_equivalent_states():
@@ -233,21 +251,93 @@ def test_equivalent():
     assert not equivalent(ENDS_A, Dfa(2, ("b", "a"), ENDS_A.delta, ENDS_A.finals))
 
 
-def test_reachable_pairs_is_lazy_and_breadth_first():
+def _reversed_alphabet(d):
+    '''The same automaton with its letters listed in the opposite order.'''
+    return Dfa(d.n, d.alphabet[::-1], d.delta[::-1], d.finals)
+
+
+def _relabeled(d, rng):
+    '''d with its non-initial states renamed at random and an unreachable
+    copy of one state added: the language is unchanged.'''
+    rest = list(range(1, d.n))
+    rng.shuffle(rest)
+    name = [0] + rest
+    copy = rng.randrange(d.n)
+    delta = []
+    for row in d.delta:
+        new = [0] * (d.n + 1)
+        for q in range(d.n):
+            new[name[q]] = name[row[q]]
+        new[d.n] = name[row[copy]]
+        delta.append(new)
+    finals = {name[q] for q in d.finals} | ({d.n} if copy in d.finals else set())
+    return Dfa(d.n + 1, d.alphabet, delta, finals)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from(
+    ["random", "relabeled", "relabeled-flipped", "minimized"]))
+@settings(max_examples=150, deadline=None)
+def test_equivalent_matches_agreement_on_short_words(seed, kind):
+    rng = random.Random(seed)
+    letters = rng.randint(1, 3)
+    d = random_dfa(rng, rng.randint(1, 4), letters)
+    if kind == "random":
+        e = random_dfa(rng, rng.randint(1, 4), letters)
+    elif kind == "minimized":
+        e = minimize(d)
+    else:
+        e = _relabeled(d, rng)
+        if kind == "relabeled-flipped":
+            q = rng.randrange(e.n)
+            e = Dfa(e.n, e.alphabet, e.delta, e.finals ^ {q})
+    # two DFAs that differ do so on a word shorter than d.n + e.n
+    agree = all(d.accepts(w) == e.accepts(w)
+                for length in range(d.n + e.n)
+                for w in product(d.alphabet, repeat=length))
+    assert equivalent(d, e) == agree
+    assert equivalent(d, _reversed_alphabet(e)) == agree
+    assert equivalent(_reversed_alphabet(d), e) == agree
+
+
+@pytest.mark.parametrize("seeds", [
+    [(1, 0), (1, 0), (2, 0)],
+    [(0, 1, 2), (0, 1, 2), (3, 0, 4)],
+], ids=["pairs", "triples"])
+def test_reachable_tuples_is_lazy_and_breadth_first(seeds):
     rows = A_OR_BAA.delta
     parent = {}
-    walk = reachable_pairs(rows, rows, [(1, 0), (1, 0), (2, 0)], parent)
-    assert next(walk) == (1, 0)
-    assert parent == {(1, 0): None}
-    pairs = [(1, 0)] + list(walk)
-    assert pairs[1] == (2, 0) and parent[(2, 0)] is None
-    assert len(pairs) == len(set(pairs)) == len(parent)
-    for pair in pairs[2:]:
-        prev, k = parent[pair]
-        assert (rows[k][prev[0]], rows[k][prev[1]]) == pair
-    # breadth first: each pair's parent comes no earlier than the last one's
-    found_from = [pairs.index(parent[pair][0]) for pair in pairs[2:]]
+    walk = reachable_tuples(rows, seeds, parent)
+    assert next(walk) == seeds[0]
+    assert parent == {seeds[0]: None}
+    found = [seeds[0]] + list(walk)
+    assert found[1] == seeds[2] and parent[seeds[2]] is None
+    assert len(found) == len(set(found)) == len(parent)
+    for t in found[2:]:
+        prev, k = parent[t]
+        assert tuple(rows[k][x] for x in prev) == t
+    # breadth first: discovered by parent position, then by letter
+    found_from = [(found.index(parent[t][0]), parent[t][1]) for t in found[2:]]
     assert found_from == sorted(found_from)
+
+
+def test_reachable_tuples_pulls_seeds_lazily():
+    pulled = []
+
+    def seeds():
+        for seed in [(0,), (2,)]:
+            pulled.append(seed)
+            yield seed
+
+    walk = reachable_tuples(A_OR_BAA.delta, seeds())
+    assert next(walk) == (0,) and pulled == [(0,)]
+    assert next(walk) == (2,) and pulled == [(0,), (2,)]
+
+
+@pytest.mark.parametrize("d", [ODD_A, A_OR_BAA, ENDS_A,
+                               Dfa(3, ("a",), ((1, 0, 2),), frozenset({1})),
+                               random_dfa(random.Random(5), 7, 3)])
+def test_reachable_tuples_of_the_initial_state_is_reachable(d):
+    assert [q for (q,) in reachable_tuples(d.delta, [(0,)])] == d.reachable()
 
 
 def test_atom_count_requires_minimal():

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,3 +147,34 @@ def test_special_classes_agree_with_oracle(seed):
 def test_special_classes_of_witnesses_agree_with_oracle(family, n):
     d = family(n)
     assert _special_classes(d) == brute_force_special_classes(d)
+
+
+GOLDEN = Path(__file__).parent / "data" / "classify_golden.txt"
+
+
+def _classify_records():
+    """One line per DFA: the five flags and the counterexample, if any.
+
+    The DFAs are 300 seeded uniform random tables (n <= 7, up to 3
+    letters) and the three witness families at n=4..8.
+    """
+    rng = random.Random(4041)
+    dfas = [(f"random{i}", random_dfa(rng, rng.randint(1, 7), rng.randint(1, 3)))
+            for i in range(300)]
+    for family in (star_witness, reversal_witness, syntactic_witness):
+        dfas.extend((f"{family.__name__}{n}", family(n)) for n in range(4, 9))
+    for name, d in dfas:
+        c = classify(d)
+        flags = "".join(str(int(x)) for x in (c.suffix_convex, c.left_ideal,
+                                               c.suffix_closed, c.suffix_free,
+                                               c.proper))
+        words = "-"
+        if c.counterexample is not None:
+            words = " ".join(f"{part}={','.join(word)}"
+                             for part, word in zip("uvw", c.counterexample))
+        yield f"{name} {flags} {words}"
+
+
+def test_classify_matches_golden_records():
+    want = GOLDEN.read_text(encoding="utf-8").splitlines()
+    assert list(_classify_records()) == want

@@ -155,5 +155,13 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "missing.txt")]) == 2
 
 
+def test_huge_declared_size_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("states 3000000\nalphabet a b c\ninitial 0\nfinal 1 2\n"
+                    "0 a 1\n0 b 0\n0 c 2\n1 a 10\n", encoding="utf-8")
+    assert main(["classify", str(path)]) == 2
+    assert "incomplete transition table" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2

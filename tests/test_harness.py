@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -7,8 +8,9 @@ from sconvex import (Dfa, NotMinimal, Report, ResourceCap, classify, harness,
                      monotone_total_count, probe_conjecture, product_bound,
                      random_suffix_convex, reports_to_json, reversal_bound,
                      star_bound, syntactic_bound, verify_boolean,
-                     verify_exclusions, verify_product, verify_reversal,
-                     verify_star, verify_syntactic)
+                     verify_exclusions, verify_monotone_counts,
+                     verify_product, verify_reversal, verify_star,
+                     verify_syntactic)
 from sconvex.triples import letter_names
 
 
@@ -154,3 +156,16 @@ def test_probe_rejects_large_n():
         probe_conjecture(6)
     with pytest.raises(ResourceCap):
         probe_conjecture(1)
+
+
+def test_monotone_counts_store_no_maps():
+    # storing the 524,390 reversal-order maps would peak at about 26 MB
+    tracemalloc.start()
+    try:
+        reports = verify_monotone_counts(range(8, 9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.actual for r in reports] == [6435, 524390]
+    assert all(r.passed for r in reports)
+    assert peak < 5 << 20

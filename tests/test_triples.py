@@ -13,9 +13,10 @@ from sconvex import (AxiomViolation, Dfa, FormatError, NonConvexFinals,
                      dfa_respects, make_triple_system, maximal_semigroup,
                      minimize, monotone_dfa, monotone_transformations,
                      order_properties, order_system, preorder_of,
-                     random_suffix_convex, respects, reversal_order,
-                     reversal_system, star_system, star_witness,
-                     syntactic_system, total_order)
+                     quotient_contains, random_suffix_convex, respects,
+                     reversal_order, reversal_system, reversal_witness,
+                     star_system, star_witness, syntactic_system,
+                     syntactic_witness, total_order)
 from sconvex.harness import _random_order
 from sconvex.triples import _respecting_maps
 
@@ -295,3 +296,25 @@ def test_canonical_system_is_respected_and_contains_designed_system():
         canon = canonical_system(star_witness(n))
         assert designed.triples <= canon.triples
         assert dfa_respects(star_witness(n), canon)
+
+
+def _containment_samples():
+    for n in range(4, 11):
+        yield star_witness(n)
+        yield reversal_witness(n)
+        yield syntactic_witness(n)
+    rng = random.Random(808)
+    for _ in range(200):
+        yield minimize(random_suffix_convex(rng.randint(2, 7), rng.randint(1, 4),
+                                            rng.randrange(2 ** 32)))
+
+
+def test_quotient_containment_is_canonical_membership():
+    # L_p is in L_q exactly when no word takes (p, p, q) to
+    # (final, final, non-final), that is, when (p, p, q) is in R
+    for d in _containment_samples():
+        triples = canonical_system(d).triples
+        for p in range(d.n):
+            for q in range(d.n):
+                assert quotient_contains(d, p, q) == ((p, p, q) in triples), \
+                    (d, p, q)
