@@ -8,6 +8,9 @@ shared freely across threads; every operation below is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain
+from operator import or_
 
 from .errors import AlphabetMismatch, FormatError, NotMinimal, ResourceCap
 
@@ -313,40 +316,43 @@ def minimize(d: Dfa) -> Dfa:
     States of the result are numbered by breadth-first discovery order over
     the alphabet order, so equal languages give byte-identical automata.
     """
+    k = len(d.alphabet)
+    # the reachable part, renumbered 0..r-1 in discovery order, as one
+    # state-major table: state q's targets are flat[q*k:(q+1)*k]
     reach = d.reachable()
-    # Moore partition refinement on the reachable part
-    block = {q: int(q in d.finals) for q in reach}
-    nblocks = len(set(block.values()))
+    num = dict(zip(reach, range(len(reach))))
+    columns = list(zip(*d.delta))
+    flat = list(map(num.__getitem__, chain.from_iterable(map(columns.__getitem__, reach))))
+    # Moore refinement: a state's signature is its block and its targets'
+    # blocks, and each distinct signature is a block of the next round,
+    # numbered by first appearance; zipping k copies of one iterator deals
+    # the targets out k at a time, so a round does no per-letter work
+    block = [int(q in d.finals) for q in reach]
+    nblocks = len(set(block))
     while True:
         sigs = {}
-        newblock = {}
-        for q in reach:
-            sig = (block[q],) + tuple(block[row[q]] for row in d.delta)
-            newblock[q] = sigs.setdefault(sig, len(sigs))
-        block = newblock
+        targets = map(block.__getitem__, flat)
+        refined = [sigs.setdefault(sig, len(sigs)) for sig in zip(block, *[targets] * k)]
         if len(sigs) == nblocks:
             break
+        block = refined
         nblocks = len(sigs)
-    # renumber blocks by BFS from the initial block
-    rep = {}
-    for q in reach:
-        rep.setdefault(block[q], q)
-    order = [block[0]]
+    # number the blocks by BFS from the initial block; any member stands
+    # for its block, and `order` holds the first member reached
     number = {block[0]: 0}
+    order = [0]
     i = 0
     while i < len(order):
-        b = order[i]
+        q = order[i]
         i += 1
-        q = rep[b]
-        for row in d.delta:
-            t = block[row[q]]
-            if t not in number:
-                number[t] = len(order)
+        for t in flat[q * k:(q + 1) * k]:
+            if block[t] not in number:
+                number[block[t]] = len(order)
                 order.append(t)
-    m = len(order)
-    delta = tuple(tuple(number[block[row[rep[b]]]] for b in order) for row in d.delta)
-    finals = frozenset(number[b] for b in order if rep[b] in d.finals)
-    return Dfa(m, d.alphabet, delta, finals)
+    new = list(map(number.__getitem__, map(block.__getitem__, flat)))
+    delta = tuple(zip(*[new[q * k:(q + 1) * k] for q in order]))
+    finals = frozenset(i for i, q in enumerate(order) if reach[q] in d.finals)
+    return Dfa(len(order), d.alphabet, delta, finals)
 
 
 def complexity(d: Dfa) -> int:
@@ -354,14 +360,40 @@ def complexity(d: Dfa) -> int:
     return minimize(d).n
 
 
+def _mask(states) -> int:
+    return sum(1 << q for q in states)
+
+
 def determinize(m: Nfa, cap: int = SUBSET_CAP) -> Dfa:
     """Accessible subset construction with epsilon closure.
 
     Subsets are numbered by breadth-first discovery with the alphabet order;
-    the empty subset appears only when it is reachable.  Raises ResourceCap
-    when more than `cap` subsets are discovered.
+    the empty subset appears only when it is reachable.  Raises ResourceCap,
+    saying how many subsets were fully expanded, when more than `cap`
+    subsets are discovered.
     """
-    start = m.closure(m.initials)
+    # subsets are bit masks; the closure of a union is the union of the
+    # closures, so each state's closed successors under every letter are
+    # found once, as succ[q][k]
+    eclose = [_mask(m.closure((q,))) for q in range(m.n)]
+    succ = [tuple(reduce(or_, map(eclose.__getitem__, targets), 0) for targets in row)
+            for row in m.delta]
+    empty = (0,) * len(m.alphabet)
+    # chunk[pos << 8 | byte]: the successors, under every letter, of the
+    # states byte * 2^(8 pos) selects, filled in on first use
+    chunk = {}
+
+    def successors(pos, byte):
+        key = pos << 8 | byte
+        out = chunk.get(key)
+        if out is None:
+            low = byte & -byte
+            rest = successors(pos, byte ^ low) if byte != low else empty
+            out = tuple(map(or_, rest, succ[pos * 8 + low.bit_length() - 1]))
+            chunk[key] = out
+        return out
+
+    start = reduce(or_, map(eclose.__getitem__, m.initials), 0)
     order = [start]
     index = {start: 0}
     rows = [[] for _ in m.alphabet]
@@ -369,18 +401,24 @@ def determinize(m: Nfa, cap: int = SUBSET_CAP) -> Dfa:
     while i < len(order):
         S = order[i]
         i += 1
-        for k in range(len(m.alphabet)):
-            targets = set()
-            for q in S:
-                targets.update(m.delta[q][k])
-            T = m.closure(targets)
-            if T not in index:
+        targets = empty
+        while S:
+            pos = ((S & -S).bit_length() - 1) >> 3
+            byte = S >> (pos << 3) & 255
+            S ^= byte << (pos << 3)
+            vec = successors(pos, byte)
+            targets = vec if targets is empty else tuple(map(or_, targets, vec))
+        for row, T in zip(rows, targets):
+            j = index.get(T)
+            if j is None:
                 if len(order) >= cap:
-                    raise ResourceCap(f"subset construction exceeded {cap} subsets")
-                index[T] = len(order)
+                    raise ResourceCap(f"subset construction exceeded {cap} subsets "
+                                      f"({i - 1} expanded)")
+                j = index[T] = len(order)
                 order.append(T)
-            rows[k].append(index[T])
-    finals = frozenset(i for i, S in enumerate(order) if S & m.finals)
+            row.append(j)
+    fmask = _mask(m.finals)
+    finals = frozenset(i for i, S in enumerate(order) if S & fmask)
     return Dfa(len(order), m.alphabet, tuple(tuple(r) for r in rows), finals)
 
 

@@ -132,9 +132,17 @@ def make_triple_system(n: int, finals, triples) -> TripleSystem:
     for (p, q, r) in R:
         if (q, p, r) not in R:
             raise AxiomViolation("B", (q, p, r))
+    # (C) asks (p, q, s) of every s with (q, r, s) in R: index those s by
+    # (q, r), in increasing order, so the first violation is the one a scan
+    # of s = 0..n-1 finds
+    after = {}
+    for (q, r, s) in R:
+        after.setdefault((q, r), []).append(s)
+    for bucket in after.values():
+        bucket.sort()
     for (p, q, r) in R:
-        for s in range(n):
-            if (q, r, s) in R and (p, q, s) not in R:
+        for s in after.get((q, r), ()):
+            if (p, q, s) not in R:
                 raise AxiomViolation("C", (p, q, s))
     for (p, q, r) in R:
         if p in finals and q in finals and r not in finals:
@@ -414,12 +422,17 @@ def _respecting_maps(n: int, leq, scan=(), triples=frozenset(), rng=None):
             pending.pop()
 
 
-def _capped(n: int, maps, cap: int):
-    '''Pass the maps on, refusing more than ENUM_MAX_STATES states at once
-    and raising ResourceCap once more than cap of them have come.'''
+def check_enumerable(n: int) -> None:
+    '''Refuse a map enumeration on more than ENUM_MAX_STATES states.'''
     if n > ENUM_MAX_STATES:
         raise ResourceCap(f"map enumeration supports at most {ENUM_MAX_STATES} "
                           f"states, got {n}")
+
+
+def _capped(n: int, maps, cap: int):
+    '''Pass the maps on, refusing more than ENUM_MAX_STATES states at once
+    and raising ResourceCap once more than cap of them have come.'''
+    check_enumerable(n)
     for count, image in enumerate(maps, 1):
         if count > cap:
             raise ResourceCap(f"enumeration on {n} states reached {count} maps, "

@@ -187,3 +187,16 @@ def naive_closure(generators):
                 seen.add(w)
                 frontier.append(w)
     return seen
+
+
+def naive_axiom_c(n, triples):
+    """The first triple axiom (C) misses, or None, straight from its
+    statement: for (p, q, r) and (q, r, s) in R, (p, q, s) is in R.  R is
+    built and walked as make_triple_system builds and walks it, and s runs
+    over 0..n-1, so a violation found is the one it should report."""
+    R = frozenset(tuple(t) for t in triples)
+    for (p, q, r) in R:
+        for s in range(n):
+            if (q, r, s) in R and (p, q, s) not in R:
+                return (p, q, s)
+    return None

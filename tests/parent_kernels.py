@@ -1,0 +1,82 @@
+"""The subset construction and Moore minimization that `sconvex.automata`
+used before its bit-mask and list-based kernels, kept verbatim as the pinned
+reference for the cross-checks in test_kernels.py.
+
+This is not an independent oracle: it shares the algorithms it checks.
+The oracles in oracles.py avoid subset construction and refinement.
+"""
+
+from sconvex.automata import SUBSET_CAP, Dfa, Nfa
+from sconvex.errors import ResourceCap
+
+
+def parent_minimize(d: Dfa) -> Dfa:
+    """The canonical minimal complete DFA of L(d).
+
+    States of the result are numbered by breadth-first discovery order over
+    the alphabet order, so equal languages give byte-identical automata.
+    """
+    reach = d.reachable()
+    # Moore partition refinement on the reachable part
+    block = {q: int(q in d.finals) for q in reach}
+    nblocks = len(set(block.values()))
+    while True:
+        sigs = {}
+        newblock = {}
+        for q in reach:
+            sig = (block[q],) + tuple(block[row[q]] for row in d.delta)
+            newblock[q] = sigs.setdefault(sig, len(sigs))
+        block = newblock
+        if len(sigs) == nblocks:
+            break
+        nblocks = len(sigs)
+    # renumber blocks by BFS from the initial block
+    rep = {}
+    for q in reach:
+        rep.setdefault(block[q], q)
+    order = [block[0]]
+    number = {block[0]: 0}
+    i = 0
+    while i < len(order):
+        b = order[i]
+        i += 1
+        q = rep[b]
+        for row in d.delta:
+            t = block[row[q]]
+            if t not in number:
+                number[t] = len(order)
+                order.append(t)
+    m = len(order)
+    delta = tuple(tuple(number[block[row[rep[b]]]] for b in order) for row in d.delta)
+    finals = frozenset(number[b] for b in order if rep[b] in d.finals)
+    return Dfa(m, d.alphabet, delta, finals)
+
+
+def parent_determinize(m: Nfa, cap: int = SUBSET_CAP) -> Dfa:
+    """Accessible subset construction with epsilon closure.
+
+    Subsets are numbered by breadth-first discovery with the alphabet order;
+    the empty subset appears only when it is reachable.  Raises ResourceCap
+    when more than `cap` subsets are discovered.
+    """
+    start = m.closure(m.initials)
+    order = [start]
+    index = {start: 0}
+    rows = [[] for _ in m.alphabet]
+    i = 0
+    while i < len(order):
+        S = order[i]
+        i += 1
+        for k in range(len(m.alphabet)):
+            targets = set()
+            for q in S:
+                targets.update(m.delta[q][k])
+            T = m.closure(targets)
+            if T not in index:
+                if len(order) >= cap:
+                    raise ResourceCap(f"subset construction exceeded {cap} subsets")
+                index[T] = len(order)
+                order.append(T)
+            rows[k].append(index[T])
+    finals = frozenset(i for i, S in enumerate(order) if S & m.finals)
+    return Dfa(len(order), m.alphabet, tuple(tuple(r) for r in rows), finals)

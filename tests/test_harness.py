@@ -158,6 +158,19 @@ def test_probe_rejects_large_n():
         probe_conjecture(1)
 
 
+def test_monotone_counts_refuse_before_building_orders():
+    # building the two orders first costs about 374 MB max RSS at 2,000
+    # states, and it grows with n^2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCap, match="at most 12 states, got 3000"):
+            verify_monotone_counts(range(3000, 3001))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_monotone_counts_store_no_maps():
     # storing the 524,390 reversal-order maps would peak at about 26 MB
     tracemalloc.start()

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sconvex
 from sconvex import (AxiomViolation, Dfa, FormatError, NonConvexFinals,
@@ -20,7 +21,7 @@ from sconvex import (AxiomViolation, Dfa, FormatError, NonConvexFinals,
 from sconvex.harness import _random_order
 from sconvex.triples import _respecting_maps
 
-from oracles import naive_monotone_maps, naive_respecting_maps
+from oracles import naive_axiom_c, naive_monotone_maps, naive_respecting_maps
 
 ENDS_A = Dfa(2, ("a", "b"), ((1, 1), (0, 0)), frozenset({1}))
 
@@ -60,6 +61,29 @@ def test_axiom_c_needs_transitivity():
         make_triple_system(4, {1}, triples)
     assert exc.value.axiom == "C"
     assert exc.value.triple == (1, 2, 0)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_axiom_c_matches_naive_check(seed):
+    # relations that pass (A) and (B), with no finals so (D) cannot fail:
+    # (C) is the only axiom that can be missed
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    density = rng.choice((0.05, 0.2, 0.6))
+    triples = base_triples(n)
+    for p in range(n):
+        for q in range(p + 1, n):
+            for r in range(n):
+                if rng.random() < density:
+                    triples |= {(p, q, r), (q, p, r)}
+    missed = naive_axiom_c(n, triples)
+    if missed is None:
+        assert make_triple_system(n, (), triples).triples == triples
+    else:
+        with pytest.raises(AxiomViolation) as exc:
+            make_triple_system(n, (), triples)
+        assert (exc.value.axiom, exc.value.triple) == ("C", missed)
 
 
 def test_axiom_d_keeps_finals_closed():
