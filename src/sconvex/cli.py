@@ -10,8 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .automata import (Dfa, complete_to, complexity, determinize, direct_product,
-                       minimize, product_nfa, reverse_nfa, star_nfa,
+from .automata import (Dfa, atom_count, complete_to, complexity, determinize,
+                       direct_product, minimize, product_nfa, star_nfa,
                        union_alphabet)
 from .classify import classify
 from .errors import ResourceCap, SconvexError
@@ -86,7 +86,7 @@ def _cmd_classify(args):
 def _cmd_complexity(args):
     d = _read_dfa(args.input)
     if args.reverse:
-        value = complexity(determinize(reverse_nfa(d)))
+        value = atom_count(minimize(d))
     else:
         value = complexity(d)
     print(value)

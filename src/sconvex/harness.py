@@ -19,7 +19,7 @@ from .automata import (Dfa, atom_count, complexity, determinize, is_minimal,
                        minimize, product_nfa, direct_product, star_nfa)
 from .classify import classify
 from .errors import BadSize, NotMinimal, ResourceCap
-from .transformations import CLOSURE_CAP, syntactic_complexity
+from .transformations import syntactic_complexity
 from .triples import (Preorder, TripleSystem, _convex_violation,
                       _respecting_maps, canonical_system, check_enumerable,
                       letter_names, monotone_dfa, monotone_maps,
@@ -36,6 +36,10 @@ MONOTONE_RANGE = range(3, 8)
 EXCLUSION_RANGE = range(4, 9)
 
 DEFAULT_SEED = 987123
+
+# the reversal-bound samples: up to this many states and letters
+REVERSAL_SAMPLE_MAX_N = 8
+REVERSAL_SAMPLE_MAX_LETTERS = 6
 
 
 @dataclass(frozen=True)
@@ -150,8 +154,7 @@ def verify_boolean(ms=BOOLEAN_RANGE, ns=BOOLEAN_RANGE):
     return reports
 
 
-def verify_reversal(ns=REVERSAL_RANGE, samples=500, max_n=8, max_letters=6,
-                    seed=DEFAULT_SEED):
+def verify_reversal(ns=REVERSAL_RANGE, samples=500, seed=DEFAULT_SEED):
     """Reversal witness values, plus the upper bound on random samples.
 
     The final report counts bound violations over `samples` seeded random
@@ -168,39 +171,40 @@ def verify_reversal(ns=REVERSAL_RANGE, samples=500, max_n=8, max_letters=6,
     rng = random.Random(seed)
     violations = 0
     for _ in range(samples):
-        n = rng.randint(3, max_n)
-        k = rng.randint(1, max_letters)
+        n = rng.randint(3, REVERSAL_SAMPLE_MAX_N)
+        k = rng.randint(1, REVERSAL_SAMPLE_MAX_LETTERS)
         d = minimize(random_suffix_convex(n, k, rng.randrange(2 ** 32)))
         if 8 * atom_count(d) > 7 * 2 ** d.n:
             violations += 1
     reports.append(_report("reversal-bound",
-                           [("n", max_n), ("samples", samples), ("seed", seed)],
+                           [("n", REVERSAL_SAMPLE_MAX_N), ("samples", samples),
+                            ("seed", seed)],
                            0, violations, t0))
     return reports
 
 
-def verify_syntactic(ns=SYNTACTIC_RANGE, cap=CLOSURE_CAP):
+def verify_syntactic(ns=SYNTACTIC_RANGE):
     '''Transition semigroup of the syntactic witness hits the size bound.'''
     reports = []
     for n in ns:
         t0 = time.perf_counter()
-        actual = syntactic_complexity(syntactic_witness(n), cap)
+        actual = syntactic_complexity(syntactic_witness(n))
         reports.append(_report("syntactic", [("n", n)], syntactic_bound(n), actual, t0))
     return reports
 
 
-def verify_monotone_counts(ns=MONOTONE_RANGE, cap=CLOSURE_CAP):
+def verify_monotone_counts(ns=MONOTONE_RANGE):
     '''Exhaustive monotone-map counts, none of the maps stored, match the formulas.'''
     reports = []
     for n in ns:
         # before the orders, whose construction grows with n^2
         check_enumerable(n)
         t0 = time.perf_counter()
-        actual = sum(1 for _ in monotone_maps(total_order(n), cap))
+        actual = sum(1 for _ in monotone_maps(total_order(n)))
         reports.append(_report("monotone-total", [("n", n)],
                                monotone_total_count(n), actual, t0))
         t0 = time.perf_counter()
-        actual = sum(1 for _ in monotone_maps(reversal_order(n), cap))
+        actual = sum(1 for _ in monotone_maps(reversal_order(n)))
         reports.append(_report("monotone-reversal", [("n", n)],
                                monotone_reversal_count(n), actual, t0))
     return reports
@@ -418,7 +422,7 @@ def _convex_subsets(po):
             yield finals
 
 
-def probe_conjecture(n: int, cap: int = CLOSURE_CAP) -> ProbeResult:
+def probe_conjecture(n: int) -> ProbeResult:
     """Exhaustive search for the largest syntactic complexity reachable
     from order-generated systems.
 
@@ -444,7 +448,7 @@ def probe_conjecture(n: int, cap: int = CLOSURE_CAP) -> ProbeResult:
         po = Preorder(n, leq)
         for finals in _convex_subsets(po):
             configurations += 1
-            d = monotone_dfa(po, finals, cap)
+            d = monotone_dfa(po, finals)
             if not classify(d).proper:
                 continue
             proper_count += 1

@@ -259,6 +259,6 @@ def transition_semigroup(d: Dfa, cap: int = CLOSURE_CAP) -> Semigroup:
     return closure(gens, cap)
 
 
-def syntactic_complexity(d: Dfa, cap: int = CLOSURE_CAP) -> int:
+def syntactic_complexity(d: Dfa) -> int:
     '''Size of the transition semigroup of the minimal DFA of L(d).'''
-    return len(transition_semigroup(minimize(d), cap))
+    return len(transition_semigroup(minimize(d)))

@@ -500,7 +500,7 @@ def letter_names(count: int) -> tuple[str, ...]:
     return tuple(f"t{i:0{width}d}" for i in range(count))
 
 
-def monotone_dfa(po: Preorder, finals, cap: int = CLOSURE_CAP) -> Dfa:
+def monotone_dfa(po: Preorder, finals) -> Dfa:
     """The DFA with one letter per monotone transformation.
 
     With a convex final set that is neither empty nor everything, the
@@ -511,7 +511,7 @@ def monotone_dfa(po: Preorder, finals, cap: int = CLOSURE_CAP) -> Dfa:
     if not finals or len(finals) >= po.n:
         raise ValueError("final set must be nonempty and proper")
     _check_convex_finals(po, finals)
-    sg = monotone_transformations(po, cap)
+    sg = monotone_transformations(po)
     delta = tuple(tuple(img) for img in sg.images)
     return Dfa(po.n, letter_names(len(delta)), delta, finals)
 

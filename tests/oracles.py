@@ -18,6 +18,24 @@ def accepts(d, word):
     return q in d.finals
 
 
+def accepts_star(d, word):
+    """Whether word is in L(d)*, by splitting it at every position: a prefix
+    of word is in L(d)* when it is empty or when it is a shorter prefix in
+    L(d)* followed by a factor in L(d)."""
+    word = tuple(word)
+    starred = [True]
+    for j in range(1, len(word) + 1):
+        starred.append(any(starred[i] and accepts(d, word[i:j]) for i in range(j)))
+    return starred[-1]
+
+
+def accepts_concat(d1, d2, word):
+    """Whether word is in L(d1) L(d2), by splitting it at every position."""
+    word = tuple(word)
+    return any(accepts(d1, word[:i]) and accepts(d2, word[i:])
+               for i in range(len(word) + 1))
+
+
 def brute_force_suffix_convex(d, max_len=None):
     """Word-level convexity check over all words up to max_len letters.
 

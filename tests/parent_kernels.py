@@ -1,6 +1,8 @@
 """The subset construction and Moore minimization that `sconvex.automata`
 used before its bit-mask and list-based kernels, kept verbatim as the pinned
-reference for the cross-checks in test_kernels.py.
+reference for the cross-checks in test_kernels.py, except that the subset
+construction's two epsilon-closure calls are plain frozensets, since an
+`Nfa` has no epsilon edges.
 
 This is not an independent oracle: it shares the algorithms it checks.
 The oracles in oracles.py avoid subset construction and refinement.
@@ -53,13 +55,13 @@ def parent_minimize(d: Dfa) -> Dfa:
 
 
 def parent_determinize(m: Nfa, cap: int = SUBSET_CAP) -> Dfa:
-    """Accessible subset construction with epsilon closure.
+    """Accessible subset construction.
 
     Subsets are numbered by breadth-first discovery with the alphabet order;
     the empty subset appears only when it is reachable.  Raises ResourceCap
     when more than `cap` subsets are discovered.
     """
-    start = m.closure(m.initials)
+    start = frozenset(m.initials)
     order = [start]
     index = {start: 0}
     rows = [[] for _ in m.alphabet]
@@ -71,7 +73,7 @@ def parent_determinize(m: Nfa, cap: int = SUBSET_CAP) -> Dfa:
             targets = set()
             for q in S:
                 targets.update(m.delta[q][k])
-            T = m.closure(targets)
+            T = frozenset(targets)
             if T not in index:
                 if len(order) >= cap:
                     raise ResourceCap(f"subset construction exceeded {cap} subsets")

@@ -50,7 +50,7 @@ def test_reversal_witness_bound():
 
 
 def test_reversal_upper_bound_on_samples():
-    reports = verify_reversal(ns=[], samples=500, max_n=8, max_letters=6)
+    reports = verify_reversal(ns=[], samples=500)
     assert [r.suite for r in reports] == ["reversal-bound"]
     _conclude("reversal-upper-bound samples=500", reports)
 

@@ -13,7 +13,8 @@ from sconvex import (AlphabetMismatch, Dfa, FormatError, Nfa, NotMinimal,
 from sconvex.automata import reachable_tuples
 
 from conftest import random_dfa
-from oracles import signature_atom_count, table_filling_complexity
+from oracles import (accepts_concat, accepts_star, signature_atom_count,
+                     table_filling_complexity)
 
 ODD_A = Dfa(2, ("a",), ((1, 0),), frozenset({1}))
 
@@ -136,7 +137,6 @@ def second_to_last_a_nfa():
                ((frozenset({0, 1}), frozenset({0})),
                 (frozenset({2}), frozenset({2})),
                 (frozenset(), frozenset())),
-               (frozenset(), frozenset(), frozenset()),
                initials=frozenset({0}), finals=frozenset({2}))
 
 
@@ -152,17 +152,6 @@ def test_determinize_simple_nfa():
 def test_determinize_resource_cap():
     with pytest.raises(ResourceCap):
         determinize(second_to_last_a_nfa(), cap=2)
-
-
-def test_determinize_epsilon_closure():
-    # epsilon from 0 to 1, so the empty word is accepted
-    m = Nfa(2, ("a",),
-            ((frozenset(),), (frozenset({1}),)),
-            (frozenset({1}), frozenset()),
-            initials=frozenset({0}), finals=frozenset({1}))
-    d = determinize(m)
-    assert d.accepts("")
-    assert d.accepts("a")
 
 
 def test_star_of_single_word():
@@ -189,6 +178,48 @@ def test_product_concatenation():
     assert d.accepts("ab")
     for w in ("", "a", "b", "ba", "abb", "aab"):
         assert not d.accepts(w)
+
+
+def _with_finals(d, kind):
+    """d with its final set kept, emptied, or joined by the initial state."""
+    if kind == "keep":
+        return d
+    return Dfa(d.n, d.alphabet, d.delta,
+               frozenset() if kind == "none" else d.finals | {0})
+
+
+FINAL_KINDS = st.sampled_from(["keep", "none", "initial"])
+
+
+def _words(alphabet):
+    '''Every word of at most 6 letters.'''
+    for length in range(7):
+        yield from product(alphabet, repeat=length)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), FINAL_KINDS)
+@settings(max_examples=200, deadline=None)
+def test_star_matches_word_splitting(seed, kind):
+    rng = random.Random(seed)
+    d = _with_finals(random_dfa(rng, rng.randint(1, 5), rng.randint(1, 3)), kind)
+    star = determinize(star_nfa(d))
+    for w in _words(d.alphabet):
+        assert star.accepts(w) == accepts_star(d, w), w
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), FINAL_KINDS, FINAL_KINDS)
+@settings(max_examples=200, deadline=None)
+def test_product_matches_word_splitting(seed, kind1, kind2):
+    rng = random.Random(seed)
+    letters = rng.randint(1, 3)
+    d1 = _with_finals(random_dfa(rng, rng.randint(1, 5), letters), kind1)
+    d2 = _with_finals(random_dfa(rng, rng.randint(1, 5), letters), kind2)
+    if rng.random() < 0.5:
+        # the same letters listed in the opposite order: matched by name
+        d2 = _reversed_alphabet(d2)
+    cat = determinize(product_nfa(d1, d2))
+    for w in _words(d1.alphabet):
+        assert cat.accepts(w) == accepts_concat(d1, d2, w), w
 
 
 def test_product_alphabet_rules():
@@ -348,6 +379,15 @@ def test_atom_count_requires_minimal():
 def test_atom_count_small_cases():
     assert atom_count(ODD_A) == 2
     assert atom_count(minimize(A_OR_BAA)) == signature_atom_count(minimize(A_OR_BAA))
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_reversal_of_a_minimal_dfa_determinizes_to_a_minimal_dfa(seed):
+    # Brzozowski (1962); atom_count takes this DFA's size as the complexity
+    rng = random.Random(seed)
+    d = minimize(random_dfa(rng, rng.randint(1, 8), rng.randint(1, 3)))
+    assert is_minimal(determinize(reverse_nfa(d)))
 
 
 def test_dot_output_mentions_every_state():

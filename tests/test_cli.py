@@ -5,6 +5,7 @@ import pytest
 
 from sconvex import Dfa, star_witness
 from sconvex.cli import main
+from sconvex.harness import SUITES
 
 
 @pytest.fixture
@@ -29,6 +30,16 @@ def test_complexity_and_reverse(star4_file, capsys):
     assert main(["complexity", star4_file]) == 0
     assert main(["complexity", "--reverse", star4_file]) == 0
     assert capsys.readouterr().out.split() == ["4", "10"]
+
+
+def test_reverse_complexity_of_a_non_minimal_dfa(tmp_path, capsys):
+    # odd numbers of a's on a 4-cycle, plus an unreachable state; the
+    # reversed language is the same, so its complexity is 2
+    path = tmp_path / "bloated.txt"
+    path.write_text(Dfa(5, ("a",), ((1, 2, 3, 0, 4),), frozenset({1, 3, 4})).to_text(),
+                    encoding="utf-8")
+    assert main(["complexity", "--reverse", str(path)]) == 0
+    assert capsys.readouterr().out == "2\n"
 
 
 def test_classify_output(star4_file, capsys):
@@ -106,6 +117,12 @@ def test_verify_text_and_json(tmp_path, capsys):
     rows = json.loads(report.read_text(encoding="utf-8"))
     assert [row["actual"] for row in rows] == [6, 12, 24]
     assert all(row["pass"] for row in rows)
+
+
+def test_every_suite_takes_its_range_of_n_first():
+    # verify clamps each suite's first default to --min-n/--max-n
+    for suite in SUITES.values():
+        assert isinstance(suite.__defaults__[0], range), suite.__name__
 
 
 def test_verify_exclusions_range_control(capsys):

@@ -22,8 +22,8 @@ def _witnesses(n):
 
 
 def _random_nfa(rng: random.Random) -> Nfa:
-    """An epsilon-NFA with up to 20 states, so subsets span three bytes,
-    up to 3 letters, sparse epsilon edges and up to 3 initial states."""
+    """An NFA with up to 20 states, so subsets span three bytes, up to 3
+    letters and up to 3 initial states."""
     n = rng.randint(1, 20)
     names = tuple("abc"[:rng.randint(1, 3)])
     density = rng.choice((0.05, 0.15, 0.4))
@@ -32,11 +32,9 @@ def _random_nfa(rng: random.Random) -> Nfa:
         return frozenset(q for q in range(n) if rng.random() < density)
 
     delta = tuple(tuple(some() for _ in names) for _ in range(n))
-    epsilon = tuple(frozenset(q for q in range(n) if rng.random() < 0.05)
-                    for _ in range(n))
     initials = frozenset(rng.sample(range(n), min(n, rng.randint(0, 3))))
     finals = frozenset(q for q in range(n) if rng.random() < 0.3)
-    return Nfa(n, names, delta, epsilon, initials, finals)
+    return Nfa(n, names, delta, initials, finals)
 
 
 def _dfa_with_unreachable(rng: random.Random) -> Dfa:
