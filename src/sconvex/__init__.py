@@ -20,7 +20,8 @@ from .harness import (ProbeResult, Report, monotone_reversal_count,
                       verify_star, verify_syntactic)
 from .transformations import (Semigroup, Transformation, apply_to_set,
                               closure, compose, identity, parse_transformation,
-                              syntactic_complexity, transition_semigroup)
+                              semigroup_size, syntactic_complexity,
+                              transition_semigroup)
 from .triples import (OrderProperties, Preorder, RespectCheck, TripleSystem,
                       antichain_order, base_triples, canonical_system,
                       dfa_respects, make_triple_system, maximal_semigroup,

@@ -156,9 +156,6 @@ class Nfa:
             if not 0 <= q < self.n:
                 raise FormatError(f"state {q} out of range")
 
-    def to_dot(self, name: str = "nfa") -> str:
-        return _nfa_dot(self, name)
-
 
 # ---------------------------------------------------------------------------
 # text format
@@ -244,18 +241,6 @@ def _quote(s):
     return '"' + str(s).replace('"', '\\"') + '"'
 
 
-def _dot_edges(n, labels_for):
-    '''Deterministic edge emission, letters with equal endpoints merged.'''
-    lines = []
-    for q in range(n):
-        grouped = {}
-        for label, dst in labels_for(q):
-            grouped.setdefault(dst, []).append(label)
-        for dst in sorted(grouped):
-            lines.append(f"  {q} -> {dst} [label={_quote(','.join(grouped[dst]))}];")
-    return lines
-
-
 def _dfa_dot(d, name):
     lines = [f"digraph {name} {{", "  rankdir=LR;",
              '  __start [shape=point, label=""];']
@@ -263,30 +248,13 @@ def _dfa_dot(d, name):
         shape = "doublecircle" if q in d.finals else "circle"
         lines.append(f"  {q} [shape={shape}];")
     lines.append("  __start -> 0;")
-
-    def labels_for(q):
-        return [(letter, d.delta[k][q]) for k, letter in enumerate(d.alphabet)]
-
-    lines.extend(_dot_edges(d.n, labels_for))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _nfa_dot(m, name):
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for i, q in enumerate(sorted(m.initials)):
-        lines.append(f'  __start{i} [shape=point, label=""];')
-    for q in range(m.n):
-        shape = "doublecircle" if q in m.finals else "circle"
-        lines.append(f"  {q} [shape={shape}];")
-    for i, q in enumerate(sorted(m.initials)):
-        lines.append(f"  __start{i} -> {q};")
-
-    def labels_for(q):
-        return [(letter, dst) for k, letter in enumerate(m.alphabet)
-                for dst in sorted(m.delta[q][k])]
-
-    lines.extend(_dot_edges(m.n, labels_for))
+    # one edge per target, its letters merged in alphabet order
+    for q in range(d.n):
+        grouped = {}
+        for k, letter in enumerate(d.alphabet):
+            grouped.setdefault(d.delta[k][q], []).append(letter)
+        for dst in sorted(grouped):
+            lines.append(f"  {q} -> {dst} [label={_quote(','.join(grouped[dst]))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

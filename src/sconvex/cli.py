@@ -17,7 +17,8 @@ from .classify import classify
 from .errors import ResourceCap, SconvexError
 from .harness import (DEFAULT_SEED, SUITES, probe_conjecture,
                       random_suffix_convex, reports_to_json)
-from .transformations import CLOSURE_CAP, transition_semigroup
+from .transformations import (CLOSURE_CAP, Transformation, semigroup_size,
+                              transition_semigroup)
 from .triples import canonical_system, preorder_of
 from .witnesses import (LetterMap, dialect, reversal_system, reversal_witness,
                         star_system, star_witness, syntactic_system,
@@ -115,11 +116,12 @@ def _cmd_combine(args):
 
 
 def _cmd_semigroup(args):
-    sg = transition_semigroup(_read_dfa(args.input), args.cap)
+    d = _read_dfa(args.input)
     if args.count_only:
-        print(len(sg))
+        letters = [Transformation(d.n, row) for row in d.delta]
+        print(semigroup_size(letters, args.cap))
     else:
-        _emit(sg.dump(), args.output)
+        _emit(transition_semigroup(d, args.cap).dump(), args.output)
     return 0
 
 
@@ -226,7 +228,9 @@ def build_parser():
     p.add_argument("-o", "--output")
 
     p = add("semigroup", _cmd_semigroup, "transition semigroup dump or size")
-    p.add_argument("--cap", type=int, default=CLOSURE_CAP)
+    p.add_argument("--cap", type=int, default=CLOSURE_CAP,
+                   help="most elements to store; with --count-only, most "
+                        "image sets and most R-class representatives")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("input")
     p.add_argument("-o", "--output")

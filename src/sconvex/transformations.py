@@ -1,4 +1,5 @@
-"""Transformations of the state set, notation parsing, and semigroup closure.
+"""Transformations of the state set, notation parsing, semigroup closure,
+and semigroup size counted by Green's R-classes.
 
 A transformation of Q_n = {0, ..., n-1} is stored as its image vector, so
 ``image[q]`` is where q goes.  Products are written left to right: q(st)
@@ -7,6 +8,7 @@ means (qs)t.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -217,8 +219,9 @@ class Semigroup:
         return "\n".join(lines) + "\n"
 
 
-def closure(generators, cap: int = CLOSURE_CAP) -> Semigroup:
-    '''Close a list of transformations under composition.'''
+def _image_bytes(generators):
+    '''The generators and their image vectors as bytes, checked to share
+    one domain of at most 255 states (a translate table has 256 entries).'''
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -228,7 +231,13 @@ def closure(generators, cap: int = CLOSURE_CAP) -> Semigroup:
             raise SizeMismatch("generators must share a domain")
     if n > 255:
         raise ResourceCap("semigroup closure supports at most 255 states")
-    gen_bytes = [bytes(g.image) for g in gens]
+    return gens, [bytes(g.image) for g in gens]
+
+
+def closure(generators, cap: int = CLOSURE_CAP) -> Semigroup:
+    '''Close a list of transformations under composition.'''
+    gens, gen_bytes = _image_bytes(generators)
+    n = len(gen_bytes[0])
     # translate tables must cover all 256 byte values; the tail is never hit
     tables = [gb + bytes(256 - n) for gb in gen_bytes]
     order: list[bytes] = []
@@ -253,12 +262,291 @@ def closure(generators, cap: int = CLOSURE_CAP) -> Semigroup:
     return Semigroup(n, gens, tuple(order))
 
 
+# ---------------------------------------------------------------------------
+# semigroup size by Green's R-classes
+#
+# The orbit method for transformation semigroups (Linton, Pfeiffer,
+# Robertson & Ruskuc 1998; East, Egri-Nagy, Mitchell & Peresse 2019).  Two
+# elements are R-related when each is the other times an element of S^1.
+# The elements of one R-class share a kernel, and their image sets fill one
+# strongly connected component of the orbit of image sets under the
+# generators.  With R the component's first image set, the elements of the
+# class with image set R are one coset of the component's Schutzenberger
+# group: the permutations of R that elements of S^1 mapping R onto R
+# induce.  So the class has |component| * |group| elements.  Left
+# multiplication maps R-classes onto R-classes, so a breadth-first walk
+# from the generators meets them all, storing one representative of each.
+# Every element met is first moved, inside its R-class, onto one with image
+# set R; one set lookup then finds most of the elements met before.
+
+_IDENTITY = bytes(range(256))
+_MARK = b"\xff" * 256
+
+
+class _Sims:
+    """A permutation group as a Schreier-Sims table (Sims 1970; Knuth 1991).
+
+    Permutations are 256-byte translate tables that fix every point outside
+    `base`.  Level j keeps the orbit of base[j] under the strong generators
+    that fix base[:j]; each orbit point x holds a group element taking
+    base[j] to x, and its inverse, so sifting is one translate per level.
+    """
+
+    def __init__(self, base: bytes):
+        self.base = base
+        self.strong = [[] for _ in base]
+        self.orbits = [{b: (_IDENTITY, _IDENTITY)} for b in base]
+
+    def order(self) -> int:
+        return math.prod(len(orbit) for orbit in self.orbits)
+
+    def _sift(self, p: bytes, level: int):
+        '''(j, residue): the level where p leaves the table, or len(base).'''
+        for j in range(level, len(self.base)):
+            known = self.orbits[j].get(p[self.base[j]])
+            if known is None:
+                return j, p
+            p = p.translate(known[1])
+        return len(self.base), p
+
+    def __contains__(self, p: bytes) -> bool:
+        return self._sift(p, 0)[0] == len(self.base)
+
+    def add(self, p: bytes) -> None:
+        '''Extend the group by the permutation p.
+
+        Every (orbit point, strong generator) pair of every level is
+        visited once, deepest level first: a new orbit point extends the
+        orbit, a known one gives a Schreier generator, which is sifted
+        through the complete levels below.
+        '''
+        pending = [[] for _ in self.base]
+        j = self._insert(p, 0, pending)
+        while j >= 0:
+            if not pending[j]:
+                j -= 1
+                continue
+            x, s, s_inv = pending[j].pop()
+            orbit = self.orbits[j]
+            t, t_inv = orbit[x]
+            u = t.translate(s)
+            y = s[x]
+            known = orbit.get(y)
+            if known is None:
+                orbit[y] = (u, s_inv.translate(t_inv))
+                pending[j].extend((y, g, g_inv) for g, g_inv in self.strong[j])
+            else:
+                j = max(j, self._insert(u.translate(known[1]), j + 1, pending))
+
+    def _insert(self, p: bytes, level: int, pending: list) -> int:
+        '''Sift p from level on; store what is left of it as a strong
+        generator of every level it reaches.  The deepest such level, or -1.'''
+        j, h = self._sift(p, level)
+        if j == len(self.base):
+            return -1
+        h_inv = bytes.maketrans(h, _IDENTITY)
+        for k in range(level, j + 1):
+            self.strong[k].append((h, h_inv))
+            pending[k].extend((x, h, h_inv) for x in self.orbits[k])
+        return j
+
+
+def _image_key(x: bytes, n: int) -> bytes:
+    '''The set of entries of x, as n bytes: 255 at each entry, the point
+    itself elsewhere (no state is 255).'''
+    return bytes.maketrans(x, _MARK[:len(x)])[:n]
+
+
+def _image_orbit(gen_bytes, tables, cap):
+    '''The image sets of the semigroup's elements, each as sorted bytes, with
+    their index by `_image_key` and each one's successors under the
+    generators.'''
+    n = len(gen_bytes[0])
+    points: list[bytes] = []
+    index: dict[bytes, int] = {}
+    for g in gen_bytes:
+        key = _image_key(g, n)
+        if key not in index:
+            index[key] = len(points)
+            points.append(bytes(sorted(set(g))))
+    succ = []
+    maketrans = bytes.maketrans
+    for P in points:  # grows while it is walked
+        row = []
+        mark = _MARK[:len(P)]
+        for table in tables:
+            image = P.translate(table)
+            key = maketrans(image, mark)[:n]  # _image_key(image, n), inlined
+            j = index.get(key)
+            if j is None:
+                if len(points) >= cap:
+                    raise ResourceCap(f"semigroup count exceeded {cap} image sets "
+                                      f"({len(succ)} of them expanded)")
+                j = index[key] = len(points)
+                points.append(bytes(sorted(set(image))))
+            row.append(j)
+        succ.append(row)
+    return points, index, succ
+
+
+def _components(succ):
+    '''Strongly connected components of the graph with these successor
+    lists, by an iterative Tarjan: the component of each node, and the
+    first node and the size of each component.'''
+    count = len(succ)
+    number = [-1] * count
+    low = [0] * count
+    component_of = [-1] * count
+    roots: list[int] = []
+    sizes: list[int] = []
+    stack: list[int] = []
+    counter = 0
+    for root in range(count):
+        if number[root] >= 0:
+            continue
+        number[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if number[w] < 0:
+                    number[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if component_of[w] < 0 and number[w] < low[v]:
+                    low[v] = number[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == number[v]:
+                    c = len(roots)
+                    first, size = v, 0
+                    while True:
+                        w = stack.pop()
+                        component_of[w] = c
+                        size += 1
+                        first = min(first, w)
+                        if w == v:
+                            break
+                    roots.append(first)
+                    sizes.append(size)
+    return component_of, roots, sizes
+
+
+class _Component:
+    """One strongly connected component of the image orbit, built when an
+    element first lands in it.
+
+    It fills in `norm[p]` for each of its image sets p: a translate table
+    that takes an element with image set p to an R-related element with
+    the component's first image set R.  It keeps its Schutzenberger group
+    (None when trivial) and, per kernel, the representatives stored so far.
+    """
+
+    def __init__(self, c, root, size, component_of, points, succ, tables, norm):
+        R = points[root]
+        norm[root] = _IDENTITY
+        path = {root: R}  # where R's points go along the Schreier tree
+        group = None
+        queue = [root]
+        for p in queue:  # grows while it is walked
+            for table, q in zip(tables, succ[p]):
+                if component_of[q] != c:
+                    continue
+                img = path[p].translate(table)
+                if q not in path:
+                    path[q] = img
+                    norm[q] = bytes.maketrans(img, R)
+                    queue.append(q)
+                    continue
+                # a Schreier generator; one that fixes R pointwise adds nothing
+                back = img.translate(norm[q])
+                if back != R:
+                    if group is None:
+                        group = _Sims(R)
+                    group.add(bytes.maketrans(R, back))
+        self.group = group
+        self.weight = size * (1 if group is None else group.order())
+        self.reps: dict[bytes, list[bytes]] = {}
+
+
+def _kernel(x: bytes) -> bytes:
+    '''x relabelled by first occurrence: equal exactly when kernels are.'''
+    firsts = bytes(dict.fromkeys(x))
+    return x.translate(bytes.maketrans(firsts, _IDENTITY[:len(firsts)]))
+
+
+def semigroup_size(generators, cap: int = CLOSURE_CAP) -> int:
+    '''The number of elements of the semigroup the transformations generate.
+
+    Counts R-class by R-class and stores one representative of each, never
+    the elements.  Raises ResourceCap once more than `cap` image sets, or
+    more than `cap` R-class representatives, are stored.  The generators'
+    own image sets and R-classes are stored regardless, so the count goes
+    through whenever `closure` with the same cap would.
+    '''
+    _, gen_bytes = _image_bytes(generators)
+    n = len(gen_bytes[0])
+    pad = _IDENTITY[n:]
+    tables = [g + pad for g in gen_bytes]
+    points, index, succ = _image_orbit(gen_bytes, tables, cap)
+    mark, maketrans = _MARK[:n], bytes.maketrans
+    component_of, roots, sizes = _components(succ)
+    norm: list = [None] * len(points)
+    built: list = [None] * len(roots)
+    seen: set[bytes] = set()
+    reps: list[bytes] = []
+    total = 0
+    # left multiplication maps R-classes onto R-classes; the identity's
+    # products are the generators, whose R-classes the walk starts from
+    expanded, table = 0, _IDENTITY
+    while True:
+        for g in gen_bytes:
+            x = g.translate(table)
+            p = index[maketrans(x, mark)[:n]]  # _image_key(x, n), inlined
+            c = component_of[p]
+            comp = built[c]
+            if comp is None:
+                comp = built[c] = _Component(c, roots[c], sizes[c], component_of,
+                                             points, succ, tables, norm)
+            x = x.translate(norm[p])
+            if x in seen:
+                continue
+            seen.add(x)
+            group = comp.group
+            if group is not None:
+                # same kernel, same component: R-related exactly when some
+                # element of the group maps one onto the other
+                bucket = comp.reps.setdefault(_kernel(x), [])
+                if any(maketrans(y, x) in group for y in bucket):
+                    continue
+                bucket.append(x)
+            if expanded and len(reps) >= cap:
+                raise ResourceCap(f"semigroup count exceeded {cap} R-classes "
+                                  f"({len(points)} image sets, {expanded} "
+                                  f"R-classes expanded)")
+            reps.append(x)
+            total += comp.weight
+        if expanded == len(reps):
+            return total
+        table = reps[expanded] + pad
+        expanded += 1
+
+
+def _letters(d: Dfa) -> list[Transformation]:
+    return [Transformation(d.n, row) for row in d.delta]
+
+
 def transition_semigroup(d: Dfa, cap: int = CLOSURE_CAP) -> Semigroup:
     '''The semigroup generated by the letter transformations of d.'''
-    gens = [Transformation(d.n, d.delta[k]) for k in range(len(d.alphabet))]
-    return closure(gens, cap)
+    return closure(_letters(d), cap)
 
 
 def syntactic_complexity(d: Dfa) -> int:
     '''Size of the transition semigroup of the minimal DFA of L(d).'''
-    return len(transition_semigroup(minimize(d)))
+    return semigroup_size(_letters(minimize(d)))

@@ -5,6 +5,7 @@ attached to the assertion message when something fails.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -59,9 +60,24 @@ def test_syntactic_semigroup_sizes():
     _conclude("syntactic-semigroup n=3..7", verify_syntactic())
 
 
-@pytest.mark.slow
 def test_syntactic_semigroup_size_at_eight():
     _conclude("syntactic-semigroup n=8", verify_syntactic([8]))
+
+
+def test_syntactic_semigroup_size_at_nine_in_little_memory():
+    tracemalloc.start()
+    try:
+        reports = verify_syntactic([9])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _conclude("syntactic-semigroup n=9", reports)
+    assert peak < 100_000_000, f"peak {peak} bytes"
+
+
+@pytest.mark.slow
+def test_syntactic_semigroup_size_at_ten():
+    _conclude("syntactic-semigroup n=10", verify_syntactic([10]))
 
 
 def test_exhaustive_filter_matches_generated_semigroup():

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -82,7 +83,29 @@ def test_combine_argument_counts(star4_file, capsys):
 
 def test_semigroup_count(star4_file, capsys):
     assert main(["semigroup", "--count-only", star4_file]) == 0
-    assert capsys.readouterr().out.strip() == "29"
+    # a cap the 29-element closure fits under
+    assert main(["semigroup", "--count-only", "--cap", "29", star4_file]) == 0
+    assert capsys.readouterr().out.split() == ["29", "29"]
+
+
+def test_semigroup_count_cap_exits_3_before_storing_much(tmp_path, capsys):
+    # a cycle, a swap and 0 -> 1 generate all 823,543 maps on 7 states
+    n = 7
+    letters = (tuple((q + 1) % n for q in range(n)),
+               (1, 0) + tuple(range(2, n)),
+               (1,) + tuple(range(1, n)))
+    path = tmp_path / "full7.txt"
+    path.write_text(Dfa(n, ("a", "b", "c"), letters, frozenset({0})).to_text(),
+                    encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code = main(["semigroup", "--count-only", "--cap", "50", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "exceeded 50 image sets" in capsys.readouterr().err
+    assert peak < 1_000_000
 
 
 def test_semigroup_cap_exits_3(star4_file, capsys):

@@ -1,9 +1,17 @@
+import math
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sconvex import (NotationError, ResourceCap, SizeMismatch, Semigroup,
                      Transformation, apply_to_set, closure, compose, identity,
-                     parse_transformation, star_witness, syntactic_complexity,
+                     monotone_transformations, parse_transformation,
+                     reversal_witness, semigroup_size, star_witness,
+                     syntactic_complexity, syntactic_witness, total_order,
                      transition_semigroup)
+from sconvex.transformations import _Sims
 
 from oracles import naive_closure
 
@@ -126,3 +134,112 @@ def test_syntactic_complexity_against_naive_closure():
     w = star_witness(4)
     gens = [Transformation(4, w.delta[k]) for k in range(len(w.alphabet))]
     assert syntactic_complexity(w) == len(naive_closure(gens))
+
+
+# ---------------------------------------------------------------------------
+# semigroup_size against the naive closure
+
+@st.composite
+def generator_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    image = st.one_of(
+        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n),
+        st.permutations(range(n)),
+        st.just(list(range(n))))
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if gens and draw(st.integers(min_value=0, max_value=4)) == 0:
+            gens.append(draw(st.sampled_from(gens)))
+        else:
+            gens.append(Transformation(n, tuple(draw(image))))
+    return gens
+
+
+@given(generator_sets())
+@settings(max_examples=300, deadline=None)
+def test_semigroup_size_against_naive_closure(gens):
+    size = len(naive_closure(gens))
+    # a cap the closure fits under is one the count fits under too
+    assert semigroup_size(gens, cap=size) == size
+
+
+def _letters(d):
+    return [Transformation(d.n, row) for row in d.delta]
+
+
+@pytest.mark.parametrize("family, n", [
+    *[(star_witness, n) for n in range(3, 9)],
+    *[(reversal_witness, n) for n in range(4, 9)],
+    *[(syntactic_witness, n) for n in range(3, 8)],
+    pytest.param(syntactic_witness, 8, marks=pytest.mark.slow),
+])
+def test_semigroup_size_of_witnesses(family, n):
+    gens = _letters(family(n))
+    assert semigroup_size(gens) == len(naive_closure(gens))
+
+
+def _full_monoid_generators(n):
+    '''Generators of S_n, a cycle and a swap, and of T_n, those and 0 -> 1.'''
+    cycle = tuple((q + 1) % n for q in range(n))
+    swap = (1, 0) + tuple(range(2, n)) if n > 1 else (0,)
+    merge = (1,) + tuple(range(1, n)) if n > 1 else (0,)
+    symmetric = [Transformation(n, cycle), Transformation(n, swap)]
+    return symmetric, symmetric + [Transformation(n, merge)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_semigroup_size_of_full_and_symmetric_monoids(n):
+    symmetric, full = _full_monoid_generators(n)
+    assert semigroup_size(symmetric) == math.factorial(n)
+    assert semigroup_size(full) == n ** n
+    if n <= 6:
+        assert semigroup_size(symmetric) == len(naive_closure(symmetric))
+        assert semigroup_size(full) == len(naive_closure(full))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_semigroup_size_of_the_chains_monotone_monoid(n):
+    gens = list(monotone_transformations(total_order(n)).elements())
+    assert semigroup_size(gens) == math.comb(2 * n - 1, n)
+    if n <= 6:
+        assert semigroup_size(gens) == len(naive_closure(gens))
+
+
+def test_semigroup_size_of_a_constant_and_a_cycle():
+    constant = [t(5, 3, 3, 3, 3, 3)]
+    cycle = [t(5, 1, 2, 3, 0, 4)]
+    assert semigroup_size(constant) == len(naive_closure(constant)) == 1
+    assert semigroup_size(cycle) == len(naive_closure(cycle)) == 4
+
+
+def test_semigroup_size_caps_what_it_stores():
+    # T_5 has 31 image sets and 52 kernels, one R-class for each kernel
+    _, full = _full_monoid_generators(5)
+    with pytest.raises(ResourceCap, match="exceeded 30 image sets"):
+        semigroup_size(full, cap=30)
+    with pytest.raises(ResourceCap, match="exceeded 51 R-classes"):
+        semigroup_size(full, cap=51)
+    assert semigroup_size(full, cap=52) == 5 ** 5
+    with pytest.raises(ResourceCap, match="at most 255 states"):
+        semigroup_size([identity(256)])
+
+
+def test_sims_table_order_and_membership():
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        perms = []
+        for _ in range(rng.randint(1, 3)):
+            image = list(range(n))
+            rng.shuffle(image)
+            perms.append(tuple(image))
+        group = naive_closure([Transformation(n, p) for p in perms])
+        table = _Sims(bytes(range(n)))
+        for p in perms:
+            table.add(bytes(p) + bytes(range(n, 256)))
+        assert table.order() == len(group), perms
+        for _ in range(10):
+            image = list(range(n))
+            rng.shuffle(image)
+            member = bytes(image) + bytes(range(n, 256)) in table
+            assert member == (tuple(image) in group), (perms, image)
