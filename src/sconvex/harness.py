@@ -21,8 +21,8 @@ from .classify import classify
 from .errors import BadSize, NotMinimal, ResourceCap
 from .transformations import syntactic_complexity
 from .triples import (Preorder, TripleSystem, _convex_violation,
-                      _respecting_maps, canonical_system, check_enumerable,
-                      letter_names, monotone_dfa, monotone_maps,
+                      _respecting_maps, antichain_order, canonical_system,
+                      check_enumerable, letter_names, monotone_maps,
                       order_properties, preorder_of, total_order)
 from .witnesses import (LetterMap, dialect, reversal_order, reversal_witness,
                         star_witness, syntactic_witness)
@@ -165,7 +165,7 @@ def verify_reversal(ns=REVERSAL_RANGE, samples=500, seed=DEFAULT_SEED):
     reports = []
     for n in ns:
         t0 = time.perf_counter()
-        actual = atom_count(minimize(reversal_witness(n)))
+        actual = atom_count(reversal_witness(n))
         reports.append(_report("reversal", [("n", n)], reversal_bound(n), actual, t0))
     t0 = time.perf_counter()
     rng = random.Random(seed)
@@ -376,42 +376,41 @@ class ProbeResult:
         yield "best-final " + " ".join(str(q) for q in sorted(self.best_finals))
 
 
+def _up_closed_sets(up):
+    '''Up-closed sets of 0..k-1 as bit masks; up[u] masks the points above u.'''
+    sets = [0]
+    for u, above in enumerate(up):
+        sets += [s | 1 << u for s in sets if above & ~s == 0]
+    return sets
+
+
 def _nonzero_posets(n):
-    '''Partial orders on the non-zero states, one per isomorphism class.'''
+    """Partial orders on the non-zero states, one per isomorphism class.
+
+    Every poset has a labelling with each point only below earlier ones, so
+    the posets grow one point at a time, point k below an up-closed set of
+    0..k-1 (Brinkmann & McKay 2002).  A class is its minimum matrix over the
+    relabellings.  The classes come in the order in which a sweep of every
+    relation, by increasing bit code over the off-diagonal pairs, first
+    meets them: the probe keeps the first best order it sees.
+    """
     m = n - 1
+    grown = [()]
+    for _ in range(m):
+        grown = [up + (above,) for up in grown for above in _up_closed_sets(up)]
     pairs = [(p, q) for p in range(m) for q in range(m) if p != q]
     perms = list(permutations(range(m)))
-    seen = set()
-    out = []
-    for bits in range(1 << len(pairs)):
-        rel = [[p == q for q in range(m)] for p in range(m)]
-        for i, (p, q) in enumerate(pairs):
-            if bits >> i & 1:
-                rel[p][q] = True
-        ok = True
-        for p in range(m):
-            for q in range(m):
-                if p == q or not rel[p][q]:
-                    continue
-                if rel[q][p]:
-                    ok = False
-                    break
-                for r in range(m):
-                    if rel[q][r] and not rel[p][r]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        canon = min(tuple(tuple(rel[pi[p]][pi[q]] for q in range(m))
-                          for p in range(m)) for pi in perms)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(canon)
-    return out
+    first_code = {}
+    for up in grown:
+        rel = [[p == q or up[p] >> q & 1 == 1 for q in range(m)] for p in range(m)]
+        views = [tuple(tuple(rel[pi[p]][pi[q]] for q in range(m)) for p in range(m))
+                 for pi in perms]
+        canon = min(views)
+        if canon not in first_code:
+            first_code[canon] = min(
+                sum(1 << i for i, (p, q) in enumerate(pairs) if v[p][q])
+                for v in views)
+    return sorted(first_code, key=first_code.get)
 
 
 def _convex_subsets(po):
@@ -426,29 +425,30 @@ def probe_conjecture(n: int) -> ProbeResult:
     """Exhaustive search for the largest syntactic complexity reachable
     from order-generated systems.
 
-    Enumerates every partial order on Q_n with maximum 0 (up to relabeling
-    of the non-zero states) and every convex proper final set, builds the
-    DFA with all monotone transformations as letters, keeps the ones that
-    classify as proper, and records the maximum syntactic complexity seen:
-    the letter count, once the DFA is checked to be minimal.  The search
-    space covers only order-generated systems, so the result is an
-    exploratory lower bound, not a refutation procedure.
+    Grows every partial order on the non-zero states one point at a time,
+    one per isomorphism class, and puts 0 above them all.  For each order
+    the monotone transformations are enumerated once and become the
+    letters of one DFA per convex proper final set.  The DFAs that
+    classify as proper count, and the maximum syntactic complexity seen is
+    recorded: the letter count, once the DFA is checked to be minimal.
+    The search space covers only order-generated systems, so the result
+    is an exploratory lower bound, not a refutation procedure.
     """
     if not 2 <= n <= 5:
         raise ResourceCap(f"the probe enumerates orders only for 2 <= n <= 5, got {n}")
-    best = None
+    best = (0, antichain_order(n), frozenset())
     orders = 0
     configurations = 0
     proper_count = 0
     for rel in _nonzero_posets(n):
         orders += 1
-        leq = tuple(tuple(q == 0 or (p == q) or
-                          (p >= 1 and q >= 1 and rel[p - 1][q - 1])
-                          for q in range(n)) for p in range(n))
-        po = Preorder(n, leq)
+        # state 0 above all the others, which are ordered as in rel
+        po = Preorder(n, [(True,) + (False,) * (n - 1)] + [(True,) + row for row in rel])
+        delta = tuple(monotone_maps(po))
+        names = letter_names(len(delta))
         for finals in _convex_subsets(po):
             configurations += 1
-            d = monotone_dfa(po, finals)
+            d = Dfa(n, names, delta, finals)
             if not classify(d).proper:
                 continue
             proper_count += 1
@@ -457,11 +457,7 @@ def probe_conjecture(n: int) -> ProbeResult:
             if not is_minimal(d):
                 raise NotMinimal(f"monotone DFA on {n} states with finals "
                                  f"{sorted(finals)} is not minimal")
-            syn = len(d.alphabet)
-            if best is None or syn > best[0]:
-                best = (syn, po, finals)
-    if best is None:
-        best = (0, Preorder(n, tuple(tuple(q == 0 or p == q for q in range(n))
-                                     for p in range(n))), frozenset())
+            if len(delta) > best[0]:
+                best = (len(delta), po, finals)
     return ProbeResult(n, orders, configurations, proper_count,
                        best[0], syntactic_bound(n), best[1], best[2])

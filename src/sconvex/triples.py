@@ -101,7 +101,10 @@ class TripleSystem:
                     raise FormatError(f"line {lineno}: triples must be integers") from None
         if n is None or finals is None:
             raise FormatError("file too short: need 'states' and 'final' lines")
-        triples = set(base_triples(n))
+        if 2 * n * n - n > CLOSURE_CAP:
+            raise ResourceCap(f"a system on {n} states has {2 * n * n - n} "
+                              f"mandatory triples, over the cap {CLOSURE_CAP}")
+        triples = base_triples(n)
         for (p, q, r) in listed:
             triples.add((p, q, r))
             triples.add((q, p, r))
@@ -511,8 +514,7 @@ def monotone_dfa(po: Preorder, finals) -> Dfa:
     if not finals or len(finals) >= po.n:
         raise ValueError("final set must be nonempty and proper")
     _check_convex_finals(po, finals)
-    sg = monotone_transformations(po)
-    delta = tuple(tuple(img) for img in sg.images)
+    delta = tuple(monotone_maps(po))
     return Dfa(po.n, letter_names(len(delta)), delta, finals)
 
 

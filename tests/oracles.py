@@ -7,7 +7,7 @@ refinement, no numpy.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 
 
 def accepts(d, word):
@@ -218,3 +218,32 @@ def naive_axiom_c(n, triples):
             if (q, r, s) in R and (p, q, s) not in R:
                 return (p, q, s)
     return None
+
+
+def naive_nonzero_posets(n):
+    """Partial orders on n-1 points, one per isomorphism class, by sweeping
+    every relation, keeping the reflexive, antisymmetric and transitive
+    ones, and taking the minimum matrix over all relabellings.  A class is
+    listed where the sweep, by increasing bit code over the off-diagonal
+    pairs, first meets it."""
+    m = n - 1
+    pairs = [(p, q) for p in range(m) for q in range(m) if p != q]
+    perms = list(permutations(range(m)))
+    seen = set()
+    out = []
+    for bits in range(1 << len(pairs)):
+        rel = [[p == q for q in range(m)] for p in range(m)]
+        for i, (p, q) in enumerate(pairs):
+            if bits >> i & 1:
+                rel[p][q] = True
+        if any(rel[p][q] and rel[q][p] for (p, q) in pairs):
+            continue
+        if any(rel[p][q] and rel[q][r] and not rel[p][r]
+               for (p, q) in pairs for r in range(m)):
+            continue
+        canon = min(tuple(tuple(rel[pi[p]][pi[q]] for q in range(m))
+                          for p in range(m)) for pi in perms)
+        if canon not in seen:
+            seen.add(canon)
+            out.append(canon)
+    return out

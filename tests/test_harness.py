@@ -11,7 +11,9 @@ from sconvex import (Dfa, NotMinimal, Report, ResourceCap, classify, harness,
                      verify_exclusions, verify_monotone_counts,
                      verify_product, verify_reversal, verify_star,
                      verify_syntactic)
-from sconvex.triples import letter_names
+from sconvex.triples import letter_names, monotone_maps
+
+from oracles import naive_nonzero_posets
 
 
 def test_report_line_shape():
@@ -136,6 +138,54 @@ def test_probe_reaches_formula_at_three():
     assert result.proper_count == 1
     text = "\n".join(result.lines())
     assert "max=10" in text and "achieves=true" in text
+
+
+# Every line of probe_conjecture(n); best-order and best-final move if the
+# order in which the probe meets the posets changes.
+GOLDEN_PROBE = {
+    2: ["probe n=2 orders=1 configurations=2 proper=0 max=0 formula=3 "
+        "achieves=false",
+        "best-order", "  1 0", "  1 1", "best-final "],
+    3: ["probe n=3 orders=2 configurations=11 proper=1 max=10 formula=10 "
+        "achieves=true",
+        "best-order", "  1 0 0", "  1 1 0", "  1 1 1", "best-final 1"],
+    4: ["probe n=4 orders=5 configurations=57 proper=11 max=40 formula=45 "
+        "achieves=false",
+        "best-order", "  1 0 0 0", "  1 1 0 0", "  1 0 1 0", "  1 0 1 1",
+        "best-final 2"],
+    5: ["probe n=5 orders=16 configurations=339 proper=101 max=265 "
+        "formula=336 achieves=false",
+        "best-order", "  1 0 0 0 0", "  1 1 0 0 0", "  1 0 1 0 0",
+        "  1 0 0 1 0", "  1 0 0 1 1", "best-final 3"],
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_PROBE))
+def test_probe_golden_lines(n):
+    assert list(probe_conjecture(n).lines()) == GOLDEN_PROBE[n]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_grown_posets_match_the_relation_sweep(n):
+    assert harness._nonzero_posets(n) == naive_nonzero_posets(n)
+
+
+def test_grown_posets_count_the_classes():
+    # 1, 1, 2, 5, 16, 63 unlabelled posets on 0..5 points
+    assert [len(harness._nonzero_posets(n)) for n in range(2, 7)] == [1, 2, 5, 16, 63]
+
+
+def test_probe_enumerates_the_maps_once_per_order(monkeypatch):
+    calls = []
+
+    def counted(po):
+        calls.append(po)
+        return monotone_maps(po)
+
+    monkeypatch.setattr(harness, "monotone_maps", counted)
+    result = probe_conjecture(5)
+    assert len(calls) == result.orders == 16
+    assert result.configurations == 339
 
 
 def test_probe_refuses_a_non_minimal_dfa(monkeypatch):

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,20 @@ def test_triple_from_text_symmetrizes():
 def test_triple_from_text_rejects(text):
     with pytest.raises(FormatError):
         TripleSystem.from_text(text)
+
+
+@pytest.mark.parametrize("n", [1001, 100000])
+def test_triple_from_text_refuses_before_the_mandatory_triples(n):
+    # 2n^2 - n mandatory triples: 2,003,001 at n=1001, over the 2,000,000
+    # cap; at n=100000 building them would take 2*10^10 tuples
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCap, match=f"on {n} states"):
+            TripleSystem.from_text(f"states {n}\nfinal 1\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_cube_and_scan_agree_with_membership():
