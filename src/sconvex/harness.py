@@ -19,7 +19,7 @@ from .automata import (Dfa, atom_count, complexity, determinize, is_minimal,
                        minimize, product_nfa, direct_product, star_nfa)
 from .classify import classify
 from .errors import BadSize, NotMinimal, ResourceCap
-from .transformations import syntactic_complexity
+from .transformations import generating_subset, syntactic_complexity
 from .triples import (Preorder, TripleSystem, _convex_violation,
                       _respecting_maps, antichain_order, canonical_system,
                       check_enumerable, letter_names, monotone_maps,
@@ -413,6 +413,12 @@ def _nonzero_posets(n):
     return sorted(first_code, key=first_code.get)
 
 
+def _probe_orders(n):
+    '''Each partial order on the non-zero states, with 0 above them all.'''
+    for rel in _nonzero_posets(n):
+        yield Preorder(n, [(True,) + (False,) * (n - 1)] + [(True,) + row for row in rel])
+
+
 def _convex_subsets(po):
     n = po.n
     for bits in range(1, (1 << n) - 1):
@@ -427,37 +433,41 @@ def probe_conjecture(n: int) -> ProbeResult:
 
     Grows every partial order on the non-zero states one point at a time,
     one per isomorphism class, and puts 0 above them all.  For each order
-    the monotone transformations are enumerated once and become the
-    letters of one DFA per convex proper final set.  The DFAs that
-    classify as proper count, and the maximum syntactic complexity seen is
-    recorded: the letter count, once the DFA is checked to be minimal.
-    The search space covers only order-generated systems, so the result
-    is an exploratory lower bound, not a refutation procedure.
+    the monotone maps are enumerated once.  They are closed under
+    composition, and their greedy `generating_subset` becomes the letters
+    of one DFA per convex proper final set.  The flags of `classify` and
+    minimality depend only on which transformations the words induce (for
+    suffix-freeness, the nonempty words), and the generators induce every
+    monotone map as a semigroup, so each DFA classifies as the one with
+    every monotone map as a letter.  The DFAs that classify as proper
+    count, and the maximum syntactic complexity seen is recorded: the
+    number of monotone maps, once the DFA is checked to be minimal.  The
+    search space covers only order-generated systems, so the result is an
+    exploratory lower bound, not a refutation procedure.
     """
-    if not 2 <= n <= 5:
-        raise ResourceCap(f"the probe enumerates orders only for 2 <= n <= 5, got {n}")
+    if not 2 <= n <= 6:
+        raise ResourceCap(f"the probe enumerates orders only for 2 <= n <= 6, got {n}")
     best = (0, antichain_order(n), frozenset())
     orders = 0
     configurations = 0
     proper_count = 0
-    for rel in _nonzero_posets(n):
+    for po in _probe_orders(n):
         orders += 1
-        # state 0 above all the others, which are ordered as in rel
-        po = Preorder(n, [(True,) + (False,) * (n - 1)] + [(True,) + row for row in rel])
-        delta = tuple(monotone_maps(po))
-        names = letter_names(len(delta))
+        maps = tuple(monotone_maps(po))
+        gens = generating_subset(maps)
+        names = letter_names(len(gens))
         for finals in _convex_subsets(po):
             configurations += 1
-            d = Dfa(n, names, delta, finals)
+            d = Dfa(n, names, gens, finals)
             if not classify(d).proper:
                 continue
             proper_count += 1
-            # the letters are every monotone map, closed under composition,
-            # so a minimal d has exactly its letters as syntactic semigroup
+            # the monotone maps are closed under composition, so a minimal
+            # d has exactly them as syntactic semigroup
             if not is_minimal(d):
                 raise NotMinimal(f"monotone DFA on {n} states with finals "
                                  f"{sorted(finals)} is not minimal")
-            if len(delta) > best[0]:
-                best = (len(delta), po, finals)
+            if len(maps) > best[0]:
+                best = (len(maps), po, finals)
     return ProbeResult(n, orders, configurations, proper_count,
                        best[0], syntactic_bound(n), best[1], best[2])

@@ -178,7 +178,7 @@ def test_probe_conjecture_output(capsys):
 
 
 def test_probe_conjecture_cap(capsys):
-    assert main(["probe-conjecture", "--n", "6"]) == 3
+    assert main(["probe-conjecture", "--n", "7"]) == 3
 
 
 def test_export_dot(star4_file, capsys):

@@ -4,13 +4,14 @@ import tracemalloc
 import pytest
 
 from sconvex import (Dfa, NotMinimal, Report, ResourceCap, classify, harness,
-                     is_suffix_convex, monotone_reversal_count,
+                     is_minimal, is_suffix_convex, monotone_reversal_count,
                      monotone_total_count, probe_conjecture, product_bound,
                      random_suffix_convex, reports_to_json, reversal_bound,
                      star_bound, syntactic_bound, verify_boolean,
                      verify_exclusions, verify_monotone_counts,
                      verify_product, verify_reversal, verify_star,
                      verify_syntactic)
+from sconvex.transformations import generating_subset
 from sconvex.triples import letter_names, monotone_maps
 
 from oracles import naive_nonzero_posets
@@ -157,6 +158,11 @@ GOLDEN_PROBE = {
         "formula=336 achieves=false",
         "best-order", "  1 0 0 0 0", "  1 1 0 0 0", "  1 0 1 0 0",
         "  1 0 0 1 0", "  1 0 0 1 1", "best-final 3"],
+    # from the code that put every monotone map in as a letter
+    6: ["probe n=6 orders=63 configurations=2341 proper=935 max=2620 "
+        "formula=3775 achieves=false",
+        "best-order", "  1 0 0 0 0 0", "  1 1 0 0 0 0", "  1 0 1 0 0 0",
+        "  1 0 0 1 0 0", "  1 0 0 0 1 0", "  1 0 0 0 1 1", "best-final 4"],
 }
 
 
@@ -188,6 +194,24 @@ def test_probe_enumerates_the_maps_once_per_order(monkeypatch):
     assert result.configurations == 339
 
 
+def _flags(c):
+    return c.suffix_convex, c.left_ideal, c.suffix_closed, c.suffix_free, c.proper
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_generators_classify_as_every_monotone_map(n):
+    # the probe's DFAs, on a generating subset of the monotone maps,
+    # against the same DFAs with every monotone map as a letter
+    for po in harness._probe_orders(n):
+        maps = tuple(monotone_maps(po))
+        gens = generating_subset(maps)
+        for finals in harness._convex_subsets(po):
+            full = Dfa(n, letter_names(len(maps)), maps, finals)
+            small = Dfa(n, letter_names(len(gens)), gens, finals)
+            assert _flags(classify(small)) == _flags(classify(full))
+            assert is_minimal(small) == is_minimal(full)
+
+
 def test_probe_refuses_a_non_minimal_dfa(monkeypatch):
     # the letter count is the syntactic size only for a minimal DFA
     monkeypatch.setattr(harness, "is_minimal", lambda d: False)
@@ -203,7 +227,7 @@ def test_probe_at_two_is_degenerate():
 
 def test_probe_rejects_large_n():
     with pytest.raises(ResourceCap):
-        probe_conjecture(6)
+        probe_conjecture(7)
     with pytest.raises(ResourceCap):
         probe_conjecture(1)
 
