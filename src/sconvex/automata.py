@@ -77,9 +77,6 @@ class Dfa:
         '''The image vector of a letter.'''
         return self.delta[self.letter_index(letter)]
 
-    def step(self, q: int, letter: str) -> int:
-        return self.delta[self.letter_index(letter)][q]
-
     def run(self, word) -> int:
         '''The state reached from the initial state on a word (iterable of letters).'''
         q = 0
@@ -284,24 +281,18 @@ def minimize(d: Dfa) -> Dfa:
     while True:
         sigs = {}
         targets = map(block.__getitem__, flat)
-        refined = [sigs.setdefault(sig, len(sigs)) for sig in zip(block, *[targets] * k)]
+        block = [sigs.setdefault(sig, len(sigs)) for sig in zip(block, *[targets] * k)]
         if len(sigs) == nblocks:
             break
-        block = refined
         nblocks = len(sigs)
-    # number the blocks by BFS from the initial block; any member stands
-    # for its block, and `order` holds the first member reached
-    number = {block[0]: 0}
-    order = [0]
-    i = 0
-    while i < len(order):
-        q = order[i]
-        i += 1
-        for t in flat[q * k:(q + 1) * k]:
-            if block[t] not in number:
-                number[block[t]] = len(order)
-                order.append(t)
-    new = list(map(number.__getitem__, map(block.__getitem__, flat)))
+    # numbering by first appearance in the BFS order `reach` is the BFS
+    # numbering of the quotient: a block's first member is reached from the
+    # first member of the earliest block with an edge into it
+    order = []
+    for q, b in enumerate(block):
+        if b == len(order):
+            order.append(q)
+    new = list(map(block.__getitem__, flat))
     delta = tuple(zip(*[new[q * k:(q + 1) * k] for q in order]))
     finals = frozenset(i for i, q in enumerate(order) if reach[q] in d.finals)
     return Dfa(len(order), d.alphabet, delta, finals)

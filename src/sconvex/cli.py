@@ -7,6 +7,7 @@ failure, 2 usage or input errors, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -187,7 +188,9 @@ def _cmd_export_dot(args):
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def build_parser():
+    '''The argument parser, built on first use: parsing leaves it as it was.'''
     parser = argparse.ArgumentParser(
         prog="sconvex",
         description="Suffix-convex language toolkit: witnesses, triple "

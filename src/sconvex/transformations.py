@@ -180,7 +180,7 @@ def parse_transformation(text: str, n: int) -> Transformation:
 
 @dataclass(frozen=True)
 class Semigroup:
-    """A transformation semigroup given by generators, with every element.
+    """A transformation semigroup with every element.
 
     `images` lists the image vectors in the enumeration order of the
     closure: breadth-first by product length, ties broken by generator
@@ -189,7 +189,6 @@ class Semigroup:
     """
 
     n: int
-    generators: tuple[Transformation, ...]
     images: tuple[bytes, ...]
 
     def __len__(self):
@@ -221,8 +220,8 @@ class Semigroup:
 
 
 def _image_bytes(generators):
-    '''The generators and their image vectors as bytes, checked to share
-    one domain of at most 255 states (a translate table has 256 entries).'''
+    '''The generators' image vectors as bytes, checked to share one domain
+    of at most 255 states (a translate table has 256 entries).'''
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -232,12 +231,12 @@ def _image_bytes(generators):
             raise SizeMismatch("generators must share a domain")
     if n > 255:
         raise ResourceCap("semigroup closure supports at most 255 states")
-    return gens, [bytes(g.image) for g in gens]
+    return [bytes(g.image) for g in gens]
 
 
 def closure(generators, cap: int = CLOSURE_CAP) -> Semigroup:
     '''Close a list of transformations under composition.'''
-    gens, gen_bytes = _image_bytes(generators)
+    gen_bytes = _image_bytes(generators)
     n = len(gen_bytes[0])
     # translate tables must cover all 256 byte values; the tail is never hit
     tables = [gb + bytes(256 - n) for gb in gen_bytes]
@@ -260,7 +259,7 @@ def closure(generators, cap: int = CLOSURE_CAP) -> Semigroup:
                     order.append(w)
                     nxt.append(w)
         frontier = nxt
-    return Semigroup(n, gens, tuple(order))
+    return Semigroup(n, tuple(order))
 
 
 def generating_subset(maps) -> tuple[bytes, ...]:
@@ -525,7 +524,7 @@ def semigroup_size(generators, cap: int = CLOSURE_CAP) -> int:
     own image sets and R-classes are stored regardless, so the count goes
     through whenever `closure` with the same cap would.
     '''
-    _, gen_bytes = _image_bytes(generators)
+    gen_bytes = _image_bytes(generators)
     n = len(gen_bytes[0])
     pad = _IDENTITY[n:]
     tables = [g + pad for g in gen_bytes]

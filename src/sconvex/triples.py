@@ -137,16 +137,19 @@ def make_triple_system(n: int, finals, triples) -> TripleSystem:
             raise AxiomViolation("B", (q, p, r))
     # (C) asks (p, q, s) of every s with (q, r, s) in R: index those s by
     # (q, r), in increasing order, so the first violation is the one a scan
-    # of s = 0..n-1 finds
+    # of s = 0..n-1 finds.  Given (A) and (B), a first triple (p, q, p)
+    # asks only for (B) triples, s = q asks for the mandatory (p, q, q) and
+    # s = r for (p, q, r) itself, so none of those is looked up
     after = {}
     for (q, r, s) in R:
         after.setdefault((q, r), []).append(s)
     for bucket in after.values():
         bucket.sort()
     for (p, q, r) in R:
-        for s in after.get((q, r), ()):
-            if (p, q, s) not in R:
-                raise AxiomViolation("C", (p, q, s))
+        if r != p:
+            for s in after.get((q, r), ()):
+                if s != q and s != r and (p, q, s) not in R:
+                    raise AxiomViolation("C", (p, q, s))
     for (p, q, r) in R:
         if p in finals and q in finals and r not in finals:
             raise AxiomViolation("D", (p, q, r))
@@ -457,10 +460,10 @@ def monotone_maps(po: Preorder, cap: int = CLOSURE_CAP):
 
 
 def monotone_transformations(po: Preorder, cap: int = CLOSURE_CAP) -> Semigroup:
-    """All of monotone_maps(po, cap), as a Semigroup with no generator list:
-    the monotone maps are closed under composition.
+    """All of monotone_maps(po, cap), as a Semigroup: the monotone maps
+    are closed under composition.
     """
-    return Semigroup(po.n, (), tuple(monotone_maps(po, cap)))
+    return Semigroup(po.n, tuple(monotone_maps(po, cap)))
 
 
 def maximal_semigroup(s: TripleSystem, cap: int = CLOSURE_CAP) -> Semigroup:
@@ -473,7 +476,7 @@ def maximal_semigroup(s: TripleSystem, cap: int = CLOSURE_CAP) -> Semigroup:
     more than ENUM_MAX_STATES states.
     """
     maps = _respecting_maps(s.n, preorder_of(s).leq, s.scan_triples(), s.triples)
-    return Semigroup(s.n, (), tuple(_capped(s.n, maps, cap)))
+    return Semigroup(s.n, tuple(_capped(s.n, maps, cap)))
 
 
 def order_system(po: Preorder, finals) -> TripleSystem:

@@ -133,12 +133,17 @@ def _special_classes(d):
     return (c.left_ideal, c.suffix_closed, c.suffix_free)
 
 
+def _standalone_special_classes(d):
+    return (is_left_ideal(d), is_suffix_closed(d), is_suffix_free(d))
+
+
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_special_classes_agree_with_oracle(seed):
     rng = random.Random(seed)
     d = random_dfa(rng, rng.randint(1, 6), rng.randint(1, 3))
     assert _special_classes(d) == brute_force_special_classes(d)
+    assert _standalone_special_classes(d) == brute_force_special_classes(d)
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -147,6 +152,7 @@ def test_special_classes_agree_with_oracle(seed):
 def test_special_classes_of_witnesses_agree_with_oracle(family, n):
     d = family(n)
     assert _special_classes(d) == brute_force_special_classes(d)
+    assert _standalone_special_classes(d) == brute_force_special_classes(d)
 
 
 GOLDEN = Path(__file__).parent / "data" / "classify_golden.txt"

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from sconvex import Dfa, star_witness
-from sconvex.cli import main
+from sconvex.cli import build_parser, main
 from sconvex.harness import SUITES
 
 
@@ -205,3 +205,23 @@ def test_huge_declared_size_exits_2(tmp_path, capsys):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_one_parser_serves_a_mixed_run_twice(star4_file, capsys):
+    commands = [["classify", star4_file],
+                ["verify", "--suite", "star", "--max-n", "4"],
+                ["classify", "--frobnicate", star4_file],
+                ["verify", "--suite", "monotone", "--min-n", "13", "--max-n", "13"]]
+
+    def run():
+        results = []
+        for argv in commands:
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    first = run()
+    assert [code for code, _, _ in first] == [0, 0, 2, 3]
+    assert run() == first
+    assert build_parser() is build_parser()
