@@ -17,7 +17,8 @@ states 0u, the pairs (0uv, 0v) and the triples are three chained walks,
 from (0,), from each (0u, 0) and from each (0, 0uv, 0v).
 
 Each special class is suffix-convex, so a counterexample rules out all
-three.  Otherwise the pair walk reached every pair reachable from a (q, 0):
+three.  Otherwise the pair walk reached every pair reachable from a (q, 0),
+q reachable:
 
 - L is suffix-closed when every L_q is contained in L: no such pair is
   (final, non-final).
@@ -27,6 +28,10 @@ three.  Otherwise the pair walk reached every pair reachable from a (q, 0):
 - L is suffix-free when it is disjoint from every quotient by a nonempty
   word, whose states are the successors delta(q, a): no pair reachable
   from a (delta(q, a), 0) is (final, final).  This is one more walk.
+
+`classify` reads the first two off the chain's pairs.  The standalone
+predicates run only the walk they need, on the DFA as given, so none of
+them pays for the triple walk.
 """
 
 from __future__ import annotations
@@ -94,32 +99,48 @@ def is_suffix_convex(d: Dfa):
     return counterexample is None, counterexample
 
 
+def _inclusions(d: Dfa, pairs):
+    """Whether L(d) is a left ideal and whether it is suffix-closed, read
+    off every pair reachable from a (q, 0), q reachable.
+
+    L(d) is nonempty when some such pair is (final, _): the seed (q, 0) of
+    a reachable final q is.
+    """
+    finals = d.finals
+    kinds = {(x in finals, y in finals) for x, y in pairs}
+    ideal = any(x for x, _ in kinds) and (False, True) not in kinds
+    return ideal, (True, False) not in kinds
+
+
+def _suffix_free(d: Dfa, states) -> bool:
+    seeds = [(row[q], 0) for q in states for row in d.delta]
+    return not any(x in d.finals and y in d.finals
+                   for x, y in reachable_tuples(d.delta, seeds))
+
+
 def classify(d: Dfa) -> Classification:
     '''All four predicates plus the proper flag, in one record.'''
     d, counterexample, pairs = _chain(d)
     if counterexample is not None:
         return Classification(False, False, False, False, False, counterexample)
-    finals = d.finals
-    kinds = {(x in finals, y in finals) for x, y in pairs}
-    ideal = bool(finals) and (False, True) not in kinds
-    closed = (True, False) not in kinds
-    seeds = [(row[q], 0) for q in range(d.n) for row in d.delta]
-    free = not any(x in finals and y in finals
-                   for x, y in reachable_tuples(d.delta, seeds))
+    ideal, closed = _inclusions(d, pairs)
+    free = _suffix_free(d, range(d.n))
     return Classification(True, ideal, closed, free,
                           not (ideal or closed or free))
 
 
 def is_left_ideal(d: Dfa) -> bool:
     '''Whether L(d) is nonempty and equal to sigma* L(d).'''
-    return classify(d).left_ideal
+    seeds = [(q, 0) for q in d.reachable()]
+    return _inclusions(d, reachable_tuples(d.delta, seeds))[0]
 
 
 def is_suffix_closed(d: Dfa) -> bool:
     '''Whether every suffix of every accepted word is accepted.'''
-    return classify(d).suffix_closed
+    seeds = [(q, 0) for q in d.reachable()]
+    return _inclusions(d, reachable_tuples(d.delta, seeds))[1]
 
 
 def is_suffix_free(d: Dfa) -> bool:
     '''Whether no accepted word is a proper suffix of another.'''
-    return classify(d).suffix_free
+    return _suffix_free(d, d.reachable())

@@ -7,7 +7,6 @@ failure, 2 usage or input errors, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 
@@ -188,9 +187,7 @@ def _cmd_export_dot(args):
 # ---------------------------------------------------------------------------
 # parser
 
-@functools.cache
 def build_parser():
-    '''The argument parser, built on first use: parsing leaves it as it was.'''
     parser = argparse.ArgumentParser(
         prog="sconvex",
         description="Suffix-convex language toolkit: witnesses, triple "
@@ -273,8 +270,15 @@ def build_parser():
     return parser
 
 
+# built on first use by main and kept: parsing leaves it as it was
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

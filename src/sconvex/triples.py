@@ -137,19 +137,16 @@ def make_triple_system(n: int, finals, triples) -> TripleSystem:
             raise AxiomViolation("B", (q, p, r))
     # (C) asks (p, q, s) of every s with (q, r, s) in R: index those s by
     # (q, r), in increasing order, so the first violation is the one a scan
-    # of s = 0..n-1 finds.  Given (A) and (B), a first triple (p, q, p)
-    # asks only for (B) triples, s = q asks for the mandatory (p, q, q) and
-    # s = r for (p, q, r) itself, so none of those is looked up
+    # of s = 0..n-1 finds
     after = {}
     for (q, r, s) in R:
         after.setdefault((q, r), []).append(s)
     for bucket in after.values():
         bucket.sort()
     for (p, q, r) in R:
-        if r != p:
-            for s in after.get((q, r), ()):
-                if s != q and s != r and (p, q, s) not in R:
-                    raise AxiomViolation("C", (p, q, s))
+        for s in after.get((q, r), ()):
+            if (p, q, s) not in R:
+                raise AxiomViolation("C", (p, q, s))
     for (p, q, r) in R:
         if p in finals and q in finals and r not in finals:
             raise AxiomViolation("D", (p, q, r))

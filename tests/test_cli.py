@@ -4,8 +4,8 @@ import tracemalloc
 
 import pytest
 
-from sconvex import Dfa, star_witness
-from sconvex.cli import build_parser, main
+from sconvex import Dfa, cli, star_witness
+from sconvex.cli import main
 from sconvex.harness import SUITES
 
 
@@ -207,7 +207,16 @@ def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 
 
-def test_one_parser_serves_a_mixed_run_twice(star4_file, capsys):
+def test_one_parser_serves_a_mixed_run_twice(star4_file, capsys, monkeypatch):
+    build_parser = cli.build_parser
+    built = []
+
+    def counting_build_parser():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
     commands = [["classify", star4_file],
                 ["verify", "--suite", "star", "--max-n", "4"],
                 ["classify", "--frobnicate", star4_file],
@@ -224,4 +233,4 @@ def test_one_parser_serves_a_mixed_run_twice(star4_file, capsys):
     first = run()
     assert [code for code, _, _ in first] == [0, 0, 2, 3]
     assert run() == first
-    assert build_parser() is build_parser()
+    assert len(built) == 1
