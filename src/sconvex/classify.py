@@ -29,9 +29,7 @@ q reachable:
   word, whose states are the successors delta(q, a): no pair reachable
   from a (delta(q, a), 0) is (final, final).  This is one more walk.
 
-`classify` reads the first two off the chain's pairs.  The standalone
-predicates run only the walk they need, on the DFA as given, so none of
-them pays for the triple walk.
+Each predicate on its own runs only its pair walk, with no triples.
 """
 
 from __future__ import annotations
@@ -101,11 +99,8 @@ def is_suffix_convex(d: Dfa):
 
 def _inclusions(d: Dfa, pairs):
     """Whether L(d) is a left ideal and whether it is suffix-closed, read
-    off every pair reachable from a (q, 0), q reachable.
-
-    L(d) is nonempty when some such pair is (final, _): the seed (q, 0) of
-    a reachable final q is.
-    """
+    off every pair reachable from a (q, 0), q reachable; L(d) is nonempty
+    when some such pair is (final, _), as the seed of a final q is."""
     finals = d.finals
     kinds = {(x in finals, y in finals) for x, y in pairs}
     ideal = any(x for x, _ in kinds) and (False, True) not in kinds

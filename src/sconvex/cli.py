@@ -276,9 +276,7 @@ _PARSER = None
 
 def main(argv=None) -> int:
     global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    parser = _PARSER
+    parser = _PARSER = _PARSER or build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
