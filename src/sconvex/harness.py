@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .automata import (Dfa, atom_count, complexity, determinize, is_minimal,
-                       minimize, product_nfa, direct_product, star_nfa)
+                       minimize, product_nfa, direct_product, star_nfa, _mask)
 from .classify import classify
 from .errors import BadSize, NotMinimal, ResourceCap
 from .transformations import generating_subset, syntactic_complexity
@@ -217,8 +217,9 @@ def _containment_breaches(s: TripleSystem) -> int:
     L_p is contained in L_q exactly when (p, p, q) is in the canonical
     system: no word takes that triple to (final, final, non-final).
     """
-    return sum(1 for (p, x, q) in s.triples
-               if p == x != q and not (p == 0 and q in s.finals))
+    loops = [s.masks[p * s.n + p] & ~(1 << p) for p in range(s.n)]
+    loops[0] &= ~_mask(s.finals)
+    return sum(m.bit_count() for m in loops)
 
 
 def verify_exclusions(ns=EXCLUSION_RANGE):

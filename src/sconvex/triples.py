@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Dfa, is_minimal
+from .automata import Dfa, _mask, _strip_comment, is_minimal
 from .classify import is_suffix_convex
 from .errors import (AxiomViolation, FormatError, NonConvexFinals, NotMinimal,
                      NotPartialOrder, NotSuffixConvex, ResourceCap,
@@ -39,18 +39,63 @@ def base_triples(n: int) -> set[Triple]:
     return out
 
 
+def _bits(mask: int):
+    '''The positions of the set bits of mask, in increasing order.'''
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class TripleSystem:
+    """R as one bit mask per state pair: bit r of masks[p * n + q] is set
+    when (p, q, r) is in R.  Construction checks the axioms in order, and an
+    AxiomViolation names the lexicographically first failure: the missing
+    triple for (A), (B) and (C), the offending one for (D)."""
+
     n: int
     finals: frozenset[int]
-    triples: frozenset[Triple]
+    masks: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(self, "triples", frozenset(self.triples))
+        (n, finals, masks) = (self.n, sorted(self.finals), tuple(self.masks))
+        object.__setattr__(self, "finals", frozenset(finals))
+        object.__setattr__(self, "masks", masks)
+        for q in finals:
+            if not 0 <= q < n:
+                raise StateOutOfRange(f"final state {q} outside 0..{n - 1}")
+        if len(masks) != n * n or any(m >> n for m in masks):
+            raise FormatError(f"need {n * n} masks of {n} bits each")
+        # each loop over _bits below raises at the lowest bit it meets
+        for p in range(n):
+            for q in range(n):
+                if not masks[p * n + q] >> p & 1:
+                    raise AxiomViolation("A", (p, q, p))
+        for p in range(n):
+            for q in range(n):
+                for r in _bits(masks[p * n + q] & ~masks[q * n + p]):
+                    raise AxiomViolation("B", (q, p, r))
+        # (C): each r with (p, q, r) in R asks mask(q, r) within mask(p, q)
+        for i, m in enumerate(masks):
+            (p, q) = divmod(i, n)
+            for r in _bits(m):
+                for s in _bits(masks[q * n + r] & ~m):
+                    raise AxiomViolation("C", (p, q, s))
+        outside = ~_mask(finals)
+        for p in finals:
+            for q in finals:
+                for r in _bits(masks[p * n + q] & outside):
+                    raise AxiomViolation("D", (p, q, r))
+
+    @property
+    def triples(self) -> frozenset[Triple]:
+        '''R as a set of triples, read off the masks.'''
+        return frozenset((*divmod(i, self.n), r)
+                         for i, m in enumerate(self.masks) for r in _bits(m))
 
     def contains(self, p: int, q: int, r: int) -> bool:
-        return (p, q, r) in self.triples
+        return bool(self.masks[p * self.n + q] >> r & 1)
 
     def scan_triples(self) -> tuple[Triple, ...]:
         """Triples that a Condition-1 scan must visit, sorted.
@@ -59,8 +104,9 @@ class TripleSystem:
         (A) and (B), and (B) pairs (p,q,r) with (q,p,r), so the scan keeps
         one representative with p <= q and a third coordinate outside {p,q}.
         """
-        return tuple(sorted((p, q, r) for (p, q, r) in self.triples
-                            if p <= q and r != p and r != q))
+        n = self.n
+        return tuple((p, q, r) for p in range(n) for q in range(p, n)
+                     for r in _bits(self.masks[p * n + q] & ~(1 << p | 1 << q)))
 
     def to_text(self) -> str:
         lines = [f"states {self.n}",
@@ -74,8 +120,7 @@ class TripleSystem:
         finals = None
         listed = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            pos = raw.find("#")
-            line = (raw[:pos] if pos >= 0 else raw).strip()
+            line = _strip_comment(raw)
             if not line:
                 continue
             toks = line.split()
@@ -112,45 +157,17 @@ class TripleSystem:
 
 
 def make_triple_system(n: int, finals, triples) -> TripleSystem:
-    """Validate the four axioms and build the system.
-
-    Raises AxiomViolation naming the failed axiom and, for (A), (B), (C),
-    the missing triple; for (D) the offending one.
-    """
-    finals = frozenset(finals)
-    R = frozenset(tuple(t) for t in triples)
-    for q in finals:
-        if not 0 <= q < n:
-            raise StateOutOfRange(f"final state {q} outside 0..{n - 1}")
-    for t in R:
+    '''The system holding these triples, each range-checked before its bit.'''
+    masks = [0] * (n * n)
+    for t in map(tuple, triples):
         if len(t) != 3:
             raise FormatError(f"not a triple: {t}")
         for q in t:
             if not 0 <= q < n:
                 raise StateOutOfRange(f"state {q} outside 0..{n - 1}")
-    for p in range(n):
-        for q in range(n):
-            if (p, q, p) not in R:
-                raise AxiomViolation("A", (p, q, p))
-    for (p, q, r) in R:
-        if (q, p, r) not in R:
-            raise AxiomViolation("B", (q, p, r))
-    # (C) asks (p, q, s) of every s with (q, r, s) in R: index those s by
-    # (q, r), in increasing order, so the first violation is the one a scan
-    # of s = 0..n-1 finds
-    after = {}
-    for (q, r, s) in R:
-        after.setdefault((q, r), []).append(s)
-    for bucket in after.values():
-        bucket.sort()
-    for (p, q, r) in R:
-        for s in after.get((q, r), ()):
-            if (p, q, s) not in R:
-                raise AxiomViolation("C", (p, q, s))
-    for (p, q, r) in R:
-        if p in finals and q in finals and r not in finals:
-            raise AxiomViolation("D", (p, q, r))
-    return TripleSystem(n, finals, R)
+        (p, q, r) = t
+        masks[p * n + q] |= 1 << r
+    return TripleSystem(n, finals, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +186,19 @@ class RespectCheck:
 def respects(t: Transformation, s: TripleSystem) -> RespectCheck:
     """Check Conditions 1 and 2 for one transformation.
 
-    On failure the result carries the condition number and the triple of R
-    whose image escapes.
+    On failure the result carries the condition number and the
+    lexicographically first triple of R whose image escapes.
     """
     if t.n != s.n:
         raise SizeMismatch(f"transformation on {t.n} states, system on {s.n}")
     img = t.image
-    R = s.triples
-    for (p, q, r) in R:
-        if p <= q and r != p and r != q:
-            if (img[p], img[q], img[r]) not in R:
-                return RespectCheck(False, 1, (p, q, r))
-    for (z, q, r) in R:
-        if z == 0 and (0, img[q], img[r]) not in R:
-            return RespectCheck(False, 2, (0, q, r))
+    for (p, q, r) in s.scan_triples():
+        if not s.contains(img[p], img[q], img[r]):
+            return RespectCheck(False, 1, (p, q, r))
+    for q in range(s.n):
+        for r in _bits(s.masks[q]):
+            if not s.contains(0, img[q], img[r]):
+                return RespectCheck(False, 2, (0, q, r))
     return RespectCheck(True)
 
 
@@ -213,29 +229,27 @@ def canonical_system(d: Dfa) -> TripleSystem:
     for k in range(len(d.alphabet)):
         for p in range(n):
             pre[k][d.delta[k][p]].append(p)
-    # reaches_bad[(p * n + q) * n + r] marks the triple (p, q, r)
-    reaches_bad = bytearray(n ** 3)
-    stack = []
-    for p in d.finals:
-        for q in d.finals:
-            for r in range(n):
-                if r not in d.finals:
-                    reaches_bad[(p * n + q) * n + r] = 1
-                    stack.append((p, q, r))
+    pre_mask = [[_mask(ps) for ps in row] for row in pre]
+    # bit r of bad[p * n + q]: a word takes (p, q, r) to (F, F, non-F)
+    full = (1 << n) - 1
+    bad = [0] * (n * n)
+    stack = [(p, q, full & ~_mask(d.finals)) for p in d.finals for q in d.finals]
+    for (p, q, new) in stack:
+        bad[p * n + q] = new
     while stack:
-        (x, y, z) = stack.pop()
+        (x, y, new) = stack.pop()
+        zs = list(_bits(new))
         for k in range(len(d.alphabet)):
+            back = 0
+            for z in zs:
+                back |= pre_mask[k][z]
             for p in pre[k][x]:
                 for q in pre[k][y]:
-                    for r in pre[k][z]:
-                        i = (p * n + q) * n + r
-                        if not reaches_bad[i]:
-                            reaches_bad[i] = 1
-                            stack.append((p, q, r))
-    triples = {(p, q, r)
-               for p in range(n) for q in range(n) for r in range(n)
-               if not reaches_bad[(p * n + q) * n + r]}
-    return make_triple_system(n, d.finals, triples)
+                    i = p * n + q
+                    if back & ~bad[i]:
+                        stack.append((p, q, back & ~bad[i]))
+                        bad[i] |= back
+    return TripleSystem(n, d.finals, [full & ~m for m in bad])
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +310,8 @@ class OrderProperties:
 
 def preorder_of(s: TripleSystem) -> Preorder:
     '''The derived relation: p below q exactly when (0, p, q) is in R.'''
-    leq = tuple(tuple((0, p, q) in s.triples for q in range(s.n))
-                for p in range(s.n))
-    return Preorder(s.n, leq)
+    return Preorder(s.n, [[m >> q & 1 for q in range(s.n)]
+                          for m in s.masks[:s.n]])
 
 
 def order_properties(po: Preorder) -> OrderProperties:
@@ -367,9 +380,9 @@ def _check_convex_finals(po: Preorder, finals):
 ENUM_MAX_STATES = 12
 
 
-def _respecting_maps(n: int, leq, scan=(), triples=frozenset(), rng=None):
+def _respecting_maps(n: int, leq, scan=(), masks=(), rng=None):
     """Every map of Q_n that is monotone for leq and keeps each scan triple
-    inside `triples`, as image bytes (tuples above 256 states).
+    inside R, given as `masks`, as image bytes (tuples above 256 states).
 
     States get their images in the order 0..n-1.  The candidates for q are
     the values at or above the image of every earlier state below q, and
@@ -404,7 +417,7 @@ def _respecting_maps(n: int, leq, scan=(), triples=frozenset(), rng=None):
         for v in order:
             if mask >> v & 1:
                 image[q] = v
-                if not checks[q] or all((image[a], image[b], image[c]) in triples
+                if not checks[q] or all(masks[image[a] * n + image[b]] >> image[c] & 1
                                         for (a, b, c) in checks[q]):
                     out.append(v)
         return out
@@ -472,7 +485,7 @@ def maximal_semigroup(s: TripleSystem, cap: int = CLOSURE_CAP) -> Semigroup:
     raised once more than `cap` maps have been produced, and at once for
     more than ENUM_MAX_STATES states.
     """
-    maps = _respecting_maps(s.n, preorder_of(s).leq, s.scan_triples(), s.triples)
+    maps = _respecting_maps(s.n, preorder_of(s).leq, s.scan_triples(), s.masks)
     return Semigroup(s.n, tuple(_capped(s.n, maps, cap)))
 
 
@@ -488,13 +501,11 @@ def order_system(po: Preorder, finals) -> TripleSystem:
         if not 0 <= f < po.n:
             raise StateOutOfRange(f"final state {f} outside 0..{po.n - 1}")
     _check_convex_finals(po, finals)
-    triples = base_triples(po.n)
-    for p in range(po.n):
-        for q in range(po.n):
-            for r in range(po.n):
-                if (po.leq[p][r] and po.leq[r][q]) or (po.leq[q][r] and po.leq[r][p]):
-                    triples.add((p, q, r))
-    return make_triple_system(po.n, finals, triples)
+    n = po.n
+    up = [_mask(r for r in range(n) if po.leq[p][r]) for p in range(n)]
+    down = [_mask(r for r in range(n) if po.leq[r][q]) for q in range(n)]
+    return TripleSystem(n, finals, [1 << p | 1 << q | up[p] & down[q] | up[q] & down[p]
+                                    for p in range(n) for q in range(n)])
 
 
 def letter_names(count: int) -> tuple[str, ...]:

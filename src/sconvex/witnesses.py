@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from .automata import Dfa
 from .errors import AlphabetMismatch, BadSize, NotInjective
 from .transformations import parse_transformation
-from .triples import Preorder, TripleSystem, base_triples, make_triple_system, \
-    order_system, total_order
+from .triples import Preorder, TripleSystem, order_system, total_order
 
 
 def _witness(n, finals, letter_specs):
@@ -117,15 +116,9 @@ def syntactic_system(n: int) -> TripleSystem:
     """
     if n < 3:
         raise BadSize(f"syntactic system needs n >= 3, got {n}")
-    triples = base_triples(n)
-    for p in range(n - 1):
-        for q in range(n - 1):
-            triples.add((0, p, q))
-            triples.add((p, 0, q))
-    for q in range(n - 1):
-        triples.add((0, n - 1, q))
-        triples.add((n - 1, 0, q))
-    return make_triple_system(n, {n - 2}, triples)
+    pod = (1 << n - 1) - 1
+    return TripleSystem(n, {n - 2}, [1 << p | 1 << q | (pod if 0 in (p, q) else 0)
+                                     for p in range(n) for q in range(n)])
 
 
 # ---------------------------------------------------------------------------

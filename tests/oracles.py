@@ -207,13 +207,37 @@ def naive_closure(generators):
     return seen
 
 
+def naive_canonical_triples(d):
+    """The canonical system's relation straight from its definition:
+    (p, q, r) is in R exactly when no word leads the state triple into
+    (final, final, non-final).  Each triple gets its own forward walk over
+    the triples its words reach: no preimages and nothing shared between
+    the walks."""
+    out = set()
+    for start in product(range(d.n), repeat=3):
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            (p, q, r) = frontier.pop()
+            if p in d.finals and q in d.finals and r not in d.finals:
+                break
+            for row in d.delta:
+                nxt = (row[p], row[q], row[r])
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        else:
+            out.add(start)
+    return out
+
+
 def naive_axiom_c(n, triples):
     """The first triple axiom (C) misses, or None, straight from its
     statement: for (p, q, r) and (q, r, s) in R, (p, q, s) is in R.  R is
-    built and walked as make_triple_system builds and walks it, and s runs
-    over 0..n-1, so a violation found is the one it should report."""
+    walked in sorted order and s runs over 0..n-1, so a violation found is
+    the lexicographically first one, which TripleSystem should report."""
     R = frozenset(tuple(t) for t in triples)
-    for (p, q, r) in R:
+    for (p, q, r) in sorted(R):
         for s in range(n):
             if (q, r, s) in R and (p, q, s) not in R:
                 return (p, q, s)

@@ -10,19 +10,22 @@ from hypothesis import given, settings, strategies as st
 import sconvex
 from sconvex import (AxiomViolation, Dfa, FormatError, NonConvexFinals,
                      NotMinimal, NotPartialOrder, NotSuffixConvex, Preorder,
-                     ResourceCap, Transformation, TripleSystem,
-                     antichain_order, base_triples, canonical_system,
-                     dfa_respects, make_triple_system, maximal_semigroup,
-                     minimize, monotone_dfa, monotone_transformations,
-                     order_properties, order_system, preorder_of,
-                     quotient_contains, random_suffix_convex, respects,
-                     reversal_order, reversal_system, reversal_witness,
-                     star_system, star_witness, syntactic_system,
-                     syntactic_witness, total_order)
-from sconvex.harness import _random_order
+                     ResourceCap, StateOutOfRange, Transformation,
+                     TripleSystem, antichain_order, base_triples,
+                     canonical_system, dfa_respects, is_suffix_convex,
+                     make_triple_system, maximal_semigroup, minimize,
+                     monotone_dfa, monotone_transformations, order_properties,
+                     order_system, preorder_of, quotient_contains,
+                     random_suffix_convex, respects, reversal_order,
+                     reversal_system, reversal_witness, star_system,
+                     star_witness, syntactic_system, syntactic_witness,
+                     total_order)
+from sconvex.harness import _random_convex_finals, _random_order
 from sconvex.triples import _respecting_maps
 
-from oracles import naive_axiom_c, naive_monotone_maps, naive_respecting_maps
+from conftest import random_dfa
+from oracles import (naive_axiom_c, naive_canonical_triples,
+                     naive_monotone_maps, naive_respecting_maps)
 
 ENDS_A = Dfa(2, ("a", "b"), ((1, 1), (0, 0)), frozenset({1}))
 
@@ -54,6 +57,39 @@ def test_axiom_b_needs_symmetry():
         make_triple_system(3, {1}, triples)
     assert exc.value.axiom == "B"
     assert exc.value.triple == (2, 1, 0)
+
+
+def test_axioms_are_checked_in_order():
+    # each relation fails the earlier axiom at a later pair than the later
+    # axiom, so a single pass over the pairs would name the wrong one
+    a_and_b = base_triples(3) - {(2, 1, 2)} | {(0, 1, 2)}
+    with pytest.raises(AxiomViolation) as exc:
+        make_triple_system(3, {1}, a_and_b)
+    assert (exc.value.axiom, exc.value.triple) == ("A", (2, 1, 2))
+    b_and_c = base_triples(4) | {(1, 2, 3), (2, 1, 3), (2, 3, 0), (3, 2, 0),
+                                 (3, 2, 1)}
+    with pytest.raises(AxiomViolation) as exc:
+        make_triple_system(4, {1}, b_and_c)
+    assert (exc.value.axiom, exc.value.triple) == ("B", (2, 3, 1))
+
+
+@pytest.mark.parametrize("state", [10 ** 12, -1])
+def test_make_triple_system_checks_range_before_setting_bits(state):
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateOutOfRange):
+            make_triple_system(3, {1}, base_triples(3) | {(0, 1, state)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("masks", [(3, 3, 3), (3, 3, 3, 3, 3), (3, 7, 3, 3),
+                                   (3, -1, 3, 3)])
+def test_triple_system_refuses_malformed_masks(masks):
+    with pytest.raises(FormatError, match="4 masks of 2 bits"):
+        TripleSystem(2, {1}, masks)
 
 
 def test_axiom_c_needs_transitivity():
@@ -144,14 +180,14 @@ def test_cube_and_scan_agree_with_membership():
 
 
 def test_respects_reports_the_escaping_triple():
-    s = star_system(3)
-    # sending the chain 2 <= 1 upward against the order breaks Condition 2
-    bad = Transformation(3, (0, 2, 1))
+    s = star_system(4)
+    # reversing the chain 3 <= 2 <= 1 lets the images of (0, 2, 1),
+    # (0, 3, 1) and (0, 3, 2) escape; the lexicographically first is named
+    bad = Transformation(4, (0, 3, 2, 1))
     check = respects(bad, s)
     assert not check
-    assert check.condition in (1, 2)
-    assert check.triple in s.triples
-    good = Transformation(3, (0, 1, 1))
+    assert (check.condition, check.triple) == (1, (0, 2, 1))
+    good = Transformation(4, (0, 1, 2, 2))
     assert respects(good, s)
 
 
@@ -207,6 +243,20 @@ def test_preorder_of_inverts_order_system():
     for po in (total_order(4), reversal_order(5), antichain_order(3)):
         finals = {1}
         assert preorder_of(order_system(po, finals)).leq == po.leq
+
+
+def test_order_system_is_the_betweenness_relation():
+    rng = random.Random(2718)
+    for _ in range(40):
+        po = _random_order(rng, rng.randint(2, 7))
+        s = order_system(po, _random_convex_finals(rng, po))
+        leq = po.leq
+        states = range(po.n)
+        assert s.triples == {(p, q, r) for p in states for q in states
+                             for r in states
+                             if r in (p, q) or leq[p][r] and leq[r][q]
+                             or leq[q][r] and leq[r][p]}
+        assert TripleSystem.from_text(s.to_text()) == s
 
 
 def test_order_system_rejects_bad_finals():
@@ -357,3 +407,32 @@ def test_quotient_containment_is_canonical_membership():
             for q in range(d.n):
                 assert quotient_contains(d, p, q) == ((p, p, q) in triples), \
                     (d, p, q)
+
+
+def _canonical_samples():
+    # 200 seeded DFAs from each generator, counting only those that keep two
+    # or more states after minimizing: one state leaves nothing to check
+    for n in range(3, 9):
+        yield star_witness(n)
+        yield syntactic_witness(n)
+        if n >= 4:
+            yield reversal_witness(n)
+    rng = random.Random(4711)
+    sampled = 0
+    while sampled < 200:
+        d = minimize(random_suffix_convex(rng.randint(2, 8), rng.randint(1, 3),
+                                          rng.randrange(2 ** 32)))
+        if d.n >= 2:
+            sampled += 1
+            yield d
+    sampled = 0
+    while sampled < 200:
+        d = minimize(random_dfa(rng, rng.randint(2, 7), rng.randint(1, 2)))
+        if d.n >= 2 and is_suffix_convex(d)[0]:
+            sampled += 1
+            yield d
+
+
+def test_canonical_system_matches_forward_walks():
+    for d in _canonical_samples():
+        assert canonical_system(d).triples == naive_canonical_triples(d), d

@@ -1,8 +1,9 @@
 import pytest
 
 from sconvex import (AlphabetMismatch, BadSize, LetterMap, NotInjective,
-                     canonical_system, complexity, dfa_respects, dialect,
-                     identity, is_minimal, order_properties, preorder_of,
+                     TripleSystem, base_triples, canonical_system,
+                     complexity, dfa_respects, dialect, identity, is_minimal,
+                     order_properties, preorder_of,
                      reversal_order, reversal_system, reversal_witness,
                      star_system, star_witness, syntactic_system,
                      syntactic_witness, total_order, Transformation)
@@ -110,6 +111,17 @@ def test_syntactic_system_anchored_triples():
     assert s.contains(0, 3, 1)
     assert not s.contains(0, 1, 3)
     assert not s.contains(1, 2, 0)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_syntactic_system_is_the_set_its_docstring_names(n):
+    pod = range(n - 1)
+    want = base_triples(n)
+    want |= {t for p in pod for q in pod for t in ((0, p, q), (p, 0, q))}
+    want |= {t for q in pod for t in ((0, n - 1, q), (n - 1, 0, q))}
+    s = syntactic_system(n)
+    assert s.triples == want
+    assert TripleSystem.from_text(s.to_text()) == s
 
 
 def test_canonical_system_sizes_for_the_witnesses():
