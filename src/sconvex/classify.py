@@ -62,15 +62,14 @@ def _spell(parent, node):
 
 
 def _chain(d: Dfa):
-    """The minimal DFA of L(d), a counterexample (u, v, w) or None, and the
-    pair walk's parents, which hold every pair it reached.
+    """For a minimal d, a counterexample (u, v, w) or None, and the pair
+    walk's parents, which hold every pair it reached.
 
     The chained walks run lazily and stop at the first (final, final,
     non-final) triple; w, v and u are spelled back through the parents of
     the triple, pair and state walks in turn.  The triple walk takes every
     pair as a seed first, so without a counterexample the pair walk ends.
     """
-    d = minimize(d)
     finals = d.finals
     state_parent, pair_parent, triple_parent = {}, {}, {}
     states = reachable_tuples(d.delta, [(0,)], state_parent)
@@ -82,9 +81,9 @@ def _chain(d: Dfa):
             seed, w = _spell(triple_parent, t)
             seed, v = _spell(pair_parent, seed[1:])
             seed, u = _spell(state_parent, seed[:1])
-            return d, tuple(tuple(d.alphabet[k] for k in word)
-                            for word in (u, v, w)), pair_parent
-    return d, None, pair_parent
+            return tuple(tuple(d.alphabet[k] for k in word)
+                         for word in (u, v, w)), pair_parent
+    return None, pair_parent
 
 
 def is_suffix_convex(d: Dfa):
@@ -93,7 +92,7 @@ def is_suffix_convex(d: Dfa):
     Returns (True, None), or (False, (u, v, w)) with each word a tuple of
     letter names such that w and uvw are accepted but vw is not.
     """
-    counterexample = _chain(d)[1]
+    counterexample = _chain(minimize(d))[0]
     return counterexample is None, counterexample
 
 
@@ -115,7 +114,8 @@ def _suffix_free(d: Dfa, states) -> bool:
 
 def classify(d: Dfa) -> Classification:
     '''All four predicates plus the proper flag, in one record.'''
-    d, counterexample, pairs = _chain(d)
+    d = minimize(d)
+    counterexample, pairs = _chain(d)
     if counterexample is not None:
         return Classification(False, False, False, False, False, counterexample)
     ideal, closed = _inclusions(d, pairs)

@@ -21,7 +21,7 @@ from .classify import classify
 from .errors import BadSize, NotMinimal, ResourceCap
 from .transformations import generating_subset, syntactic_complexity
 from .triples import (Preorder, TripleSystem, _convex_violation,
-                      _respecting_maps, antichain_order, canonical_system,
+                      _respecting_walk, antichain_order, canonical_system,
                       check_enumerable, letter_names, monotone_maps,
                       order_properties, preorder_of, total_order)
 from .witnesses import (LetterMap, dialect, reversal_order, reversal_witness,
@@ -332,9 +332,9 @@ def random_suffix_convex(n: int, letters: int, seed: int) -> Dfa:
     on-line transitive closure), a convex proper final set, and `letters`
     random order-monotone transformations.  Monotone letters plus a convex
     final set keep the language suffix-convex.  Fully determined by seed.
-    Each letter is the first map of the shuffled walk of the monotone-map
-    enumerator, which reaches every monotone map but not with perfectly
-    uniform weight.
+    Each letter is the first map of one shuffled walk of the monotone-map
+    enumerator, all on tables built once for the order; a walk reaches
+    every monotone map but not with perfectly uniform weight.
     """
     if n < 2:
         raise BadSize(f"need n >= 2 for a proper final set, got {n}")
@@ -343,8 +343,8 @@ def random_suffix_convex(n: int, letters: int, seed: int) -> Dfa:
     rng = random.Random(seed)
     po = _random_order(rng, n)
     finals = _random_convex_finals(rng, po)
-    delta = tuple(next(_respecting_maps(n, po.leq, rng=rng))
-                  for _ in range(letters))
+    walk = _respecting_walk(n, po.leq)
+    delta = tuple(next(walk(rng)) for _ in range(letters))
     return Dfa(n, letter_names(letters), delta, finals)
 
 

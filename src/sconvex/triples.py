@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Dfa, _mask, _strip_comment, is_minimal
-from .classify import is_suffix_convex
+from .automata import Dfa, _mask, _strip_comment, minimize
+from .classify import _chain
 from .errors import (AxiomViolation, FormatError, NonConvexFinals, NotMinimal,
                      NotPartialOrder, NotSuffixConvex, ResourceCap,
                      SizeMismatch, StateOutOfRange)
@@ -149,16 +149,15 @@ class TripleSystem:
         if 2 * n * n - n > CLOSURE_CAP:
             raise ResourceCap(f"a system on {n} states has {2 * n * n - n} "
                               f"mandatory triples, over the cap {CLOSURE_CAP}")
-        triples = base_triples(n)
-        for (p, q, r) in listed:
-            triples.add((p, q, r))
-            triples.add((q, p, r))
-        return make_triple_system(n, finals, triples)
+        # the mandatory triples (p, q, p) and (p, q, q), then the listed ones
+        # and their mirrors
+        mandatory = [1 << p | 1 << q for p in range(n) for q in range(n)]
+        mirrors = [(q, p, r) for (p, q, r) in listed]
+        return cls(n, finals, _set_bits(mandatory, n, listed + mirrors))
 
 
-def make_triple_system(n: int, finals, triples) -> TripleSystem:
-    '''The system holding these triples, each range-checked before its bit.'''
-    masks = [0] * (n * n)
+def _set_bits(masks: list, n: int, triples) -> list:
+    '''masks with the bit of each triple set, each range-checked before its bit.'''
     for t in map(tuple, triples):
         if len(t) != 3:
             raise FormatError(f"not a triple: {t}")
@@ -167,7 +166,12 @@ def make_triple_system(n: int, finals, triples) -> TripleSystem:
                 raise StateOutOfRange(f"state {q} outside 0..{n - 1}")
         (p, q, r) = t
         masks[p * n + q] |= 1 << r
-    return TripleSystem(n, finals, masks)
+    return masks
+
+
+def make_triple_system(n: int, finals, triples) -> TripleSystem:
+    '''The system holding these triples, each range-checked before its bit.'''
+    return TripleSystem(n, finals, _set_bits([0] * (n * n), n, triples))
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +223,11 @@ def canonical_system(d: Dfa) -> TripleSystem:
     (final, final, non-final).  Requires d minimal and L(d) suffix-convex;
     the result then satisfies the axioms and d respects it.
     """
-    if not is_minimal(d):
+    minimal = minimize(d)
+    if minimal.n != d.n:
         raise NotMinimal("canonical_system needs a minimal DFA")
-    convex, counterexample = is_suffix_convex(d)
-    if not convex:
+    counterexample = _chain(minimal)[0]
+    if counterexample is not None:
         raise NotSuffixConvex(f"language is not suffix-convex: {counterexample}")
     n = d.n
     pre = [[[] for _ in range(n)] for _ in d.alphabet]
@@ -380,62 +385,97 @@ def _check_convex_finals(po: Preorder, finals):
 ENUM_MAX_STATES = 12
 
 
-def _respecting_maps(n: int, leq, scan=(), masks=(), rng=None):
-    """Every map of Q_n that is monotone for leq and keeps each scan triple
-    inside R, given as `masks`, as image bytes (tuples above 256 states).
+def _respecting_walk(n: int, leq, scan=(), masks=()):
+    """The walk over every map of Q_n that is monotone for leq and keeps
+    each scan triple inside R, given as `masks`: a function of `rng` that
+    yields the maps as image bytes (tuples above 256 states).
 
-    States get their images in the order 0..n-1.  The candidates for q are
-    the values at or above the image of every earlier state below q, and
-    at or below the image of every earlier state above q; a scan triple is
-    checked as soon as its largest state has an image.  Values are tried
-    in increasing order, so the maps come out lexicographically.  With
-    `rng`, each level is entered with one `rng.shuffle` of 0..n-1 and
-    tries the values in that order instead: a randomized walk.
+    The tables are built here, once per order, and every walk reuses them.
+    States get their images in the order 0..n-1, and the candidates for q
+    are one bit mask, the intersection of:
+      - up[image[p]] for each earlier p below q, and down[image[p]] for
+        each earlier p above q (monotonicity);
+      - for Condition 1, the mask that each scan triple whose largest state
+        is q allows once its other states have images:
+        masks[image[a] * n + image[b]] for (a, b, q),
+        allowed[image[a] * n + image[c]] for (a, q, c) with a < q, and
+        diag[image[c]] for (q, q, c).
+    Without `rng`, values are tried in increasing order, so the maps come
+    out lexicographically.  With `rng`, each level is entered with one
+    `rng.shuffle` of 0..n-1 and tries the values in that order instead: a
+    randomized walk.
     """
     values = range(n)
+    full = (1 << n) - 1
     up = [sum(1 << v for v in values if leq[w][v]) for w in values]
     down = [sum(1 << v for v in values if leq[v][w]) for w in values]
     below = [[p for p in range(q) if leq[p][q]] for q in values]
     above = [[p for p in range(q) if leq[q][p]] for q in values]
-    checks = [[] for _ in values]
-    for t in scan:
-        checks[max(t)].append(t)
-    image = [0] * n
+    # scan triples by the shape they take at the level of their largest state
+    thirds = [[] for _ in values]
+    seconds = [[] for _ in values]
+    diagonals = [[] for _ in values]
+    for (a, b, c) in scan:
+        if c > b:
+            thirds[c].append((a, b))
+        elif a < b:
+            seconds[b].append((a, c))
+        else:
+            diagonals[b].append(c)
+    # allowed[x * n + z] and diag[z]: the v with (x, v, z), resp. (v, v, z), in R
+    allowed = [sum(1 << v for v in values if masks[x * n + v] >> z & 1)
+               for x in values for z in values] if any(seconds) else ()
+    diag = [sum(1 << v for v in values if masks[v * n + v] >> z & 1)
+            for z in values] if any(diagonals) else ()
     pack = bytes if n <= 256 else tuple
+    (last, tails) = (n - 1, [pack((v,)) for v in values])
+    listed = {}  # the values of each candidate mask met so far, increasing
 
-    def candidates(q):
-        mask = (1 << n) - 1
-        for p in below[q]:
-            mask &= up[image[p]]
-        for p in above[q]:
-            mask &= down[image[p]]
-        order = values
-        if rng is not None:
+    def walk(rng=None):
+        image = [0] * n
+
+        def candidates(q):
+            mask = full
+            for p in below[q]:
+                mask &= up[image[p]]
+            for p in above[q]:
+                mask &= down[image[p]]
+            if scan:  # skipped by plain monotone walks
+                for (a, b) in thirds[q]:
+                    mask &= masks[image[a] * n + image[b]]
+                for (a, c) in seconds[q]:
+                    mask &= allowed[image[a] * n + image[c]]
+                for c in diagonals[q]:
+                    mask &= diag[image[c]]
+            if rng is None:
+                out = listed.get(mask)
+                if out is None:
+                    out = listed[mask] = [v for v in values if mask >> v & 1]
+                return out
             order = list(values)
             rng.shuffle(order)
-        out = []
-        for v in order:
-            if mask >> v & 1:
-                image[q] = v
-                if not checks[q] or all(masks[image[a] * n + image[b]] >> image[c] & 1
-                                        for (a, b, c) in checks[q]):
-                    out.append(v)
-        return out
+            return [v for v in order if mask >> v & 1]
 
-    if n == 0:
-        yield b""
-        return
-    # pending[q] iterates over the candidates of state q not yet tried
-    pending = [iter(candidates(0))]
-    while pending:
-        q = len(pending) - 1
-        for image[q] in pending[q]:
-            if q < n - 1:
+        if n == 0:
+            yield b""
+            return
+        # pending[q] iterates over the candidates of state q not yet tried;
+        # each candidate of the last state completes the head into a map
+        pending = [iter(candidates(0))]
+        while pending:
+            q = len(pending) - 1
+            if q == last:
+                head = pack(image[:last])
+                for v in pending.pop():
+                    yield head + tails[v]
+                continue
+            for image[q] in pending[q]:
                 pending.append(iter(candidates(q + 1)))
                 break
-            yield pack(image)
-        else:
-            pending.pop()
+            else:
+                pending.pop()
+
+    return walk
 
 
 def check_enumerable(n: int) -> None:
@@ -466,7 +506,8 @@ def monotone_maps(po: Preorder, cap: int = CLOSURE_CAP):
     ENUM_MAX_STATES states.
     """
     _require_partial_order(po)
-    return _capped(po.n, _respecting_maps(po.n, po.leq), cap)
+    check_enumerable(po.n)  # before the walk's tables are built
+    return _capped(po.n, _respecting_walk(po.n, po.leq)(), cap)
 
 
 def monotone_transformations(po: Preorder, cap: int = CLOSURE_CAP) -> Semigroup:
@@ -481,11 +522,12 @@ def maximal_semigroup(s: TripleSystem, cap: int = CLOSURE_CAP) -> Semigroup:
 
     Condition 2 is monotonicity for the derived preorder, so the maps are
     enumerated state by state as monotone maps, and each scan triple of
-    Condition 1 prunes as soon as its states have images.  ResourceCap is
-    raised once more than `cap` maps have been produced, and at once for
-    more than ENUM_MAX_STATES states.
+    Condition 1 narrows the candidate mask of its largest state.
+    ResourceCap is raised once more than `cap` maps have been produced,
+    and at once for more than ENUM_MAX_STATES states.
     """
-    maps = _respecting_maps(s.n, preorder_of(s).leq, s.scan_triples(), s.masks)
+    check_enumerable(s.n)  # before the walk's tables are built
+    maps = _respecting_walk(s.n, preorder_of(s).leq, s.scan_triples(), s.masks)()
     return Semigroup(s.n, tuple(_capped(s.n, maps, cap)))
 
 

@@ -91,6 +91,13 @@ def test_exhaustive_filter_matches_generated_semigroup():
                    f"diverges at n={mismatches}")
 
 
+def test_maximal_semigroup_of_the_syntactic_system_at_eight():
+    # every map respecting the system, 941,241 of them, enumerated one by one
+    size = len(maximal_semigroup(syntactic_system(8)))
+    _conclude_flag("maximal-semigroup n=8", size == syntactic_bound(8),
+                   f"{size} maps, bound {syntactic_bound(8)}")
+
+
 def test_monotone_counts():
     _conclude("monotone-counts n=3..7", verify_monotone_counts())
 

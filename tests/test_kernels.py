@@ -1,17 +1,25 @@
-"""Cross-checks of the subset-construction and minimization kernels against
-the loops they replaced (parent_kernels.py): same DFA, same numbering,
-same ResourceCap."""
+"""Cross-checks of the subset-construction, minimization and respecting-map
+kernels against the loops they replaced (parent_kernels.py): same DFA, same
+numbering, same ResourceCap; same maps in the same order, and the same
+random draws."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sconvex import (Dfa, Nfa, ResourceCap, determinize, minimize, product_nfa,
-                     reverse_nfa, star_nfa)
-from sconvex.witnesses import reversal_witness, star_witness, syntactic_witness
+from sconvex import (Dfa, Nfa, ResourceCap, canonical_system, determinize,
+                     maximal_semigroup, minimize, order_system, preorder_of,
+                     product_nfa, random_suffix_convex, reverse_nfa, star_nfa)
+from sconvex.harness import _random_convex_finals, _random_order
+from sconvex.triples import _respecting_walk
+from sconvex.witnesses import (reversal_system, reversal_witness, star_system,
+                               star_witness, syntactic_system,
+                               syntactic_witness)
 
-from parent_kernels import parent_determinize, parent_minimize
+from parent_kernels import (parent_determinize, parent_minimize,
+                            parent_respecting_maps)
 
 WITNESSES = (star_witness, reversal_witness, syntactic_witness)
 
@@ -119,3 +127,98 @@ def test_minimize_matches_parent_on_witness_constructions(n):
     for d in _witnesses(n):
         for big in (d, parent_determinize(star_nfa(d)), parent_determinize(reverse_nfa(d))):
             assert minimize(big) == parent_minimize(big)
+
+
+# ---------------------------------------------------------------------------
+# the respecting-map walk
+
+def _walk_args(s):
+    return (s.n, preorder_of(s).leq, s.scan_triples(), s.masks)
+
+
+def _shapes(scan):
+    """The scan-triple shapes the walk checks at the level of their largest
+    state: third coordinate largest, second largest, and (q, q, c)."""
+    return {"third" if c > b else "second" if a < b else "diagonal"
+            for (a, b, c) in scan}
+
+
+@pytest.mark.parametrize("family", [star_system, reversal_system,
+                                    syntactic_system])
+@pytest.mark.parametrize("n", range(3, 8))
+def test_respecting_walk_matches_parent_on_witness_systems(family, n):
+    args = _walk_args(family(n))
+    assert list(_respecting_walk(*args)()) == list(parent_respecting_maps(*args))
+
+
+def test_respecting_walk_matches_parent_on_random_orders():
+    rng = random.Random(2718)
+    for _ in range(60):
+        po = _random_order(rng, rng.randint(2, 7))
+        s = order_system(po, _random_convex_finals(rng, po))
+        # the plain monotone walk, then the one with scan triples
+        assert list(_respecting_walk(po.n, po.leq)()) == \
+            list(parent_respecting_maps(po.n, po.leq))
+        args = _walk_args(s)
+        assert list(_respecting_walk(*args)()) == list(parent_respecting_maps(*args))
+
+
+def test_respecting_walk_matches_parent_on_canonical_systems():
+    rng = random.Random(1618)
+    shapes = set()
+    sampled = 0
+    while sampled < 200:
+        d = minimize(random_suffix_convex(rng.randint(3, 7), rng.randint(1, 3),
+                                          rng.randrange(2 ** 32)))
+        if d.n < 3:
+            continue
+        sampled += 1
+        args = _walk_args(canonical_system(d))
+        shapes |= _shapes(args[2])
+        assert list(_respecting_walk(*args)()) == \
+            list(parent_respecting_maps(*args)), d
+    assert shapes == {"third", "second", "diagonal"}
+
+
+def _seeded_systems():
+    rng = random.Random(31)
+    for n in range(3, 8):
+        yield _walk_args(syntactic_system(n))
+        yield _walk_args(reversal_system(n))
+        po = _random_order(rng, n)
+        yield (n, po.leq, (), ())
+        yield _walk_args(order_system(po, _random_convex_finals(rng, po)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_seeded_walks_match_parent_and_leave_the_same_draws(seed):
+    for args in _seeded_systems():
+        walk = _respecting_walk(*args)
+        # several walks on one set of tables, as random_suffix_convex runs them
+        for taken in (1, 3, 40):
+            (new, old) = (random.Random(seed), random.Random(seed))
+            got = [m for _, m in zip(range(taken), walk(new))]
+            want = [m for _, m in zip(range(taken),
+                                      parent_respecting_maps(*args, rng=old))]
+            assert got == want
+            assert new.random() == old.random()
+
+
+def test_maximal_semigroup_of_the_syntactic_system_at_seven_is_pinned():
+    images = maximal_semigroup(syntactic_system(7)).images
+    digest = hashlib.sha256()
+    for image in images:
+        digest.update(image)
+    assert len(images) == 54468
+    assert digest.hexdigest() == \
+        "aae18094a317f5346722ea3b6a5ae0938174ac609a7edd6a9b21d45eac01175e"
+
+
+def test_random_suffix_convex_is_pinned():
+    digest = hashlib.sha256()
+    for n in range(2, 10):
+        for k in range(1, 7):
+            for seed in range(20):
+                digest.update(random_suffix_convex(n, k, seed).to_text().encode())
+    assert digest.hexdigest() == \
+        "c835abf1c22acfcf0dd4f4b51183128536307b772b37b36d45014eed7d176803"

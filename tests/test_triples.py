@@ -1,3 +1,4 @@
+import importlib
 import random
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from sconvex import (AxiomViolation, Dfa, FormatError, NonConvexFinals,
                      star_witness, syntactic_system, syntactic_witness,
                      total_order)
 from sconvex.harness import _random_convex_finals, _random_order
-from sconvex.triples import _respecting_maps
+from sconvex.triples import _respecting_walk
 
 from conftest import random_dfa
 from oracles import (naive_axiom_c, naive_canonical_triples,
@@ -170,6 +171,42 @@ def test_triple_from_text_refuses_before_the_mandatory_triples(n):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("text, message", [
+    ("states 3\nfinal 1\n0 5 1\n", "state 5 outside 0..2"),
+    ("states 3\nfinal 1\n0 1 -1\n", "state -1 outside 0..2"),
+    ("states 3\nfinal 1\n0 1 9\n", "state 9 outside 0..2"),
+    ("states 3\nfinal 7\n0 1 2\n", "final state 7 outside 0..2"),
+])
+def test_triple_from_text_range_checks(text, message):
+    with pytest.raises(StateOutOfRange) as info:
+        TripleSystem.from_text(text)
+    assert str(info.value) == message
+
+
+def _outcome(build):
+    try:
+        return build()
+    except AxiomViolation as e:
+        return (e.axiom, e.triple)
+
+
+def test_triple_from_text_matches_make_triple_system():
+    # the reader seeds the mandatory bits itself; make_triple_system, given
+    # the mandatory triples, the listed ones and their mirrors, must agree,
+    # down to the axiom violation named
+    rng = random.Random(77)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        finals = set(rng.sample(range(n), rng.randint(0, n)))
+        listed = [tuple(rng.randrange(n) for _ in range(3))
+                  for _ in range(rng.randint(0, 2 * n))]
+        text = "".join([f"states {n}\nfinal", *(f" {f}" for f in finals), "\n",
+                        *(f"{p} {q} {r}\n" for (p, q, r) in listed)])
+        triples = base_triples(n) | set(listed) | {(q, p, r) for (p, q, r) in listed}
+        assert _outcome(lambda: TripleSystem.from_text(text)) == \
+            _outcome(lambda: make_triple_system(n, finals, triples))
+
+
 def test_cube_and_scan_agree_with_membership():
     s = star_system(4)
     scan = s.scan_triples()
@@ -307,7 +344,7 @@ def test_monotone_transformations_of_empty_order():
 def test_random_walk_beyond_byte_images():
     n = 300
     po = _random_order(random.Random(8), n)
-    image = next(_respecting_maps(n, po.leq, rng=random.Random(9)))
+    image = next(_respecting_walk(n, po.leq)(random.Random(9)))
     assert len(image) == n and max(image) < n
     assert all(po.leq[image[p]][image[q]]
                for p in range(n) for q in range(n) if po.leq[p][q])
@@ -370,6 +407,28 @@ def test_canonical_system_requires_minimal_convex_input():
                    frozenset({1}))
     with pytest.raises(NotSuffixConvex):
         canonical_system(a_or_baa)
+
+
+def test_canonical_system_messages_and_one_minimize(monkeypatch):
+    calls = []
+    for name in ("automata", "classify", "triples"):
+        module = importlib.import_module(f"sconvex.{name}")
+        real = module.minimize
+        monkeypatch.setattr(module, "minimize",
+                            lambda d, real=real: calls.append(d) or real(d))
+    canonical_system(star_witness(5))
+    assert len(calls) == 1
+    with pytest.raises(NotMinimal) as info:
+        canonical_system(Dfa(4, ("a",), ((3, 2, 1, 0),), frozenset({1, 3})))
+    assert str(info.value) == "canonical_system needs a minimal DFA"
+    a_or_baa = Dfa(5, ("a", "b"),
+                   ((1, 4, 3, 1, 4), (2, 4, 4, 4, 4)),
+                   frozenset({1}))
+    with pytest.raises(NotSuffixConvex) as info:
+        canonical_system(a_or_baa)
+    assert str(info.value) == \
+        "language is not suffix-convex: (('b',), ('a',), ('a',))"
+    assert len(calls) == 3
 
 
 def test_canonical_system_of_a_left_ideal():
