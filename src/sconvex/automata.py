@@ -110,9 +110,8 @@ class Dfa:
                  "alphabet " + " ".join(self.alphabet),
                  "initial 0",
                  "final" + "".join(f" {q}" for q in sorted(self.finals))]
-        for q in range(self.n):
-            for k, letter in enumerate(self.alphabet):
-                lines.append(f"{q} {letter} {self.delta[k][q]}")
+        lines += [f"{q} {letter} {t}" for q, targets in enumerate(zip(*self.delta))
+                  for letter, t in zip(self.alphabet, targets)]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -120,6 +119,9 @@ class Dfa:
         return _parse_dfa(text)
 
     def to_dot(self, name: str = "dfa") -> str:
+        """Graphviz DOT: one node per state, doubled when final, and one
+        edge per state and target, labelled with its letters in alphabet
+        order; each distinct label is quoted once."""
         return _dfa_dot(self, name)
 
 
@@ -157,52 +159,64 @@ class Nfa:
 # ---------------------------------------------------------------------------
 # text format
 
-def _strip_comment(line):
-    pos = line.find("#")
-    if pos >= 0:
-        line = line[:pos]
-    return line.strip()
+def _text_rows(text):
+    """The non-empty lines of a text file, comments cut and whitespace
+    stripped, and where(i): the 1-based line number of row i.
+
+    Line numbers are only needed for an error, so where(i) finds them by
+    scanning the lines again instead of storing one per row.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    stripped = list(map(str.strip, lines))
+    rows = list(filter(None, stripped))
+
+    def where(i):
+        return [lineno for lineno, line in enumerate(stripped, start=1) if line][i]
+
+    return rows, where
 
 
 def _parse_dfa(text):
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if line:
-            rows.append((lineno, line.split()))
+    """The Dfa a text file describes, or FormatError naming the first bad line.
+
+    Each transition line is split as it is read, so no token list outlives
+    its line, and a line number is worked out only for an error.
+    """
+    rows, where = _text_rows(text)
     if len(rows) < 4:
         raise FormatError("file too short: need states, alphabet, initial, final")
 
-    (ln, head) = rows[0]
+    head = rows[0].split()
     if head[0] != "states" or len(head) != 2:
-        raise FormatError(f"line {ln}: expected 'states <n>'")
+        raise FormatError(f"line {where(0)}: expected 'states <n>'")
     try:
         n = int(head[1])
     except ValueError:
-        raise FormatError(f"line {ln}: state count must be an integer") from None
+        raise FormatError(f"line {where(0)}: state count must be an integer") from None
     if n < 1:
-        raise FormatError(f"line {ln}: state count must be positive")
+        raise FormatError(f"line {where(0)}: state count must be positive")
 
-    (ln, head) = rows[1]
+    head = rows[1].split()
     if head[0] != "alphabet" or len(head) < 2:
-        raise FormatError(f"line {ln}: expected 'alphabet <l1> <l2> ...'")
+        raise FormatError(f"line {where(1)}: expected 'alphabet <l1> <l2> ...'")
     alphabet = tuple(head[1:])
     _check_alphabet(alphabet)
 
-    (ln, head) = rows[2]
-    if head != ["initial", "0"]:
-        raise FormatError(f"line {ln}: expected 'initial 0'")
+    if rows[2].split() != ["initial", "0"]:
+        raise FormatError(f"line {where(2)}: expected 'initial 0'")
 
-    (ln, head) = rows[3]
+    head = rows[3].split()
     if head[0] != "final":
-        raise FormatError(f"line {ln}: expected 'final ...'")
+        raise FormatError(f"line {where(3)}: expected 'final ...'")
     try:
         finals = frozenset(int(tok) for tok in head[1:])
     except ValueError:
-        raise FormatError(f"line {ln}: final states must be integers") from None
+        raise FormatError(f"line {where(3)}: final states must be integers") from None
     for q in finals:
         if not 0 <= q < n:
-            raise FormatError(f"line {ln}: final state {q} out of range")
+            raise FormatError(f"line {where(3)}: final state {q} out of range")
 
     # a full table needs a line per cell; checking first keeps a huge
     # declared size from allocating a table its file cannot fill
@@ -210,25 +224,26 @@ def _parse_dfa(text):
     if len(rows) - 4 < cells:
         raise FormatError(f"incomplete transition table: {len(rows) - 4} "
                           f"transition lines, need {cells}")
-    index = {letter: k for k, letter in enumerate(alphabet)}
-    table = [[None] * n for _ in alphabet]
-    for (ln, toks) in rows[4:]:
+    column = {letter: [None] * n for letter in alphabet}
+    for i in range(4, len(rows)):
+        toks = rows[i].split()
         if len(toks) != 3:
-            raise FormatError(f"line {ln}: expected '<state> <letter> <state>'")
+            raise FormatError(f"line {where(i)}: expected '<state> <letter> <state>'")
         src_s, letter, dst_s = toks
         try:
             src, dst = int(src_s), int(dst_s)
         except ValueError:
-            raise FormatError(f"line {ln}: states must be integers") from None
-        if letter not in index:
-            raise FormatError(f"line {ln}: unknown letter {letter!r}")
+            raise FormatError(f"line {where(i)}: states must be integers") from None
+        row = column.get(letter)
+        if row is None:
+            raise FormatError(f"line {where(i)}: unknown letter {letter!r}")
         if not 0 <= src < n or not 0 <= dst < n:
-            raise FormatError(f"line {ln}: state out of range")
-        if table[index[letter]][src] is not None:
-            raise FormatError(f"line {ln}: duplicate transition for ({src}, {letter})")
-        table[index[letter]][src] = dst
+            raise FormatError(f"line {where(i)}: state out of range")
+        if row[src] is not None:
+            raise FormatError(f"line {where(i)}: duplicate transition for ({src}, {letter})")
+        row[src] = dst
     # at least one line per cell and no cell twice: the table is full
-    return Dfa(n, alphabet, tuple(tuple(row) for row in table), finals)
+    return Dfa(n, alphabet, list(column.values()), finals)
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +256,21 @@ def _quote(s):
 def _dfa_dot(d, name):
     lines = [f"digraph {name} {{", "  rankdir=LR;",
              '  __start [shape=point, label=""];']
-    for q in range(d.n):
-        shape = "doublecircle" if q in d.finals else "circle"
-        lines.append(f"  {q} [shape={shape}];")
+    lines += [f"  {q} [shape={'doublecircle' if q in d.finals else 'circle'}];"
+              for q in range(d.n)]
     lines.append("  __start -> 0;")
-    # one edge per target, its letters merged in alphabet order
-    for q in range(d.n):
+    # one edge per target, its letters merged in alphabet order; a label
+    # recurs on many states, so each is quoted once
+    quoted = {}
+    for q, targets in enumerate(zip(*d.delta)):
         grouped = {}
-        for k, letter in enumerate(d.alphabet):
-            grouped.setdefault(d.delta[k][q], []).append(letter)
+        for letter, dst in zip(d.alphabet, targets):
+            grouped[dst] = grouped[dst] + "," + letter if dst in grouped else letter
         for dst in sorted(grouped):
-            lines.append(f"  {q} -> {dst} [label={_quote(','.join(grouped[dst]))}];")
+            letters = grouped[dst]
+            if letters not in quoted:
+                quoted[letters] = _quote(letters)
+            lines.append(f"  {q} -> {dst} [label={quoted[letters]}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

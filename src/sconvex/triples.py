@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Dfa, _mask, _strip_comment, minimize
+from .automata import Dfa, _mask, _text_rows, minimize
 from .classify import _chain
 from .errors import (AxiomViolation, FormatError, NonConvexFinals, NotMinimal,
                      NotPartialOrder, NotSuffixConvex, ResourceCap,
@@ -116,36 +116,34 @@ class TripleSystem:
 
     @classmethod
     def from_text(cls, text: str) -> "TripleSystem":
-        n = None
-        finals = None
-        listed = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = _strip_comment(raw)
-            if not line:
-                continue
-            toks = line.split()
-            if n is None:
-                if toks[0] != "states" or len(toks) != 2 or not toks[1].isdigit():
-                    raise FormatError(f"line {lineno}: expected 'states <n>'")
-                n = int(toks[1])
-                if n < 1:
-                    raise FormatError(f"line {lineno}: state count must be positive")
-            elif finals is None:
-                if toks[0] != "final":
-                    raise FormatError(f"line {lineno}: expected 'final ...'")
-                try:
-                    finals = frozenset(int(t) for t in toks[1:])
-                except ValueError:
-                    raise FormatError(f"line {lineno}: final states must be integers") from None
-            else:
-                if len(toks) != 3:
-                    raise FormatError(f"line {lineno}: expected 'p q r'")
-                try:
-                    listed.append(tuple(int(t) for t in toks))
-                except ValueError:
-                    raise FormatError(f"line {lineno}: triples must be integers") from None
-        if n is None or finals is None:
+        rows, where = _text_rows(text)
+        if not rows:
             raise FormatError("file too short: need 'states' and 'final' lines")
+        toks = rows[0].split()
+        # isdecimal, not isdigit: int() refuses digits such as "²"
+        if toks[0] != "states" or len(toks) != 2 or not toks[1].isdecimal():
+            raise FormatError(f"line {where(0)}: expected 'states <n>'")
+        n = int(toks[1])
+        if n < 1:
+            raise FormatError(f"line {where(0)}: state count must be positive")
+        if len(rows) < 2:
+            raise FormatError("file too short: need 'states' and 'final' lines")
+        toks = rows[1].split()
+        if toks[0] != "final":
+            raise FormatError(f"line {where(1)}: expected 'final ...'")
+        try:
+            finals = frozenset(int(t) for t in toks[1:])
+        except ValueError:
+            raise FormatError(f"line {where(1)}: final states must be integers") from None
+        listed = []
+        for i in range(2, len(rows)):
+            toks = rows[i].split()
+            if len(toks) != 3:
+                raise FormatError(f"line {where(i)}: expected 'p q r'")
+            try:
+                listed.append(tuple(map(int, toks)))
+            except ValueError:
+                raise FormatError(f"line {where(i)}: triples must be integers") from None
         if 2 * n * n - n > CLOSURE_CAP:
             raise ResourceCap(f"a system on {n} states has {2 * n * n - n} "
                               f"mandatory triples, over the cap {CLOSURE_CAP}")

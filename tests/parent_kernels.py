@@ -4,14 +4,21 @@ reference for the cross-checks in test_kernels.py, except that the subset
 construction's two epsilon-closure calls are plain frozensets, since an
 `Nfa` has no epsilon edges.  Also the respecting-map enumerator that
 `sconvex.triples` used before it checked Condition 1 as mask intersections,
-which tested each candidate value against each scan triple.
+which tested each candidate value against each scan triple.  And the text
+parsers and writers from before the text layer read its lines without
+storing a token list per line: `parent_parse_dfa`, `parent_to_text` and
+`parent_dfa_dot` are `sconvex.automata`'s `_parse_dfa`, `Dfa.to_text` and
+`_dfa_dot`, and
+`parent_triple_system_from_text` is `TripleSystem.from_text`, with the
+helpers they used.
 
 This is not an independent oracle: it shares the algorithms it checks.
 The oracles in oracles.py avoid subset construction and refinement.
 """
 
-from sconvex.automata import SUBSET_CAP, Dfa, Nfa
-from sconvex.errors import ResourceCap
+from sconvex.automata import SUBSET_CAP, Dfa, Nfa, _check_alphabet
+from sconvex.errors import FormatError, ResourceCap
+from sconvex.triples import CLOSURE_CAP, TripleSystem, _set_bits
 
 
 def parent_minimize(d: Dfa) -> Dfa:
@@ -142,3 +149,151 @@ def parent_respecting_maps(n: int, leq, scan=(), masks=(), rng=None):
             yield pack(image)
         else:
             pending.pop()
+
+
+def _strip_comment(line):
+    pos = line.find("#")
+    if pos >= 0:
+        line = line[:pos]
+    return line.strip()
+
+
+def parent_parse_dfa(text):
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _strip_comment(raw)
+        if line:
+            rows.append((lineno, line.split()))
+    if len(rows) < 4:
+        raise FormatError("file too short: need states, alphabet, initial, final")
+
+    (ln, head) = rows[0]
+    if head[0] != "states" or len(head) != 2:
+        raise FormatError(f"line {ln}: expected 'states <n>'")
+    try:
+        n = int(head[1])
+    except ValueError:
+        raise FormatError(f"line {ln}: state count must be an integer") from None
+    if n < 1:
+        raise FormatError(f"line {ln}: state count must be positive")
+
+    (ln, head) = rows[1]
+    if head[0] != "alphabet" or len(head) < 2:
+        raise FormatError(f"line {ln}: expected 'alphabet <l1> <l2> ...'")
+    alphabet = tuple(head[1:])
+    _check_alphabet(alphabet)
+
+    (ln, head) = rows[2]
+    if head != ["initial", "0"]:
+        raise FormatError(f"line {ln}: expected 'initial 0'")
+
+    (ln, head) = rows[3]
+    if head[0] != "final":
+        raise FormatError(f"line {ln}: expected 'final ...'")
+    try:
+        finals = frozenset(int(tok) for tok in head[1:])
+    except ValueError:
+        raise FormatError(f"line {ln}: final states must be integers") from None
+    for q in finals:
+        if not 0 <= q < n:
+            raise FormatError(f"line {ln}: final state {q} out of range")
+
+    # a full table needs a line per cell; checking first keeps a huge
+    # declared size from allocating a table its file cannot fill
+    cells = n * len(alphabet)
+    if len(rows) - 4 < cells:
+        raise FormatError(f"incomplete transition table: {len(rows) - 4} "
+                          f"transition lines, need {cells}")
+    index = {letter: k for k, letter in enumerate(alphabet)}
+    table = [[None] * n for _ in alphabet]
+    for (ln, toks) in rows[4:]:
+        if len(toks) != 3:
+            raise FormatError(f"line {ln}: expected '<state> <letter> <state>'")
+        src_s, letter, dst_s = toks
+        try:
+            src, dst = int(src_s), int(dst_s)
+        except ValueError:
+            raise FormatError(f"line {ln}: states must be integers") from None
+        if letter not in index:
+            raise FormatError(f"line {ln}: unknown letter {letter!r}")
+        if not 0 <= src < n or not 0 <= dst < n:
+            raise FormatError(f"line {ln}: state out of range")
+        if table[index[letter]][src] is not None:
+            raise FormatError(f"line {ln}: duplicate transition for ({src}, {letter})")
+        table[index[letter]][src] = dst
+    # at least one line per cell and no cell twice: the table is full
+    return Dfa(n, alphabet, tuple(tuple(row) for row in table), finals)
+
+
+def parent_to_text(d: Dfa) -> str:
+    lines = [f"states {d.n}",
+             "alphabet " + " ".join(d.alphabet),
+             "initial 0",
+             "final" + "".join(f" {q}" for q in sorted(d.finals))]
+    for q in range(d.n):
+        for k, letter in enumerate(d.alphabet):
+            lines.append(f"{q} {letter} {d.delta[k][q]}")
+    return "\n".join(lines) + "\n"
+
+
+def _quote(s):
+    return '"' + str(s).replace('"', '\\"') + '"'
+
+
+def parent_dfa_dot(d, name):
+    lines = [f"digraph {name} {{", "  rankdir=LR;",
+             '  __start [shape=point, label=""];']
+    for q in range(d.n):
+        shape = "doublecircle" if q in d.finals else "circle"
+        lines.append(f"  {q} [shape={shape}];")
+    lines.append("  __start -> 0;")
+    # one edge per target, its letters merged in alphabet order
+    for q in range(d.n):
+        grouped = {}
+        for k, letter in enumerate(d.alphabet):
+            grouped.setdefault(d.delta[k][q], []).append(letter)
+        for dst in sorted(grouped):
+            lines.append(f"  {q} -> {dst} [label={_quote(','.join(grouped[dst]))}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def parent_triple_system_from_text(text: str) -> TripleSystem:
+    n = None
+    finals = None
+    listed = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _strip_comment(raw)
+        if not line:
+            continue
+        toks = line.split()
+        if n is None:
+            if toks[0] != "states" or len(toks) != 2 or not toks[1].isdigit():
+                raise FormatError(f"line {lineno}: expected 'states <n>'")
+            n = int(toks[1])
+            if n < 1:
+                raise FormatError(f"line {lineno}: state count must be positive")
+        elif finals is None:
+            if toks[0] != "final":
+                raise FormatError(f"line {lineno}: expected 'final ...'")
+            try:
+                finals = frozenset(int(t) for t in toks[1:])
+            except ValueError:
+                raise FormatError(f"line {lineno}: final states must be integers") from None
+        else:
+            if len(toks) != 3:
+                raise FormatError(f"line {lineno}: expected 'p q r'")
+            try:
+                listed.append(tuple(int(t) for t in toks))
+            except ValueError:
+                raise FormatError(f"line {lineno}: triples must be integers") from None
+    if n is None or finals is None:
+        raise FormatError("file too short: need 'states' and 'final' lines")
+    if 2 * n * n - n > CLOSURE_CAP:
+        raise ResourceCap(f"a system on {n} states has {2 * n * n - n} "
+                          f"mandatory triples, over the cap {CLOSURE_CAP}")
+    # the mandatory triples (p, q, p) and (p, q, q), then the listed ones
+    # and their mirrors
+    mandatory = [1 << p | 1 << q for p in range(n) for q in range(n)]
+    mirrors = [(q, p, r) for (p, q, r) in listed]
+    return TripleSystem(n, finals, _set_bits(mandatory, n, listed + mirrors))

@@ -151,6 +151,7 @@ def test_triple_from_text_symmetrizes():
     "final 1\nstates 3\n",
     "states 3\nfinal 1\n1 2\n",
     "states 3\nfinal x\n",
+    "states \u00b2\nfinal 1\n",
 ])
 def test_triple_from_text_rejects(text):
     with pytest.raises(FormatError):
