@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import or_
+from operator import itemgetter, or_
 
 from .errors import AlphabetMismatch, FormatError, NotMinimal, ResourceCap
 
@@ -278,32 +278,52 @@ def _dfa_dot(d, name):
 # ---------------------------------------------------------------------------
 # core constructions
 
+def _refine(d: Dfa):
+    """Moore refinement (Moore 1956) of d's reachable part.
+
+    Returns (reach, flat, block): the reachable states in BFS discovery
+    order, renumbered 0..r-1 by that order; the state-major table, in which
+    state q's targets are flat[q*k:(q+1)*k]; and the Nerode block of each
+    state, blocks numbered 0, 1, ... by first appearance in that order.
+    """
+    k = len(d.alphabet)
+    reach = d.reachable()
+    num = dict(zip(reach, range(len(reach))))
+    columns = list(zip(*d.delta))
+    flat = list(map(num.__getitem__, chain.from_iterable(map(columns.__getitem__, reach))))
+    # a state's signature is its block and its targets' blocks, and each
+    # distinct signature is a block of the next round, numbered by first
+    # appearance; zipping k copies of one iterator deals the targets out k
+    # at a time, so a round does no per-letter work.  The rounds stop once
+    # the partition is stable or discrete, as a discrete one cannot split
+    block = [int(q in d.finals) for q in reach]
+    nblocks = len(set(block))
+    if nblocks == len(reach):
+        # discrete before any round (one state, or two split by finality)
+        return reach, flat, list(range(nblocks))
+    # two or more states, so flat has two or more entries and the getter
+    # returns a tuple
+    gather = itemgetter(*flat)
+    while True:
+        sigs = {}
+        targets = iter(gather(block))
+        block = [sigs.setdefault(sig, len(sigs)) for sig in zip(block, *[targets] * k)]
+        if len(sigs) in (nblocks, len(reach)):
+            return reach, flat, block
+        nblocks = len(sigs)
+
+
 def minimize(d: Dfa) -> Dfa:
     """The canonical minimal complete DFA of L(d).
 
     States of the result are numbered by breadth-first discovery order over
     the alphabet order, so equal languages give byte-identical automata.
+    They are the blocks of a Moore refinement of the reachable part, which
+    stops at the first partition that is stable or has every state in a
+    block of its own.
     """
     k = len(d.alphabet)
-    # the reachable part, renumbered 0..r-1 in discovery order, as one
-    # state-major table: state q's targets are flat[q*k:(q+1)*k]
-    reach = d.reachable()
-    num = dict(zip(reach, range(len(reach))))
-    columns = list(zip(*d.delta))
-    flat = list(map(num.__getitem__, chain.from_iterable(map(columns.__getitem__, reach))))
-    # Moore refinement: a state's signature is its block and its targets'
-    # blocks, and each distinct signature is a block of the next round,
-    # numbered by first appearance; zipping k copies of one iterator deals
-    # the targets out k at a time, so a round does no per-letter work
-    block = [int(q in d.finals) for q in reach]
-    nblocks = len(set(block))
-    while True:
-        sigs = {}
-        targets = map(block.__getitem__, flat)
-        block = [sigs.setdefault(sig, len(sigs)) for sig in zip(block, *[targets] * k)]
-        if len(sigs) == nblocks:
-            break
-        nblocks = len(sigs)
+    reach, flat, block = _refine(d)
     # numbering by first appearance in the BFS order `reach` is the BFS
     # numbering of the quotient: a block's first member is reached from the
     # first member of the earliest block with an edge into it
@@ -318,8 +338,9 @@ def minimize(d: Dfa) -> Dfa:
 
 
 def complexity(d: Dfa) -> int:
-    '''Number of states of the minimal complete DFA of L(d).'''
-    return minimize(d).n
+    '''Number of states of the minimal complete DFA of L(d): the number of
+    Moore blocks, counted without building the quotient.'''
+    return max(_refine(d)[2]) + 1
 
 
 def _mask(states) -> int:
@@ -561,7 +582,9 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
 
 
 def is_minimal(d: Dfa) -> bool:
-    return minimize(d).n == d.n
+    '''Whether d has no unreachable state and no two equivalent ones,
+    counted like complexity, without building the quotient.'''
+    return max(_refine(d)[2]) + 1 == d.n
 
 
 def atom_count(d: Dfa) -> int:

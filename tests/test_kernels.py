@@ -1,7 +1,7 @@
 """Cross-checks of the subset-construction, minimization and respecting-map
 kernels against the loops they replaced (parent_kernels.py): same DFA, same
-numbering, same ResourceCap; same maps in the same order, and the same
-random draws."""
+numbering, same ResourceCap, the same state counts from complexity and
+is_minimal; same maps in the same order, and the same random draws."""
 
 import hashlib
 import random
@@ -9,9 +9,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sconvex import (Dfa, Nfa, ResourceCap, canonical_system, determinize,
-                     maximal_semigroup, minimize, order_system, preorder_of,
-                     product_nfa, random_suffix_convex, reverse_nfa, star_nfa)
+from sconvex import (Dfa, Nfa, ResourceCap, canonical_system, complexity,
+                     determinize, is_minimal, maximal_semigroup, minimize,
+                     order_system, preorder_of, product_nfa,
+                     random_suffix_convex, reverse_nfa, star_nfa)
 from sconvex.harness import _random_convex_finals, _random_order
 from sconvex.triples import _respecting_walk
 from sconvex.witnesses import (reversal_system, reversal_witness, star_system,
@@ -115,18 +116,74 @@ def test_determinize_cap_reports_progress():
     assert str(info.value) == f"subset construction exceeded 100 subsets ({expanded} expanded)"
 
 
+def _check_minimize(d):
+    """minimize equals the parent's, and complexity and is_minimal, which
+    count the refinement's blocks without building the quotient, agree
+    with the parent's quotient size."""
+    parent = parent_minimize(d)
+    assert minimize(d) == parent
+    assert complexity(d) == parent.n
+    assert is_minimal(d) == (parent.n == d.n)
+
+
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_minimize_matches_parent_with_unreachable_states(seed):
-    d = _dfa_with_unreachable(random.Random(seed))
-    assert minimize(d) == parent_minimize(d)
+    _check_minimize(_dfa_with_unreachable(random.Random(seed)))
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_minimize_matches_parent_on_witness_constructions(n):
     for d in _witnesses(n):
         for big in (d, parent_determinize(star_nfa(d)), parent_determinize(reverse_nfa(d))):
-            assert minimize(big) == parent_minimize(big)
+            _check_minimize(big)
+
+
+def _small_dfas():
+    """DFAs on which the refinement stops at its edges: one state; two
+    states already split by finality, either one final; every state final
+    or none; and chains that become discrete after one or two rounds."""
+    for k in (1, 2, 3):
+        letters = tuple("abc"[:k])
+        for finals in ((), (0,)):
+            yield Dfa(1, letters, [(0,)] * k, finals)
+        for finals in ((0,), (1,)):
+            yield Dfa(2, letters, [(1, 0)] + [(0, 0)] * (k - 1), finals)
+            yield Dfa(2, letters, [(1, 1)] * k, finals)
+        for finals in ((), (0, 1, 2, 3)):
+            yield Dfa(4, letters, [(1, 2, 3, 0)] * k, finals)
+    # 0 -a-> 1 -a-> 2 -a-> 2, finals {2}: the first round splits {0, 1}
+    # by their a-targets and makes the partition discrete
+    yield Dfa(3, ("a", "b"), [(1, 2, 2), (0, 0, 0)], {2})
+    # the same chain with states 1 and 2 swapped in the numbering
+    yield Dfa(3, ("a", "b"), [(2, 1, 1), (0, 0, 0)], {1})
+    # a chain one state longer is one block short of discrete after the
+    # first round, and discrete after the second
+    yield Dfa(4, ("a",), [(1, 2, 3, 3)], {3})
+
+
+@pytest.mark.parametrize("d", _small_dfas())
+def test_minimize_matches_parent_on_edge_cases(d):
+    _check_minimize(d)
+
+
+def test_counts_build_no_dfa(monkeypatch):
+    built = []
+    post_init = Dfa.__post_init__
+
+    def counting(self):
+        built.append(self.n)
+        post_init(self)
+
+    d = parent_determinize(star_nfa(star_witness(6)))
+    size = parent_minimize(d).n
+    monkeypatch.setattr(Dfa, "__post_init__", counting)
+    assert complexity(d) == size
+    assert is_minimal(d) == (size == d.n)
+    assert built == []
+    # minimize builds exactly its result, so the counter does count
+    minimize(d)
+    assert built == [size]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import importlib
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from sconvex import (AxiomViolation, Dfa, FormatError, NonConvexFinals,
                      star_witness, syntactic_system, syntactic_witness,
                      total_order)
 from sconvex.harness import _random_convex_finals, _random_order
-from sconvex.triples import _respecting_walk
+from sconvex.triples import _require_partial_order, _respecting_walk
 
 from conftest import random_dfa
 from oracles import (naive_axiom_c, naive_canonical_triples,
@@ -302,6 +303,48 @@ def test_order_system_rejects_bad_finals():
         order_system(total_order(4), {1, 3})
     with pytest.raises(NotPartialOrder):
         order_system(preorder_of(syntactic_system(4)), {2})
+
+
+def _random_preorder(rng, n):
+    """A preorder with maximum 0: a random relation closed under
+    reflexivity, p <= 0 and transitivity, so its cycles, and any state
+    above 0, become equivalent states."""
+    density = rng.choice((0.03, 0.1, 0.3))
+    leq = [[p == q or q == 0 or rng.random() < density for q in range(n)]
+           for p in range(n)]
+    for r in range(n):
+        for p in range(n):
+            if leq[p][r]:
+                leq[p] = [x or y for x, y in zip(leq[p], leq[r])]
+    return Preorder(n, leq)
+
+
+def test_require_partial_order_names_the_pair_order_properties_names():
+    rng = random.Random(4242)
+    partial = 0
+    for _ in range(600):
+        po = _random_preorder(rng, rng.randint(1, 9))
+        props = order_properties(po)
+        if props.is_partial_order:
+            _require_partial_order(po)
+            partial += 1
+        else:
+            p, q = min(props.symmetric_pairs)
+            with pytest.raises(NotPartialOrder,
+                               match=f"^states {p} and {q} are equivalent$"):
+                _require_partial_order(po)
+    # both kinds were drawn
+    assert 50 < partial < 550
+
+
+def test_monotone_maps_refuse_a_large_order_quickly():
+    po = total_order(1000)
+    start = time.process_time()
+    with pytest.raises(ResourceCap, match="at most 12 states, got 1000"):
+        monotone_transformations(po, cap=10)
+    # the partial-order check reads one row and one column mask per state;
+    # the n^2 scan of order_properties took about 0.4 s here
+    assert time.process_time() - start < 0.2
 
 
 def _images(sg):
