@@ -5,10 +5,10 @@ special cases are left ideals (nonempty, closed under adding any prefix),
 suffix-closed languages, and suffix-free languages.  A language is proper
 when it is suffix-convex and none of the three.
 
-All four come from one chain of walks over tuples of states of the minimal
-DFA, by `automata.reachable_tuples`, with no subset construction.  Write
-L_q for the language accepted from state q, so that the left quotient of L
-by a word u is L_{0u}.  A pair (x, y) reached from (p, q) on a word w is
+All four come from one chain of walks over tuples of states, by
+`automata.reachable_tuples`, with no subset construction.  Write L_q for
+the language accepted from state q, so that the left quotient of L by a
+word u is L_{0u}.  A pair (x, y) reached from (p, q) on a word w is
 (final, non-final) exactly when w is in L_p but not in L_q.
 
 L is suffix-convex when no word w takes a triple (0, 0uv, 0v) to (final,
@@ -28,6 +28,13 @@ q reachable:
 - L is suffix-free when it is disjoint from every quotient by a nonempty
   word, whose states are the successors delta(q, a): no pair reachable
   from a (delta(q, a), 0) is (final, final).  This is one more walk.
+
+Every criterion speaks of the quotients L_q of reachable states, so it
+holds on the reachable part of any complete DFA, minimal or not.
+`classify` minimizes only to keep the walks small and its counterexample
+canonical.  No walk's seeds depend on the final set, so
+`final_set_classifier` runs the walks once on a letter table and reads
+the flags of every final set off the tuples they reached.
 
 Each predicate on its own runs only its pair walk, with no triples.
 """
@@ -96,20 +103,31 @@ def is_suffix_convex(d: Dfa):
     return counterexample is None, counterexample
 
 
-def _inclusions(d: Dfa, pairs):
-    """Whether L(d) is a left ideal and whether it is suffix-closed, read
-    off every pair reachable from a (q, 0), q reachable; L(d) is nonempty
-    when some such pair is (final, _), as the seed of a final q is."""
-    finals = d.finals
+def _inclusions(finals, pairs):
+    """Whether L is a left ideal and whether it is suffix-closed, read off
+    every pair reachable from a (q, 0), q reachable; L is nonempty when
+    some such pair is (final, _), as the seed of a final q is."""
     kinds = {(x in finals, y in finals) for x, y in pairs}
     ideal = any(x for x, _ in kinds) and (False, True) not in kinds
     return ideal, (True, False) not in kinds
 
 
-def _suffix_free(d: Dfa, states) -> bool:
-    seeds = [(row[q], 0) for q in states for row in d.delta]
-    return not any(x in d.finals and y in d.finals
-                   for x, y in reachable_tuples(d.delta, seeds))
+def _free_pairs(delta, states):
+    '''Every pair reachable from a (delta(q, a), 0), q in states.'''
+    return reachable_tuples(delta, [(row[q], 0) for q in states for row in delta])
+
+
+def _suffix_free(finals, free_pairs) -> bool:
+    return not any(x in finals and y in finals for x, y in free_pairs)
+
+
+def _convex_record(finals, pairs, free_pairs) -> Classification:
+    '''The record of a suffix-convex L, read off the pairs from the (q, 0)
+    and from the (delta(q, a), 0), q reachable.'''
+    ideal, closed = _inclusions(finals, pairs)
+    free = _suffix_free(finals, free_pairs)
+    return Classification(True, ideal, closed, free,
+                          not (ideal or closed or free))
 
 
 def classify(d: Dfa) -> Classification:
@@ -118,24 +136,43 @@ def classify(d: Dfa) -> Classification:
     counterexample, pairs = _chain(d)
     if counterexample is not None:
         return Classification(False, False, False, False, False, counterexample)
-    ideal, closed = _inclusions(d, pairs)
-    free = _suffix_free(d, range(d.n))
-    return Classification(True, ideal, closed, free,
-                          not (ideal or closed or free))
+    return _convex_record(d.finals, pairs, _free_pairs(d.delta, range(d.n)))
+
+
+def final_set_classifier(delta):
+    """The walks of `classify`, run to completion once on the letter table
+    delta, as a function from a final set to a record.
+
+    The function gives the `classify` record of the DFA on delta with that
+    final set, or None when L is not suffix-convex: some reached triple is
+    (final, final, non-final).  It spells no counterexample, and neither
+    minimizes nor validates the DFA.
+    """
+    states = [q for (q,) in reachable_tuples(delta, [(0,)])]
+    pairs = list(reachable_tuples(delta, [(q, 0) for q in states]))
+    triples = list(reachable_tuples(delta, [(0, q, r) for q, r in pairs]))
+    free_pairs = list(_free_pairs(delta, states))
+
+    def read(finals):
+        if any(x in finals and y in finals and z not in finals
+               for x, y, z in triples):
+            return None
+        return _convex_record(finals, pairs, free_pairs)
+    return read
 
 
 def is_left_ideal(d: Dfa) -> bool:
     '''Whether L(d) is nonempty and equal to sigma* L(d).'''
     seeds = [(q, 0) for q in d.reachable()]
-    return _inclusions(d, reachable_tuples(d.delta, seeds))[0]
+    return _inclusions(d.finals, reachable_tuples(d.delta, seeds))[0]
 
 
 def is_suffix_closed(d: Dfa) -> bool:
     '''Whether every suffix of every accepted word is accepted.'''
     seeds = [(q, 0) for q in d.reachable()]
-    return _inclusions(d, reachable_tuples(d.delta, seeds))[1]
+    return _inclusions(d.finals, reachable_tuples(d.delta, seeds))[1]
 
 
 def is_suffix_free(d: Dfa) -> bool:
     '''Whether no accepted word is a proper suffix of another.'''
-    return _suffix_free(d, d.reachable())
+    return _suffix_free(d.finals, _free_pairs(d.delta, d.reachable()))

@@ -17,7 +17,7 @@ from itertools import permutations
 
 from .automata import (Dfa, atom_count, complexity, determinize, is_minimal,
                        minimize, product_nfa, direct_product, star_nfa, _mask)
-from .classify import classify
+from .classify import classify, final_set_classifier
 from .errors import BadSize, NotMinimal, ResourceCap
 from .transformations import generating_subset, syntactic_complexity
 from .triples import (Preorder, TripleSystem, _convex_violation,
@@ -440,11 +440,14 @@ def probe_conjecture(n: int) -> ProbeResult:
     minimality depend only on which transformations the words induce (for
     suffix-freeness, the nonempty words), and the generators induce every
     monotone map as a semigroup, so each DFA classifies as the one with
-    every monotone map as a letter.  The DFAs that classify as proper
-    count, and the maximum syntactic complexity seen is recorded: the
-    number of monotone maps, once the DFA is checked to be minimal.  The
-    search space covers only order-generated systems, so the result is an
-    exploratory lower bound, not a refutation procedure.
+    every monotone map as a letter.  The walks of `classify` do not depend
+    on the final set, so they run once per order, by
+    `final_set_classifier`, and every final set's flags are read off them.
+    The DFAs that classify as proper count, and the maximum syntactic
+    complexity seen is recorded: the number of monotone maps, once the DFA
+    is checked to be minimal.  The search space covers only
+    order-generated systems, so the result is an exploratory lower bound,
+    not a refutation procedure.
     """
     if not 2 <= n <= 6:
         raise ResourceCap(f"the probe enumerates orders only for 2 <= n <= 6, got {n}")
@@ -457,12 +460,18 @@ def probe_conjecture(n: int) -> ProbeResult:
         maps = tuple(monotone_maps(po))
         gens = generating_subset(maps)
         names = letter_names(len(gens))
+        read = final_set_classifier(gens)
         for finals in _convex_subsets(po):
             configurations += 1
-            d = Dfa(n, names, gens, finals)
-            if not classify(d).proper:
+            flags = read(finals)
+            if flags is None:
+                # monotone letters with convex finals are suffix-convex, so
+                # this is never taken; classify stays the judge
+                flags = classify(Dfa(n, names, gens, finals))
+            if not flags.proper:
                 continue
             proper_count += 1
+            d = Dfa(n, names, gens, finals)
             # the monotone maps are closed under composition, so a minimal
             # d has exactly them as syntactic semigroup
             if not is_minimal(d):

@@ -11,6 +11,7 @@ from sconvex import (Dfa, NotMinimal, Report, ResourceCap, classify, harness,
                      verify_exclusions, verify_monotone_counts,
                      verify_product, verify_reversal, verify_star,
                      verify_syntactic)
+from sconvex.classify import final_set_classifier
 from sconvex.transformations import generating_subset
 from sconvex.triples import letter_names, monotone_maps
 
@@ -194,6 +195,40 @@ def test_probe_enumerates_the_maps_once_per_order(monkeypatch):
     assert result.configurations == 339
 
 
+def test_probe_walks_each_order_once(monkeypatch):
+    walks, judged, built = [], [], []
+
+    def counted(delta):
+        walks.append(delta)
+        return final_set_classifier(delta)
+
+    def judge(d):
+        judged.append(d)
+        return classify(d)
+
+    post_init = Dfa.__post_init__
+
+    def counting(self):
+        built.append(self.finals)
+        post_init(self)
+
+    monkeypatch.setattr(harness, "final_set_classifier", counted)
+    monkeypatch.setattr(harness, "classify", judge)
+    monkeypatch.setattr(Dfa, "__post_init__", counting)
+    result = probe_conjecture(5)
+    assert len(walks) == result.orders == 16
+    assert judged == []
+    # only the proper configurations need a DFA, for is_minimal
+    assert len(built) == result.proper_count == 101
+
+
+def test_probe_falls_back_to_classify(monkeypatch):
+    # a read of "not suffix-convex" hands the configuration to classify
+    monkeypatch.setattr(harness, "final_set_classifier",
+                        lambda delta: lambda finals: None)
+    assert list(probe_conjecture(4).lines()) == GOLDEN_PROBE[4]
+
+
 def _flags(c):
     return c.suffix_convex, c.left_ideal, c.suffix_closed, c.suffix_free, c.proper
 
@@ -201,15 +236,18 @@ def _flags(c):
 @pytest.mark.parametrize("n", [3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
 def test_generators_classify_as_every_monotone_map(n):
     # the probe's DFAs, on a generating subset of the monotone maps,
-    # against the same DFAs with every monotone map as a letter
+    # against the same DFAs with every monotone map as a letter, and the
+    # probe's read of each final set against classify
     for po in harness._probe_orders(n):
         maps = tuple(monotone_maps(po))
         gens = generating_subset(maps)
+        read = final_set_classifier(gens)
         for finals in harness._convex_subsets(po):
             full = Dfa(n, letter_names(len(maps)), maps, finals)
             small = Dfa(n, letter_names(len(gens)), gens, finals)
             assert _flags(classify(small)) == _flags(classify(full))
             assert is_minimal(small) == is_minimal(full)
+            assert read(finals) == classify(small)
 
 
 def test_probe_refuses_a_non_minimal_dfa(monkeypatch):
