@@ -32,9 +32,7 @@ q reachable:
 Every criterion speaks of the quotients L_q of reachable states, so it
 holds on the reachable part of any complete DFA, minimal or not.
 `classify` minimizes only to keep the walks small and its counterexample
-canonical.  No walk's seeds depend on the final set, so
-`final_set_classifier` runs the walks once on a letter table and reads
-the flags of every final set off the tuples they reached.
+canonical.
 
 Each predicate on its own runs only its pair walk, with no triples.
 """
@@ -121,44 +119,16 @@ def _suffix_free(finals, free_pairs) -> bool:
     return not any(x in finals and y in finals for x, y in free_pairs)
 
 
-def _convex_record(finals, pairs, free_pairs) -> Classification:
-    '''The record of a suffix-convex L, read off the pairs from the (q, 0)
-    and from the (delta(q, a), 0), q reachable.'''
-    ideal, closed = _inclusions(finals, pairs)
-    free = _suffix_free(finals, free_pairs)
-    return Classification(True, ideal, closed, free,
-                          not (ideal or closed or free))
-
-
 def classify(d: Dfa) -> Classification:
     '''All four predicates plus the proper flag, in one record.'''
     d = minimize(d)
     counterexample, pairs = _chain(d)
     if counterexample is not None:
         return Classification(False, False, False, False, False, counterexample)
-    return _convex_record(d.finals, pairs, _free_pairs(d.delta, range(d.n)))
-
-
-def final_set_classifier(delta):
-    """The walks of `classify`, run to completion once on the letter table
-    delta, as a function from a final set to a record.
-
-    The function gives the `classify` record of the DFA on delta with that
-    final set, or None when L is not suffix-convex: some reached triple is
-    (final, final, non-final).  It spells no counterexample, and neither
-    minimizes nor validates the DFA.
-    """
-    states = [q for (q,) in reachable_tuples(delta, [(0,)])]
-    pairs = list(reachable_tuples(delta, [(q, 0) for q in states]))
-    triples = list(reachable_tuples(delta, [(0, q, r) for q, r in pairs]))
-    free_pairs = list(_free_pairs(delta, states))
-
-    def read(finals):
-        if any(x in finals and y in finals and z not in finals
-               for x, y, z in triples):
-            return None
-        return _convex_record(finals, pairs, free_pairs)
-    return read
+    ideal, closed = _inclusions(d.finals, pairs)
+    free = _suffix_free(d.finals, _free_pairs(d.delta, range(d.n)))
+    return Classification(True, ideal, closed, free,
+                          not (ideal or closed or free))
 
 
 def is_left_ideal(d: Dfa) -> bool:

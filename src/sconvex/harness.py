@@ -15,11 +15,10 @@ import time
 from dataclasses import dataclass
 from itertools import permutations
 
-from .automata import (Dfa, atom_count, complexity, determinize, is_minimal,
-                       minimize, product_nfa, direct_product, star_nfa, _mask)
-from .classify import classify, final_set_classifier
-from .errors import BadSize, NotMinimal, ResourceCap
-from .transformations import generating_subset, syntactic_complexity
+from .automata import (Dfa, atom_count, complexity, determinize, minimize,
+                       product_nfa, direct_product, star_nfa, _mask)
+from .errors import BadSize, ResourceCap
+from .transformations import syntactic_complexity
 from .triples import (Preorder, TripleSystem, _convex_violation,
                       _respecting_walk, antichain_order, canonical_system,
                       check_enumerable, letter_names, monotone_maps,
@@ -433,21 +432,29 @@ def probe_conjecture(n: int) -> ProbeResult:
     from order-generated systems.
 
     Grows every partial order on the non-zero states one point at a time,
-    one per isomorphism class, and puts 0 above them all.  For each order
-    the monotone maps are enumerated once.  They are closed under
-    composition, and their greedy `generating_subset` becomes the letters
-    of one DFA per convex proper final set.  The flags of `classify` and
-    minimality depend only on which transformations the words induce (for
-    suffix-freeness, the nonempty words), and the generators induce every
-    monotone map as a semigroup, so each DFA classifies as the one with
-    every monotone map as a letter.  The walks of `classify` do not depend
-    on the final set, so they run once per order, by
-    `final_set_classifier`, and every final set's flags are read off them.
-    The DFAs that classify as proper count, and the maximum syntactic
-    complexity seen is recorded: the number of monotone maps, once the DFA
-    is checked to be minimal.  The search space covers only
-    order-generated systems, so the result is an exploratory lower bound,
-    not a refutation procedure.
+    one per isomorphism class, and puts 0 above them all.  For an order P
+    with monotone maps M, a convex final set F gives the DFA with the maps
+    of M as letters.  Its flags and its syntactic size follow from P:
+
+    - Walks take one step.  M is a monoid, so the tuples reached from a
+      tuple t are exactly the images m(t), m in M.
+    - The pairs are the order.  The pairs reached from the (q, 0) are
+      exactly the x <= y: a monotone map keeps m(q) <= m(0), and the map
+      sending the down-set of q to x and every other state to y is
+      monotone.
+    - The flags.  So L is suffix-closed exactly when F is up-closed, and
+      a left ideal exactly when F is nonempty and down-closed.  Constant
+      maps are monotone, so a nonempty F is never suffix-free.  With 0 on
+      top, a convex F that holds 0 is up-closed, so the configuration is
+      proper exactly when 0 is not in F and F is not down-closed.
+    - Minimality.  When F is neither up- nor down-closed, the same
+      two-valued maps separate any two states, so every proper DFA is
+      minimal and its syntactic semigroup is M.
+
+    So the maps of each order are counted once, none of them stored, and
+    the proper configurations are read off the order.  The search space
+    covers only order-generated systems, so the result is an exploratory
+    lower bound, not a refutation procedure.
     """
     if not 2 <= n <= 6:
         raise ResourceCap(f"the probe enumerates orders only for 2 <= n <= 6, got {n}")
@@ -457,27 +464,15 @@ def probe_conjecture(n: int) -> ProbeResult:
     proper_count = 0
     for po in _probe_orders(n):
         orders += 1
-        maps = tuple(monotone_maps(po))
-        gens = generating_subset(maps)
-        names = letter_names(len(gens))
-        read = final_set_classifier(gens)
+        size = sum(1 for _ in monotone_maps(po))
         for finals in _convex_subsets(po):
             configurations += 1
-            flags = read(finals)
-            if flags is None:
-                # monotone letters with convex finals are suffix-convex, so
-                # this is never taken; classify stays the judge
-                flags = classify(Dfa(n, names, gens, finals))
-            if not flags.proper:
+            down_closed = all(q in finals for f in finals
+                              for q in range(n) if po.leq[q][f])
+            if 0 in finals or down_closed:
                 continue
             proper_count += 1
-            d = Dfa(n, names, gens, finals)
-            # the monotone maps are closed under composition, so a minimal
-            # d has exactly them as syntactic semigroup
-            if not is_minimal(d):
-                raise NotMinimal(f"monotone DFA on {n} states with finals "
-                                 f"{sorted(finals)} is not minimal")
-            if len(maps) > best[0]:
-                best = (len(maps), po, finals)
+            if size > best[0]:
+                best = (size, po, finals)
     return ProbeResult(n, orders, configurations, proper_count,
                        best[0], syntactic_bound(n), best[1], best[2])

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain
 
 from .automata import Dfa, minimize
 from .errors import NotationError, ResourceCap, SizeMismatch, StateOutOfRange
@@ -260,40 +259,6 @@ def closure(generators, cap: int = CLOSURE_CAP) -> Semigroup:
                     nxt.append(w)
         frontier = nxt
     return Semigroup(n, tuple(order))
-
-
-def generating_subset(maps) -> tuple[bytes, ...]:
-    '''A greedy generating set of a semigroup given by all its elements.
-
-    `maps` are image vectors as bytes, closed under composition.  Taken in
-    order of decreasing image size, ties lexicographic, a map is kept when
-    the maps kept before it do not generate it as a semigroup: no product
-    is empty, so the identity, the first map of full image, is kept
-    whenever it is among the maps.  Raises ValueError when a product of
-    the maps is not among them.
-    '''
-    rest = set(maps)  # the maps the kept ones do not generate yet
-    seen: set[bytes] = set()  # the ones they do
-    gens: list[bytes] = []
-    tables: list[bytes] = []
-    for m in sorted(rest, key=lambda m: (-len(set(m)), m)):
-        if m in seen:
-            continue
-        gens.append(m)
-        table = m + bytes(256 - len(m))
-        tables.append(table)
-        # a product with a factor m is s m w: s a product of the maps kept
-        # before, or none, and w any product
-        frontier: list[bytes] = []  # grows while `products` walks it
-        products = (u.translate(t) for u in frontier for t in tables)
-        for x in chain([m], [s.translate(table) for s in seen], products):
-            if x in rest:
-                rest.remove(x)
-                seen.add(x)
-                frontier.append(x)
-            elif x not in seen:
-                raise ValueError("the maps are not closed under composition")
-    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------

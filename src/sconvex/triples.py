@@ -18,6 +18,9 @@ its letters do.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import or_
 
 from .automata import Dfa, _mask, _text_rows, minimize
 from .classify import _chain
@@ -279,10 +282,14 @@ class Preorder:
             if not self.leq[p][0]:
                 raise FormatError(f"state 0 must be a maximum, but {p} is not below it")
         # up[p] has bit r set when p <= r; transitivity is up[q] within up[p]
+        # for every q above p, tested as one OR of their rows, and only a
+        # failing row is searched for the first q
         up = [sum(1 << r for r, x in enumerate(row) if x) for row in self.leq]
-        for p in range(self.n):
+        for p, row in enumerate(self.leq):
+            if reduce(or_, compress(up, row), 0) & ~up[p] == 0:
+                continue
             for q in range(self.n):
-                extra = up[q] & ~up[p] if self.leq[p][q] else 0
+                extra = up[q] & ~up[p] if row[q] else 0
                 if extra:
                     r = (extra & -extra).bit_length() - 1
                     raise FormatError(

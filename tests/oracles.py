@@ -271,3 +271,18 @@ def naive_nonzero_posets(n):
             seen.add(canon)
             out.append(canon)
     return out
+
+
+def first_transitivity_violation(leq):
+    """The (p, q, r) that Preorder names for a relation that is not
+    transitive, or None: p <= q <= r without p <= r, least p first, then
+    least q, then least r.  Every pair (p, q) is tested, each by one mask
+    of the states above q that are not above p."""
+    n = len(leq)
+    up = [sum(1 << r for r, x in enumerate(row) if x) for row in leq]
+    for p in range(n):
+        for q in range(n):
+            extra = up[q] & ~up[p] if leq[p][q] else 0
+            if extra:
+                return p, q, (extra & -extra).bit_length() - 1
+    return None

@@ -9,8 +9,6 @@ from sconvex import (Dfa, classify, is_left_ideal, is_suffix_closed,
                      random_suffix_convex, reversal_witness, star_witness,
                      syntactic_witness)
 
-from sconvex.classify import final_set_classifier
-
 from conftest import random_dfa
 from oracles import (accepts, brute_force_special_classes,
                      brute_force_suffix_convex)
@@ -130,28 +128,22 @@ def test_classification_is_language_level(seed):
         (m.suffix_convex, m.left_ideal, m.suffix_closed, m.suffix_free)
 
 
-def test_final_set_classifier_matches_classify():
+def test_classify_matches_the_oracle_on_every_final_set():
     # every final set of random tables, many of them not minimal (some with
-    # unreachable states) and not suffix-convex; the empty final set too.
-    # classify and the read share their special-class read-off, so the
-    # word-level oracle checks it as well
+    # unreachable states) and not suffix-convex; the empty final set too
     rng = random.Random(15)
     kinds = set()
     for _ in range(400):
         n, letters = rng.randint(1, 6), rng.randint(1, 3)
         names = tuple("abc"[:letters])
         delta = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in names)
-        read = final_set_classifier(delta)
         for bits in range(1 << n):
             finals = frozenset(q for q in range(n) if bits >> q & 1)
             d = Dfa(n, names, delta, finals)
             c = classify(d)
             if c.counterexample is None:
-                assert read(finals) == c
                 assert (c.left_ideal, c.suffix_closed, c.suffix_free) == \
                     brute_force_special_classes(d)
-            else:
-                assert read(finals) is None
             kinds.add((len(d.reachable()) < n, minimize(d).n < n,
                        c.suffix_convex, c.proper))
     assert {(True, True, False, False), (True, True, True, True),

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from sconvex import (Dfa, NotMinimal, Report, ResourceCap, classify, harness,
+from sconvex import (Dfa, Report, ResourceCap, classify, harness,
                      is_minimal, is_suffix_convex, monotone_reversal_count,
                      monotone_total_count, probe_conjecture, product_bound,
                      random_suffix_convex, reports_to_json, reversal_bound,
@@ -11,8 +11,6 @@ from sconvex import (Dfa, NotMinimal, Report, ResourceCap, classify, harness,
                      verify_exclusions, verify_monotone_counts,
                      verify_product, verify_reversal, verify_star,
                      verify_syntactic)
-from sconvex.classify import final_set_classifier
-from sconvex.transformations import generating_subset
 from sconvex.triples import letter_names, monotone_maps
 
 from oracles import naive_nonzero_posets
@@ -195,66 +193,30 @@ def test_probe_enumerates_the_maps_once_per_order(monkeypatch):
     assert result.configurations == 339
 
 
-def test_probe_walks_each_order_once(monkeypatch):
-    walks, judged, built = [], [], []
-
-    def counted(delta):
-        walks.append(delta)
-        return final_set_classifier(delta)
-
-    def judge(d):
-        judged.append(d)
-        return classify(d)
-
-    post_init = Dfa.__post_init__
-
-    def counting(self):
-        built.append(self.finals)
-        post_init(self)
-
-    monkeypatch.setattr(harness, "final_set_classifier", counted)
-    monkeypatch.setattr(harness, "classify", judge)
-    monkeypatch.setattr(Dfa, "__post_init__", counting)
-    result = probe_conjecture(5)
-    assert len(walks) == result.orders == 16
-    assert judged == []
-    # only the proper configurations need a DFA, for is_minimal
-    assert len(built) == result.proper_count == 101
-
-
-def test_probe_falls_back_to_classify(monkeypatch):
-    # a read of "not suffix-convex" hands the configuration to classify
-    monkeypatch.setattr(harness, "final_set_classifier",
-                        lambda delta: lambda finals: None)
-    assert list(probe_conjecture(4).lines()) == GOLDEN_PROBE[4]
-
-
-def _flags(c):
-    return c.suffix_convex, c.left_ideal, c.suffix_closed, c.suffix_free, c.proper
-
-
 @pytest.mark.parametrize("n", [3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
-def test_generators_classify_as_every_monotone_map(n):
-    # the probe's DFAs, on a generating subset of the monotone maps,
-    # against the same DFAs with every monotone map as a letter, and the
-    # probe's read of each final set against classify
+def test_closed_form_matches_classify(n):
+    # the probe reads each configuration off the order; classify and
+    # is_minimal judge the DFA with every monotone map as a letter
+    proper_count = 0
     for po in harness._probe_orders(n):
         maps = tuple(monotone_maps(po))
-        gens = generating_subset(maps)
-        read = final_set_classifier(gens)
+        names = letter_names(len(maps))
         for finals in harness._convex_subsets(po):
-            full = Dfa(n, letter_names(len(maps)), maps, finals)
-            small = Dfa(n, letter_names(len(gens)), gens, finals)
-            assert _flags(classify(small)) == _flags(classify(full))
-            assert is_minimal(small) == is_minimal(full)
-            assert read(finals) == classify(small)
-
-
-def test_probe_refuses_a_non_minimal_dfa(monkeypatch):
-    # the letter count is the syntactic size only for a minimal DFA
-    monkeypatch.setattr(harness, "is_minimal", lambda d: False)
-    with pytest.raises(NotMinimal):
-        probe_conjecture(3)
+            up_closed = all(r in finals for f in finals
+                            for r in range(n) if po.leq[f][r])
+            down_closed = all(q in finals for f in finals
+                              for q in range(n) if po.leq[q][f])
+            d = Dfa(n, names, maps, finals)
+            c = classify(d)
+            assert c.suffix_convex
+            assert c.suffix_closed == up_closed
+            assert c.left_ideal == (bool(finals) and down_closed)
+            assert not c.suffix_free
+            assert c.proper == (0 not in finals and not down_closed)
+            if c.proper:
+                assert is_minimal(d)
+                proper_count += 1
+    assert proper_count == probe_conjecture(n).proper_count
 
 
 def test_probe_at_two_is_degenerate():

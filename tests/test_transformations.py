@@ -2,17 +2,16 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sconvex import (NotationError, ResourceCap, SizeMismatch, Semigroup,
                      Transformation, apply_to_set, closure, compose, identity,
-                     monotone_maps, monotone_transformations,
-                     parse_transformation, reversal_witness, semigroup_size,
+                     monotone_transformations, parse_transformation,
+                     reversal_witness, semigroup_size,
                      star_witness, syntactic_complexity, syntactic_witness,
                      total_order, transition_semigroup)
-from sconvex.harness import _probe_orders
-from sconvex.transformations import _Sims, generating_subset
+from sconvex.transformations import _Sims
 
 from oracles import naive_closure
 
@@ -244,63 +243,3 @@ def test_sims_table_order_and_membership():
             rng.shuffle(image)
             member = bytes(image) + bytes(range(n, 256)) in table
             assert member == (tuple(image) in group), (perms, image)
-
-
-# ---------------------------------------------------------------------------
-# greedy generating subsets
-
-def _check_greedy(maps, gens):
-    """gens are the maps, taken by decreasing image size, then
-    lexicographically, that the ones kept before do not generate (by the
-    reference `closure`), and they generate all of the maps."""
-    n = len(maps[0])
-    kept: list[Transformation] = []
-    generated: frozenset[bytes] = frozenset()
-    for m in sorted(set(maps), key=lambda m: (-len(set(m)), m)):
-        if m not in generated:
-            kept.append(Transformation(n, tuple(m)))
-            generated = closure(kept).image_set()
-    assert gens == tuple(bytes(g.image) for g in kept)
-    assert semigroup_size(kept) == len(set(maps))
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
-def test_generating_subset_of_every_probe_order(n):
-    for po in _probe_orders(n):
-        maps = tuple(monotone_maps(po))
-        _check_greedy(maps, generating_subset(maps))
-
-
-@st.composite
-def semigroups(draw):
-    """Every element of the semigroup some random maps on at most 6 points
-    generate, as bytes; sometimes permutations only, so that the identity
-    is a product of the other elements."""
-    n = draw(st.integers(min_value=1, max_value=6))
-    if draw(st.booleans()):
-        image = st.permutations(range(n))
-    else:
-        image = st.one_of(
-            st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n),
-            st.permutations(range(n)),
-            st.just(list(range(n))))
-    count = draw(st.integers(min_value=1, max_value=3))
-    gens = [Transformation(n, tuple(draw(image))) for _ in range(count)]
-    return closure(gens).images
-
-
-@given(semigroups())
-@example((bytes([0, 1, 2]), bytes([1, 1, 1])))
-@example((bytes([1, 2, 0]), bytes([2, 0, 1]), bytes([0, 1, 2])))
-@example(tuple(bytes(p) for p in [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2),
-                                  (1, 0, 3, 2)]))
-@example(closure([t(3, 0, 0, 1), t(3, 1, 0, 0)]).images)
-@settings(max_examples=200, deadline=None)
-def test_generating_subset_of_random_closures(maps):
-    _check_greedy(maps, generating_subset(maps))
-
-
-def test_generating_subset_refuses_maps_not_closed_under_composition():
-    with pytest.raises(ValueError, match="not closed"):
-        generating_subset([bytes([1, 2, 0])])
-    assert generating_subset([]) == ()

@@ -26,8 +26,9 @@ from sconvex.harness import _random_convex_finals, _random_order
 from sconvex.triples import _require_partial_order, _respecting_walk
 
 from conftest import random_dfa
-from oracles import (naive_axiom_c, naive_canonical_triples,
-                     naive_monotone_maps, naive_respecting_maps)
+from oracles import (first_transitivity_violation, naive_axiom_c,
+                     naive_canonical_triples, naive_monotone_maps,
+                     naive_respecting_maps)
 
 ENDS_A = Dfa(2, ("a", "b"), ((1, 1), (0, 0)), frozenset({1}))
 
@@ -244,6 +245,26 @@ def test_preorder_validation():
                      (1, 1, 0, 0),
                      (1, 1, 1, 0),
                      (1, 0, 1, 1)))  # 3 below 2 below 1 but not 3 below 1
+
+
+def test_preorder_names_the_first_transitivity_violation():
+    rng = random.Random(9090)
+    seen = set()
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        density = rng.choice((0.1, 0.3, 0.6))
+        leq = [[p == q or q == 0 or rng.random() < density for q in range(n)]
+               for p in range(n)]
+        want = first_transitivity_violation(leq)
+        seen.add(want is None)
+        if want is None:
+            Preorder(n, leq)
+        else:
+            message = "preorder not transitive: {} <= {} <= {}".format(*want)
+            with pytest.raises(FormatError) as info:
+                Preorder(n, leq)
+            assert str(info.value) == message
+    assert seen == {True, False}
 
 
 def test_preorder_relations():
