@@ -19,7 +19,7 @@ from .automata import (Dfa, atom_count, complexity, determinize, minimize,
                        product_nfa, direct_product, star_nfa, _mask)
 from .errors import BadSize, ResourceCap
 from .transformations import syntactic_complexity
-from .triples import (Preorder, TripleSystem, _convex_violation,
+from .triples import (Preorder, TripleSystem, _bits, _convex_violation,
                       _respecting_walk, antichain_order, canonical_system,
                       check_enumerable, letter_names, monotone_maps,
                       order_properties, preorder_of, total_order)
@@ -298,21 +298,20 @@ SUITES = {
 # random generation
 
 def _random_order(rng, n):
-    leq = [[p == q or q == 0 for q in range(n)] for p in range(n)]
+    # up[p] has bit q set when p <= q
+    up = [1 | 1 << p for p in range(n)]
     if n >= 3:
         for _ in range(rng.randint(0, n * n)):
             p, q = rng.sample(range(1, n), 2)
-            if leq[q][p] or leq[p][q]:
+            if up[q] >> p & 1 or up[p] >> q & 1:
                 continue
             # closing over one new edge: everything below p goes below
             # everything above q; antisymmetry is safe because q <= p
             # would already have been present
-            below = [x for x in range(n) if leq[x][p]]
-            above = [y for y in range(n) if leq[q][y]]
-            for x in below:
-                for y in above:
-                    leq[x][y] = True
-    return Preorder(n, tuple(tuple(row) for row in leq))
+            for x in range(n):
+                if up[x] >> p & 1:
+                    up[x] |= up[q]
+    return Preorder(n, [[m >> q & 1 for q in range(n)] for m in up])
 
 
 def _random_convex_finals(rng, po):
@@ -342,7 +341,7 @@ def random_suffix_convex(n: int, letters: int, seed: int) -> Dfa:
     rng = random.Random(seed)
     po = _random_order(rng, n)
     finals = _random_convex_finals(rng, po)
-    walk = _respecting_walk(n, po.leq)
+    walk = _respecting_walk(po)
     delta = tuple(next(walk(rng)) for _ in range(letters))
     return Dfa(n, letter_names(letters), delta, finals)
 
@@ -420,11 +419,11 @@ def _probe_orders(n):
 
 
 def _convex_subsets(po):
-    n = po.n
-    for bits in range(1, (1 << n) - 1):
-        finals = frozenset(q for q in range(n) if bits >> q & 1)
+    '''Each convex set of states other than none and all, by bit code.'''
+    for bits in range(1, (1 << po.n) - 1):
+        finals = tuple(_bits(bits))
         if _convex_violation(po, finals) is None:
-            yield finals
+            yield frozenset(finals)
 
 
 def probe_conjecture(n: int) -> ProbeResult:
@@ -467,9 +466,8 @@ def probe_conjecture(n: int) -> ProbeResult:
         size = sum(1 for _ in monotone_maps(po))
         for finals in _convex_subsets(po):
             configurations += 1
-            down_closed = all(q in finals for f in finals
-                              for q in range(n) if po.leq[q][f])
-            if 0 in finals or down_closed:
+            outside = ~_mask(finals)
+            if 0 in finals or not any(po.down[f] & outside for f in finals):
                 continue
             proper_count += 1
             if size > best[0]:

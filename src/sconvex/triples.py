@@ -17,7 +17,7 @@ its letters do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
 from operator import or_
@@ -265,31 +265,39 @@ def canonical_system(d: Dfa) -> TripleSystem:
 class Preorder:
     """A preorder on Q_n with 0 as a maximum element.
 
-    leq[p][q] means p is below (or equivalent to) q.
+    leq[p][q] means p is below (or equivalent to) q.  The relation is also
+    held as bit masks, worked out once here: bit q of up[p] is set when
+    p <= q, and bit q of down[p] when q <= p.
     """
 
     n: int
     leq: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    down: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "leq",
-                           tuple(tuple(bool(x) for x in row) for row in self.leq))
-        if len(self.leq) != self.n or any(len(row) != self.n for row in self.leq):
+        leq = tuple(tuple(map(bool, row)) for row in self.leq)
+        object.__setattr__(self, "leq", leq)
+        if len(leq) != self.n or any(len(row) != self.n for row in leq):
             raise FormatError("leq must be an n by n matrix")
+        weights = [1 << q for q in range(self.n)]
+        up = tuple(sum(compress(weights, row)) for row in leq)
+        down = tuple(sum(compress(weights, column)) for column in zip(*leq))
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
         for p in range(self.n):
-            if not self.leq[p][p]:
+            if not up[p] >> p & 1:
                 raise FormatError(f"preorder not reflexive at {p}")
-            if not self.leq[p][0]:
+            if not up[p] & 1:
                 raise FormatError(f"state 0 must be a maximum, but {p} is not below it")
-        # up[p] has bit r set when p <= r; transitivity is up[q] within up[p]
-        # for every q above p, tested as one OR of their rows, and only a
-        # failing row is searched for the first q
-        up = [sum(1 << r for r, x in enumerate(row) if x) for row in self.leq]
-        for p, row in enumerate(self.leq):
+        # transitivity is up[q] within up[p] for every q above p, tested as
+        # one OR of their rows, and only a failing row is searched for the
+        # first q
+        for p, row in enumerate(leq):
             if reduce(or_, compress(up, row), 0) & ~up[p] == 0:
                 continue
-            for q in range(self.n):
-                extra = up[q] & ~up[p] if row[q] else 0
+            for q in _bits(up[p]):
+                extra = up[q] & ~up[p]
                 if extra:
                     r = (extra & -extra).bit_length() - 1
                     raise FormatError(
@@ -331,45 +339,25 @@ def order_properties(po: Preorder) -> OrderProperties:
     comparable_nonzero_pairs lists ordered pairs (p, q) of distinct
     non-zero states with p below q.
     """
-    sym = set()
-    antisymmetric = True
-    total = True
-    nonzero = set()
-    for p in range(po.n):
-        for q in range(po.n):
-            if p == q:
-                continue
-            if not po.leq[p][q] and not po.leq[q][p]:
-                total = False
-            if po.leq[p][q]:
-                if po.leq[q][p]:
-                    antisymmetric = False
-                    sym.add((min(p, q), max(p, q)))
-                if p != 0 and q != 0:
-                    nonzero.add((p, q))
+    (n, up, down) = (po.n, po.up, po.down)
+    full = (1 << n) - 1
+    sym = frozenset((p, q) for p in range(n)
+                    for q in _bits(up[p] & down[p]) if q > p)
     return OrderProperties(
-        is_partial_order=antisymmetric,
-        is_total_comparability=total,
-        symmetric_pairs=frozenset(sym),
-        comparable_nonzero_pairs=frozenset(nonzero),
+        is_partial_order=not sym,
+        is_total_comparability=all(up[p] | down[p] == full for p in range(n)),
+        symmetric_pairs=sym,
+        comparable_nonzero_pairs=frozenset(
+            (p, q) for p in range(1, n) for q in _bits(up[p] & ~(1 | 1 << p))),
     )
 
 
 def _require_partial_order(po: Preorder):
     """NotPartialOrder naming the first equivalent pair p < q, least p
-    first, then least q, as min(order_properties(po).symmetric_pairs).
-
-    Bit r of a row's mask is p <= r and of a column's r <= p, so one AND
-    per state finds the states equivalent to it; the masks are read off
-    each row's bytes at C speed.
-    """
-    digits = bytes.maketrans(b"\0\1", b"01")
-
-    def mask(bools):
-        return int(bytes(bools).translate(digits)[::-1], 2)
-
-    for p, (row, column) in enumerate(zip(po.leq, zip(*po.leq))):
-        later = (mask(row) & mask(column)) >> p + 1
+    first, then least q, as min(order_properties(po).symmetric_pairs):
+    the states equivalent to p are one AND of its masks."""
+    for p in range(po.n):
+        later = (po.up[p] & po.down[p]) >> p + 1
         if later:
             q = p + (later & -later).bit_length()
             raise NotPartialOrder(f"states {p} and {q} are equivalent")
@@ -377,16 +365,19 @@ def _require_partial_order(po: Preorder):
 
 def _convex_violation(po: Preorder, finals):
     '''The first (f, g, h) with f <= g <= h, f and h final and g not, or None.'''
-    leq = po.leq
+    outside = ~_mask(finals)
     for f in finals:
         for h in finals:
-            for g in range(po.n):
-                if g not in finals and leq[f][g] and leq[g][h]:
-                    return (f, g, h)
+            between = po.up[f] & po.down[h] & outside
+            if between:
+                return (f, (between & -between).bit_length() - 1, h)
     return None
 
 
 def _check_convex_finals(po: Preorder, finals):
+    for f in finals:
+        if not 0 <= f < po.n:
+            raise StateOutOfRange(f"final state {f} outside 0..{po.n - 1}")
     bad = _convex_violation(po, finals)
     if bad is not None:
         (f, g, h) = bad
@@ -403,8 +394,8 @@ def _check_convex_finals(po: Preorder, finals):
 ENUM_MAX_STATES = 12
 
 
-def _respecting_walk(n: int, leq, scan=(), masks=()):
-    """The walk over every map of Q_n that is monotone for leq and keeps
+def _respecting_walk(po: Preorder, scan=(), masks=()):
+    """The walk over every map of Q_n that is monotone for po and keeps
     each scan triple inside R, given as `masks`: a function of `rng` that
     yields the maps as image bytes (tuples above 256 states).
 
@@ -423,12 +414,11 @@ def _respecting_walk(n: int, leq, scan=(), masks=()):
     `rng.shuffle` of 0..n-1 and tries the values in that order instead: a
     randomized walk.
     """
+    (n, up, down) = (po.n, po.up, po.down)
     values = range(n)
     full = (1 << n) - 1
-    up = [sum(1 << v for v in values if leq[w][v]) for w in values]
-    down = [sum(1 << v for v in values if leq[v][w]) for w in values]
-    below = [[p for p in range(q) if leq[p][q]] for q in values]
-    above = [[p for p in range(q) if leq[q][p]] for q in values]
+    below = [list(_bits(down[q] & ((1 << q) - 1))) for q in values]
+    above = [list(_bits(up[q] & ((1 << q) - 1))) for q in values]
     # scan triples by the shape they take at the level of their largest state
     thirds = [[] for _ in values]
     seconds = [[] for _ in values]
@@ -504,9 +494,8 @@ def check_enumerable(n: int) -> None:
 
 
 def _capped(n: int, maps, cap: int):
-    '''Pass the maps on, refusing more than ENUM_MAX_STATES states at once
-    and raising ResourceCap once more than cap of them have come.'''
-    check_enumerable(n)
+    '''Pass the maps on, raising ResourceCap once more than cap of them
+    have come; the callers refuse more than ENUM_MAX_STATES states first.'''
     for count, image in enumerate(maps, 1):
         if count > cap:
             raise ResourceCap(f"enumeration on {n} states reached {count} maps, "
@@ -525,7 +514,7 @@ def monotone_maps(po: Preorder, cap: int = CLOSURE_CAP):
     """
     _require_partial_order(po)
     check_enumerable(po.n)  # before the walk's tables are built
-    return _capped(po.n, _respecting_walk(po.n, po.leq)(), cap)
+    return _capped(po.n, _respecting_walk(po)(), cap)
 
 
 def monotone_transformations(po: Preorder, cap: int = CLOSURE_CAP) -> Semigroup:
@@ -545,7 +534,7 @@ def maximal_semigroup(s: TripleSystem, cap: int = CLOSURE_CAP) -> Semigroup:
     and at once for more than ENUM_MAX_STATES states.
     """
     check_enumerable(s.n)  # before the walk's tables are built
-    maps = _respecting_walk(s.n, preorder_of(s).leq, s.scan_triples(), s.masks)()
+    maps = _respecting_walk(preorder_of(s), s.scan_triples(), s.masks)()
     return Semigroup(s.n, tuple(_capped(s.n, maps, cap)))
 
 
@@ -557,13 +546,8 @@ def order_system(po: Preorder, finals) -> TripleSystem:
     """
     _require_partial_order(po)
     finals = frozenset(finals)
-    for f in finals:
-        if not 0 <= f < po.n:
-            raise StateOutOfRange(f"final state {f} outside 0..{po.n - 1}")
     _check_convex_finals(po, finals)
-    n = po.n
-    up = [_mask(r for r in range(n) if po.leq[p][r]) for p in range(n)]
-    down = [_mask(r for r in range(n) if po.leq[r][q]) for q in range(n)]
+    (n, up, down) = (po.n, po.up, po.down)
     return TripleSystem(n, finals, [1 << p | 1 << q | up[p] & down[q] | up[q] & down[p]
                                     for p in range(n) for q in range(n)])
 

@@ -286,3 +286,39 @@ def first_transitivity_violation(leq):
             if extra:
                 return p, q, (extra & -extra).bit_length() - 1
     return None
+
+
+def first_convexity_violation(leq, finals):
+    """The (f, g, h) that a convexity check names for a final set that is
+    not convex, or None: f <= g <= h with f and h final and g not, f and h
+    in the iteration order of finals, then least g."""
+    for f in finals:
+        for h in finals:
+            for g in range(len(leq)):
+                if g not in finals and leq[f][g] and leq[g][h]:
+                    return (f, g, h)
+    return None
+
+
+def naive_order_properties(leq):
+    """(is_partial_order, is_total_comparability, symmetric_pairs,
+    comparable_nonzero_pairs) of a preorder matrix, by one pass over every
+    pair of distinct states."""
+    n = len(leq)
+    sym = set()
+    antisymmetric = True
+    total = True
+    nonzero = set()
+    for p in range(n):
+        for q in range(n):
+            if p == q:
+                continue
+            if not leq[p][q] and not leq[q][p]:
+                total = False
+            if leq[p][q]:
+                if leq[q][p]:
+                    antisymmetric = False
+                    sym.add((min(p, q), max(p, q)))
+                if p != 0 and q != 0:
+                    nonzero.add((p, q))
+    return (antisymmetric, total, frozenset(sym), frozenset(nonzero))

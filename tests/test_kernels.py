@@ -190,7 +190,12 @@ def test_counts_build_no_dfa(monkeypatch):
 # the respecting-map walk
 
 def _walk_args(s):
-    return (s.n, preorder_of(s).leq, s.scan_triples(), s.masks)
+    return (preorder_of(s), s.scan_triples(), s.masks)
+
+
+def _parent_walk(po, scan=(), masks=(), rng=None):
+    # the parent walk takes the order as its matrix
+    return parent_respecting_maps(po.n, po.leq, scan, masks, rng)
 
 
 def _shapes(scan):
@@ -205,7 +210,7 @@ def _shapes(scan):
 @pytest.mark.parametrize("n", range(3, 8))
 def test_respecting_walk_matches_parent_on_witness_systems(family, n):
     args = _walk_args(family(n))
-    assert list(_respecting_walk(*args)()) == list(parent_respecting_maps(*args))
+    assert list(_respecting_walk(*args)()) == list(_parent_walk(*args))
 
 
 def test_respecting_walk_matches_parent_on_random_orders():
@@ -214,10 +219,9 @@ def test_respecting_walk_matches_parent_on_random_orders():
         po = _random_order(rng, rng.randint(2, 7))
         s = order_system(po, _random_convex_finals(rng, po))
         # the plain monotone walk, then the one with scan triples
-        assert list(_respecting_walk(po.n, po.leq)()) == \
-            list(parent_respecting_maps(po.n, po.leq))
+        assert list(_respecting_walk(po)()) == list(_parent_walk(po))
         args = _walk_args(s)
-        assert list(_respecting_walk(*args)()) == list(parent_respecting_maps(*args))
+        assert list(_respecting_walk(*args)()) == list(_parent_walk(*args))
 
 
 def test_respecting_walk_matches_parent_on_canonical_systems():
@@ -231,9 +235,8 @@ def test_respecting_walk_matches_parent_on_canonical_systems():
             continue
         sampled += 1
         args = _walk_args(canonical_system(d))
-        shapes |= _shapes(args[2])
-        assert list(_respecting_walk(*args)()) == \
-            list(parent_respecting_maps(*args)), d
+        shapes |= _shapes(args[1])
+        assert list(_respecting_walk(*args)()) == list(_parent_walk(*args)), d
     assert shapes == {"third", "second", "diagonal"}
 
 
@@ -243,7 +246,7 @@ def _seeded_systems():
         yield _walk_args(syntactic_system(n))
         yield _walk_args(reversal_system(n))
         po = _random_order(rng, n)
-        yield (n, po.leq, (), ())
+        yield (po, (), ())
         yield _walk_args(order_system(po, _random_convex_finals(rng, po)))
 
 
@@ -256,7 +259,7 @@ def test_seeded_walks_match_parent_and_leave_the_same_draws(seed):
             (new, old) = (random.Random(seed), random.Random(seed))
             got = [m for _, m in zip(range(taken), walk(new))]
             want = [m for _, m in zip(range(taken),
-                                      parent_respecting_maps(*args, rng=old))]
+                                      _parent_walk(*args, rng=old))]
             assert got == want
             assert new.random() == old.random()
 

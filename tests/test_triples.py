@@ -23,11 +23,13 @@ from sconvex import (AxiomViolation, Dfa, FormatError, NonConvexFinals,
                      star_witness, syntactic_system, syntactic_witness,
                      total_order)
 from sconvex.harness import _random_convex_finals, _random_order
-from sconvex.triples import _require_partial_order, _respecting_walk
+from sconvex.triples import (_convex_violation, _require_partial_order,
+                             _respecting_walk)
 
 from conftest import random_dfa
-from oracles import (first_transitivity_violation, naive_axiom_c,
-                     naive_canonical_triples, naive_monotone_maps,
+from oracles import (first_convexity_violation, first_transitivity_violation,
+                     naive_axiom_c, naive_canonical_triples,
+                     naive_monotone_maps, naive_order_properties,
                      naive_respecting_maps)
 
 ENDS_A = Dfa(2, ("a", "b"), ((1, 1), (0, 0)), frozenset({1}))
@@ -258,13 +260,30 @@ def test_preorder_names_the_first_transitivity_violation():
         want = first_transitivity_violation(leq)
         seen.add(want is None)
         if want is None:
-            Preorder(n, leq)
+            _assert_masks_match(Preorder(n, leq))
         else:
             message = "preorder not transitive: {} <= {} <= {}".format(*want)
             with pytest.raises(FormatError) as info:
                 Preorder(n, leq)
             assert str(info.value) == message
     assert seen == {True, False}
+
+
+def _assert_masks_match(po):
+    # bit q of up[p] is p <= q, and bit q of down[p] is q <= p
+    for p in range(po.n):
+        for q in range(po.n):
+            assert po.up[p] >> q & 1 == po.leq[p][q]
+            assert po.down[p] >> q & 1 == po.leq[q][p]
+    assert all(m >> po.n == 0 for m in po.up + po.down)
+
+
+def test_preorder_masks_at_the_edges():
+    empty = total_order(0)
+    assert empty.up == empty.down == ()
+    big = _random_order(random.Random(8), 300)
+    assert len(big.up) == len(big.down) == 300
+    _assert_masks_match(big)
 
 
 def test_preorder_relations():
@@ -345,17 +364,43 @@ def test_require_partial_order_names_the_pair_order_properties_names():
     partial = 0
     for _ in range(600):
         po = _random_preorder(rng, rng.randint(1, 9))
-        props = order_properties(po)
-        if props.is_partial_order:
+        (is_partial, _, symmetric, _) = naive_order_properties(po.leq)
+        if is_partial:
             _require_partial_order(po)
             partial += 1
         else:
-            p, q = min(props.symmetric_pairs)
+            p, q = min(symmetric)
             with pytest.raises(NotPartialOrder,
                                match=f"^states {p} and {q} are equivalent$"):
                 _require_partial_order(po)
     # both kinds were drawn
     assert 50 < partial < 550
+
+
+def test_order_properties_match_the_pair_loop():
+    rng = random.Random(5151)
+    orders = [_random_preorder(rng, rng.randint(0, 9)) for _ in range(300)]
+    orders += [_random_order(rng, rng.randint(0, 9)) for _ in range(300)]
+    for po in orders:
+        props = order_properties(po)
+        assert (props.is_partial_order, props.is_total_comparability,
+                props.symmetric_pairs, props.comparable_nonzero_pairs) == \
+            naive_order_properties(po.leq)
+
+
+def test_convex_violation_names_the_triple_of_the_loop():
+    rng = random.Random(6161)
+    orders = [_random_order(rng, rng.randint(1, 7)) for _ in range(60)]
+    orders += [_random_preorder(rng, rng.randint(1, 7)) for _ in range(60)]
+    convex = 0
+    for po in orders:
+        for bits in range(1 << po.n):
+            finals = frozenset(q for q in range(po.n) if bits >> q & 1)
+            want = first_convexity_violation(po.leq, finals)
+            assert _convex_violation(po, finals) == want
+            convex += want is None
+    # both kinds of final set were met
+    assert 0 < convex < sum(1 << po.n for po in orders)
 
 
 def _images(sg):
@@ -405,7 +450,7 @@ def test_monotone_transformations_of_empty_order():
 def test_random_walk_beyond_byte_images():
     n = 300
     po = _random_order(random.Random(8), n)
-    image = next(_respecting_walk(n, po.leq)(random.Random(9)))
+    image = next(_respecting_walk(po)(random.Random(9)))
     assert len(image) == n and max(image) < n
     assert all(po.leq[image[p]][image[q]]
                for p in range(n) for q in range(n) if po.leq[p][q])
@@ -458,6 +503,10 @@ def test_monotone_dfa_shape():
         monotone_dfa(total_order(3), set())
     with pytest.raises(ValueError):
         monotone_dfa(total_order(3), {0, 1, 2})
+    # checked before the convexity test reads a state's masks
+    for bad in ({5}, {-1}):
+        with pytest.raises(StateOutOfRange):
+            monotone_dfa(total_order(3), bad)
 
 
 def test_canonical_system_requires_minimal_convex_input():
