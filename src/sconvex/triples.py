@@ -280,6 +280,8 @@ class Preorder:
         object.__setattr__(self, "leq", leq)
         if len(leq) != self.n or any(len(row) != self.n for row in leq):
             raise FormatError("leq must be an n by n matrix")
+        # each mask sums the weights its row or column selects, at C speed;
+        # this was chosen for n <= 8, where every partial sum is a small int
         weights = [1 << q for q in range(self.n)]
         up = tuple(sum(compress(weights, row)) for row in leq)
         down = tuple(sum(compress(weights, column)) for column in zip(*leq))
