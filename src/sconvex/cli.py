@@ -144,15 +144,20 @@ def _cmd_triples(args):
 def _clamp(default, args):
     start = args.min_n if args.min_n is not None else default.start
     stop = args.max_n + 1 if args.max_n is not None else default.stop
+    if start >= stop:
+        raise SconvexError(f"the range of n {start}..{stop - 1} is empty")
     return range(start, stop)
 
 
 def _cmd_verify(args):
+    if args.samples < 0:
+        raise SconvexError(f"--samples must be at least 0, got {args.samples}")
+    # every suite's first parameter defaults to its own range of n
+    ranges = {name: _clamp(SUITES[name].__defaults__[0], args)
+              for name in (SUITES if args.suite == "all" else [args.suite])}
     reports = []
-    for name in SUITES if args.suite == "all" else [args.suite]:
+    for name, r in ranges.items():
         suite = SUITES[name]
-        # every suite's first parameter defaults to its own range of n
-        r = _clamp(suite.__defaults__[0], args)
         if name in ("product", "boolean"):
             reports.extend(suite(r, r))
         elif name == "reversal":
@@ -236,10 +241,11 @@ def build_parser():
     p.add_argument("-o", "--output")
 
     p = add("triples", _cmd_triples, "triple system of a family or a DFA")
-    p.add_argument("--family", choices=sorted(SYSTEMS))
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--family", choices=sorted(SYSTEMS))
     p.add_argument("--n", type=int)
-    p.add_argument("--canonical", metavar="DFA_FILE",
-                   help="largest system respected by this DFA")
+    source.add_argument("--canonical", metavar="DFA_FILE",
+                        help="largest system respected by this DFA")
     p.add_argument("--preorder", action="store_true",
                    help="emit the derived order matrix instead of triples")
     p.add_argument("-o", "--output")

@@ -13,7 +13,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import compress, permutations
 
 from .automata import (Dfa, atom_count, complexity, determinize, minimize,
                        product_nfa, direct_product, star_nfa, _mask)
@@ -311,14 +311,14 @@ def _random_order(rng, n):
             for x in range(n):
                 if up[x] >> p & 1:
                     up[x] |= up[q]
-    return Preorder(n, [[m >> q & 1 for q in range(n)] for m in up])
+    return Preorder(n, up)
 
 
 def _random_convex_finals(rng, po):
     n = po.n
     for _ in range(64):
         finals = frozenset(q for q in range(n) if rng.random() < 0.5)
-        if finals and len(finals) < n and _convex_violation(po, finals) is None:
+        if finals and len(finals) < n and _convex_violation(po, _mask(finals)) is None:
             return finals
     return frozenset({rng.randrange(n)})
 
@@ -414,16 +414,16 @@ def _nonzero_posets(n):
 
 def _probe_orders(n):
     '''Each partial order on the non-zero states, with 0 above them all.'''
+    weights = [2 << q for q in range(n - 1)]  # row p is state p + 1
     for rel in _nonzero_posets(n):
-        yield Preorder(n, [(True,) + (False,) * (n - 1)] + [(True,) + row for row in rel])
+        yield Preorder(n, [1] + [1 | sum(compress(weights, row)) for row in rel])
 
 
 def _convex_subsets(po):
-    '''Each convex set of states other than none and all, by bit code.'''
+    '''Each convex set of states other than none and all, as its bit mask.'''
     for bits in range(1, (1 << po.n) - 1):
-        finals = tuple(_bits(bits))
-        if _convex_violation(po, finals) is None:
-            yield frozenset(finals)
+        if _convex_violation(po, bits) is None:
+            yield bits
 
 
 def probe_conjecture(n: int) -> ProbeResult:
@@ -457,7 +457,7 @@ def probe_conjecture(n: int) -> ProbeResult:
     """
     if not 2 <= n <= 6:
         raise ResourceCap(f"the probe enumerates orders only for 2 <= n <= 6, got {n}")
-    best = (0, antichain_order(n), frozenset())
+    best = (0, antichain_order(n), 0)
     orders = 0
     configurations = 0
     proper_count = 0
@@ -466,11 +466,10 @@ def probe_conjecture(n: int) -> ProbeResult:
         size = sum(1 for _ in monotone_maps(po))
         for finals in _convex_subsets(po):
             configurations += 1
-            outside = ~_mask(finals)
-            if 0 in finals or not any(po.down[f] & outside for f in finals):
+            if finals & 1 or not any(po.down[f] & ~finals for f in _bits(finals)):
                 continue
             proper_count += 1
             if size > best[0]:
                 best = (size, po, finals)
     return ProbeResult(n, orders, configurations, proper_count,
-                       best[0], syntactic_bound(n), best[1], best[2])
+                       best[0], syntactic_bound(n), best[1], frozenset(_bits(best[2])))

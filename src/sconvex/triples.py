@@ -263,31 +263,27 @@ def canonical_system(d: Dfa) -> TripleSystem:
 
 @dataclass(frozen=True)
 class Preorder:
-    """A preorder on Q_n with 0 as a maximum element.
-
-    leq[p][q] means p is below (or equivalent to) q.  The relation is also
-    held as bit masks, worked out once here: bit q of up[p] is set when
-    p <= q, and bit q of down[p] when q <= p.
+    """A preorder on Q_n with 0 as a maximum element, given by its up masks:
+    bit q of up[p] is set when p is below (or equivalent to) q.  The down
+    masks are worked out once here: bit q of down[p] is set when q <= p.
     """
 
     n: int
-    leq: tuple[tuple[bool, ...], ...]
-    up: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    up: tuple[int, ...]
     down: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        leq = tuple(tuple(map(bool, row)) for row in self.leq)
-        object.__setattr__(self, "leq", leq)
-        if len(leq) != self.n or any(len(row) != self.n for row in leq):
-            raise FormatError("leq must be an n by n matrix")
-        # each mask sums the weights its row or column selects, at C speed;
-        # this was chosen for n <= 8, where every partial sum is a small int
-        weights = [1 << q for q in range(self.n)]
-        up = tuple(sum(compress(weights, row)) for row in leq)
-        down = tuple(sum(compress(weights, column)) for column in zip(*leq))
+        (n, up) = (self.n, tuple(self.up))
         object.__setattr__(self, "up", up)
+        if len(up) != n or any(m >> n for m in up):
+            raise FormatError(f"need {n} up masks of {n} bits each")
+        # row p as 0/1 bytes, byte q set when p <= q, for compress at C speed
+        zero_one = bytes.maketrans(b"01", b"\0\1")
+        rows = [format(m, f"0{n}b").encode()[::-1].translate(zero_one) for m in up]
+        weights = [1 << q for q in range(n)]
+        down = tuple(sum(compress(weights, column)) for column in zip(*rows))
         object.__setattr__(self, "down", down)
-        for p in range(self.n):
+        for p in range(n):
             if not up[p] >> p & 1:
                 raise FormatError(f"preorder not reflexive at {p}")
             if not up[p] & 1:
@@ -295,7 +291,7 @@ class Preorder:
         # transitivity is up[q] within up[p] for every q above p, tested as
         # one OR of their rows, and only a failing row is searched for the
         # first q
-        for p, row in enumerate(leq):
+        for p, row in enumerate(rows):
             if reduce(or_, compress(up, row), 0) & ~up[p] == 0:
                 continue
             for q in _bits(up[p]):
@@ -306,18 +302,18 @@ class Preorder:
                         f"preorder not transitive: {p} <= {q} <= {r}")
 
     def below(self, p: int, q: int) -> bool:
-        return self.leq[p][q]
+        return bool(self.up[p] >> q & 1)
 
     def strictly_below(self, p: int, q: int) -> bool:
-        return self.leq[p][q] and not self.leq[q][p]
+        return self.below(p, q) and not self.below(q, p)
 
     def equivalent(self, p: int, q: int) -> bool:
-        return self.leq[p][q] and self.leq[q][p]
+        return self.below(p, q) and self.below(q, p)
 
     def dump(self) -> str:
         '''n lines of n space-separated 0/1 entries.'''
-        return "\n".join(" ".join("1" if x else "0" for x in row)
-                         for row in self.leq) + "\n"
+        return "\n".join(" ".join(format(m, f"0{self.n}b")[::-1])
+                         for m in self.up) + "\n"
 
 
 @dataclass(frozen=True)
@@ -330,8 +326,7 @@ class OrderProperties:
 
 def preorder_of(s: TripleSystem) -> Preorder:
     '''The derived relation: p below q exactly when (0, p, q) is in R.'''
-    return Preorder(s.n, [[m >> q & 1 for q in range(s.n)]
-                          for m in s.masks[:s.n]])
+    return Preorder(s.n, s.masks[:s.n])
 
 
 def order_properties(po: Preorder) -> OrderProperties:
@@ -365,12 +360,12 @@ def _require_partial_order(po: Preorder):
             raise NotPartialOrder(f"states {p} and {q} are equivalent")
 
 
-def _convex_violation(po: Preorder, finals):
-    '''The first (f, g, h) with f <= g <= h, f and h final and g not, or None.'''
-    outside = ~_mask(finals)
-    for f in finals:
-        for h in finals:
-            between = po.up[f] & po.down[h] & outside
+def _convex_violation(po: Preorder, finals: int):
+    '''The first (f, g, h) with f <= g <= h, f and h in the final set, given
+    as a bit mask, and g not, or None.'''
+    for f in _bits(finals):
+        for h in _bits(finals):
+            between = po.up[f] & po.down[h] & ~finals
             if between:
                 return (f, (between & -between).bit_length() - 1, h)
     return None
@@ -380,7 +375,7 @@ def _check_convex_finals(po: Preorder, finals):
     for f in finals:
         if not 0 <= f < po.n:
             raise StateOutOfRange(f"final state {f} outside 0..{po.n - 1}")
-    bad = _convex_violation(po, finals)
+    bad = _convex_violation(po, _mask(finals))
     if bad is not None:
         (f, g, h) = bad
         raise NonConvexFinals(f"{f} <= {g} <= {h} with {g} outside the final set")
@@ -577,10 +572,9 @@ def monotone_dfa(po: Preorder, finals) -> Dfa:
 
 def total_order(n: int) -> Preorder:
     '''The chain n-1 below ... below 1 below 0.'''
-    return Preorder(n, tuple(tuple(p >= q for q in range(n)) for p in range(n)))
+    return Preorder(n, [(2 << p) - 1 for p in range(n)])
 
 
 def antichain_order(n: int) -> Preorder:
     '''Only the forced comparabilities: reflexivity and everything below 0.'''
-    return Preorder(n, tuple(tuple(q == 0 or p == q for q in range(n))
-                             for p in range(n)))
+    return Preorder(n, [1 | 1 << p for p in range(n)])

@@ -90,9 +90,9 @@ def reversal_order(n: int) -> Preorder:
     '''The order behind the reversal family: 2 below 1, plus the 0 maximum.'''
     if n < 3:
         raise BadSize(f"the reversal order needs n >= 3, got {n}")
-    leq = tuple(tuple(p == q or q == 0 or (p == 2 and q == 1)
-                      for q in range(n)) for p in range(n))
-    return Preorder(n, leq)
+    up = [1 | 1 << p for p in range(n)]
+    up[2] |= 1 << 1
+    return Preorder(n, up)
 
 
 def star_system(n: int) -> TripleSystem:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
+from sconvex import Preorder
+
 
 def accepts(d, word):
     """Run a word by stepping the raw transition table."""
@@ -170,10 +172,11 @@ def table_filling_complexity(d):
 def naive_monotone_maps(po):
     """All self-maps that preserve the order relation, by direct filtering."""
     n = po.n
-    pairs = [(p, q) for p in range(n) for q in range(n) if po.leq[p][q]]
+    leq = matrix_of(po)
+    pairs = [(p, q) for p in range(n) for q in range(n) if leq[p][q]]
     out = []
     for image in product(range(n), repeat=n):
-        if all(po.leq[image[p]][image[q]] for p, q in pairs):
+        if all(leq[image[p]][image[q]] for p, q in pairs):
             out.append(image)
     return out
 
@@ -271,6 +274,43 @@ def naive_nonzero_posets(n):
             seen.add(canon)
             out.append(canon)
     return out
+
+
+def matrix_of(po):
+    """The n by n 0/1 matrix of a Preorder, read bit by bit off its up
+    masks: entry [p][q] is True when p <= q."""
+    return tuple(tuple(bool(po.up[p] >> q & 1) for q in range(po.n))
+                 for p in range(po.n))
+
+
+def preorder_from_matrix(leq):
+    """The Preorder whose matrix is leq, with up[p] the sum of the bits its
+    row p sets."""
+    return Preorder(len(leq), [sum(1 << q for q, x in enumerate(row) if x)
+                               for row in leq])
+
+
+def total_order_matrix(n):
+    """The chain n-1 below ... below 1 below 0, entry by entry."""
+    return tuple(tuple(p >= q for q in range(n)) for p in range(n))
+
+
+def antichain_order_matrix(n):
+    """Reflexivity and everything below 0, entry by entry."""
+    return tuple(tuple(q == 0 or p == q for q in range(n)) for p in range(n))
+
+
+def reversal_order_matrix(n):
+    """The antichain on n states with 2 below 1 added, entry by entry."""
+    return tuple(tuple(p == q or q == 0 or (p == 2 and q == 1)
+                       for q in range(n)) for p in range(n))
+
+
+def preorder_of_matrix(s):
+    """The derived relation of a triple system, entry by entry: p below q
+    exactly when (0, p, q) is in R."""
+    return tuple(tuple(s.contains(0, p, q) for q in range(s.n))
+                 for p in range(s.n))
 
 
 def first_transitivity_violation(leq):

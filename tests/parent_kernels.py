@@ -10,7 +10,8 @@ storing a token list per line: `parent_parse_dfa`, `parent_to_text` and
 `parent_dfa_dot` are `sconvex.automata`'s `_parse_dfa`, `Dfa.to_text` and
 `_dfa_dot`, and
 `parent_triple_system_from_text` is `TripleSystem.from_text`, with the
-helpers they used.
+helpers they used.  And `parent_random_order`, the random partial order of
+`sconvex.harness._random_order` from when it built its order's matrix.
 
 This is not an independent oracle: it shares the algorithms it checks.
 The oracles in oracles.py avoid subset construction and refinement.
@@ -91,6 +92,25 @@ def parent_determinize(m: Nfa, cap: int = SUBSET_CAP) -> Dfa:
             rows[k].append(index[T])
     finals = frozenset(i for i, S in enumerate(order) if S & m.finals)
     return Dfa(len(order), m.alphabet, tuple(tuple(r) for r in rows), finals)
+
+
+def parent_random_order(rng, n):
+    """The matrix of a random partial order with maximum 0, drawn from rng
+    as `sconvex.harness._random_order` draws it."""
+    # up[p] has bit q set when p <= q
+    up = [1 | 1 << p for p in range(n)]
+    if n >= 3:
+        for _ in range(rng.randint(0, n * n)):
+            p, q = rng.sample(range(1, n), 2)
+            if up[q] >> p & 1 or up[p] >> q & 1:
+                continue
+            # closing over one new edge: everything below p goes below
+            # everything above q; antisymmetry is safe because q <= p
+            # would already have been present
+            for x in range(n):
+                if up[x] >> p & 1:
+                    up[x] |= up[q]
+    return [[m >> q & 1 for q in range(n)] for m in up]
 
 
 def parent_respecting_maps(n: int, leq, scan=(), masks=(), rng=None):

@@ -156,6 +156,31 @@ def test_verify_exclusions_range_control(capsys):
     assert all(line.endswith("result=PASS") for line in lines)
 
 
+def test_verify_refuses_an_empty_range(capsys):
+    assert main(["verify", "--min-n", "6", "--max-n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the range of n 6..4 is empty\n"
+    # a suite whose own default range lies past --max-n checks nothing either
+    assert main(["verify", "--suite", "reversal", "--max-n", "3"]) == 2
+    assert "4..3 is empty" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_negative_sample_count(capsys):
+    assert main(["verify", "--suite", "reversal", "--samples", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --samples must be at least 0, got -3\n"
+
+
+def test_triples_takes_a_family_or_a_dfa_not_both(star4_file, capsys):
+    assert main(["triples", "--family", "star", "--n", "4",
+                 "--canonical", star4_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_verify_monotone_refuses_large_n_at_once(capsys):
     assert main(["verify", "--suite", "monotone", "--min-n", "1000",
                  "--max-n", "1000"]) == 3

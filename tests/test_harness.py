@@ -13,7 +13,7 @@ from sconvex import (Dfa, Report, ResourceCap, classify, harness,
                      verify_syntactic)
 from sconvex.triples import letter_names, monotone_maps
 
-from oracles import naive_nonzero_posets
+from oracles import matrix_of, naive_nonzero_posets
 
 
 def test_report_line_shape():
@@ -180,6 +180,13 @@ def test_grown_posets_count_the_classes():
     assert [len(harness._nonzero_posets(n)) for n in range(2, 7)] == [1, 2, 5, 16, 63]
 
 
+def test_probe_orders_put_zero_above_each_class_matrix():
+    for n in range(2, 7):
+        want = [((True,) + (False,) * (n - 1),) + tuple((True,) + row for row in rel)
+                for rel in harness._nonzero_posets(n)]
+        assert [matrix_of(po) for po in harness._probe_orders(n)] == want
+
+
 def test_probe_enumerates_the_maps_once_per_order(monkeypatch):
     calls = []
 
@@ -201,11 +208,13 @@ def test_closed_form_matches_classify(n):
     for po in harness._probe_orders(n):
         maps = tuple(monotone_maps(po))
         names = letter_names(len(maps))
-        for finals in harness._convex_subsets(po):
+        leq = matrix_of(po)
+        for bits in harness._convex_subsets(po):
+            finals = frozenset(q for q in range(n) if bits >> q & 1)
             up_closed = all(r in finals for f in finals
-                            for r in range(n) if po.leq[f][r])
+                            for r in range(n) if leq[f][r])
             down_closed = all(q in finals for f in finals
-                              for q in range(n) if po.leq[q][f])
+                              for q in range(n) if leq[q][f])
             d = Dfa(n, names, maps, finals)
             c = classify(d)
             assert c.suffix_convex

@@ -19,6 +19,7 @@ from sconvex.witnesses import (reversal_system, reversal_witness, star_system,
                                star_witness, syntactic_system,
                                syntactic_witness)
 
+from oracles import matrix_of
 from parent_kernels import (parent_determinize, parent_minimize,
                             parent_respecting_maps)
 
@@ -195,7 +196,7 @@ def _walk_args(s):
 
 def _parent_walk(po, scan=(), masks=(), rng=None):
     # the parent walk takes the order as its matrix
-    return parent_respecting_maps(po.n, po.leq, scan, masks, rng)
+    return parent_respecting_maps(po.n, matrix_of(po), scan, masks, rng)
 
 
 def _shapes(scan):

@@ -27,10 +27,13 @@ from sconvex.triples import (_convex_violation, _require_partial_order,
                              _respecting_walk)
 
 from conftest import random_dfa
-from oracles import (first_convexity_violation, first_transitivity_violation,
-                     naive_axiom_c, naive_canonical_triples,
-                     naive_monotone_maps, naive_order_properties,
-                     naive_respecting_maps)
+from oracles import (antichain_order_matrix, first_convexity_violation,
+                     first_transitivity_violation, matrix_of, naive_axiom_c,
+                     naive_canonical_triples, naive_monotone_maps,
+                     naive_order_properties, naive_respecting_maps,
+                     preorder_from_matrix, preorder_of_matrix,
+                     reversal_order_matrix, total_order_matrix)
+from parent_kernels import parent_random_order
 
 ENDS_A = Dfa(2, ("a", "b"), ((1, 1), (0, 0)), frozenset({1}))
 
@@ -239,14 +242,18 @@ def test_dfa_respects():
 
 def test_preorder_validation():
     with pytest.raises(FormatError):
-        Preorder(2, ((True, True), (False, True)))  # 0 not a maximum
+        preorder_from_matrix(((True, True), (False, True)))  # 0 not a maximum
     with pytest.raises(FormatError):
-        Preorder(2, ((True, False), (True, False)))  # not reflexive
+        preorder_from_matrix(((True, False), (True, False)))  # not reflexive
     with pytest.raises(FormatError, match="transitive"):
-        Preorder(4, ((1, 0, 0, 0),
-                     (1, 1, 0, 0),
-                     (1, 1, 1, 0),
-                     (1, 0, 1, 1)))  # 3 below 2 below 1 but not 3 below 1
+        preorder_from_matrix(((1, 0, 0, 0),
+                              (1, 1, 0, 0),
+                              (1, 1, 1, 0),
+                              (1, 0, 1, 1)))  # 3 below 2 below 1 but not 3 below 1
+    with pytest.raises(FormatError, match="need 3 up masks of 3 bits each"):
+        Preorder(3, (0b1, 0b11))  # a mask short
+    with pytest.raises(FormatError, match="need 3 up masks of 3 bits each"):
+        Preorder(3, (0b1, 0b11, 0b1101))  # a bit past the last state
 
 
 def test_preorder_names_the_first_transitivity_violation():
@@ -260,21 +267,22 @@ def test_preorder_names_the_first_transitivity_violation():
         want = first_transitivity_violation(leq)
         seen.add(want is None)
         if want is None:
-            _assert_masks_match(Preorder(n, leq))
+            _assert_masks_match(preorder_from_matrix(leq), leq)
         else:
             message = "preorder not transitive: {} <= {} <= {}".format(*want)
             with pytest.raises(FormatError) as info:
-                Preorder(n, leq)
+                preorder_from_matrix(leq)
             assert str(info.value) == message
     assert seen == {True, False}
 
 
-def _assert_masks_match(po):
-    # bit q of up[p] is p <= q, and bit q of down[p] is q <= p
+def _assert_masks_match(po, leq):
+    # bit q of up[p] is p <= q, and bit q of down[p] is q <= p, in the
+    # matrix leq the order was drawn as
     for p in range(po.n):
         for q in range(po.n):
-            assert po.up[p] >> q & 1 == po.leq[p][q]
-            assert po.down[p] >> q & 1 == po.leq[q][p]
+            assert po.up[p] >> q & 1 == leq[p][q]
+            assert po.down[p] >> q & 1 == leq[q][p]
     assert all(m >> po.n == 0 for m in po.up + po.down)
 
 
@@ -283,7 +291,7 @@ def test_preorder_masks_at_the_edges():
     assert empty.up == empty.down == ()
     big = _random_order(random.Random(8), 300)
     assert len(big.up) == len(big.down) == 300
-    _assert_masks_match(big)
+    _assert_masks_match(big, parent_random_order(random.Random(8), 300))
 
 
 def test_preorder_relations():
@@ -292,6 +300,42 @@ def test_preorder_relations():
     assert po.strictly_below(2, 0)
     assert not po.equivalent(1, 2)
     assert po.dump() == "1 0 0\n1 1 0\n1 1 1\n"
+    rng = random.Random(77)
+    mixed = _random_preorder(rng, 7)
+    while not order_properties(mixed).symmetric_pairs:
+        mixed = _random_preorder(rng, 7)
+    for po in (reversal_order(5), antichain_order(4), mixed):
+        leq = matrix_of(po)
+        states = range(po.n)
+        for p in states:
+            for q in states:
+                assert po.below(p, q) == leq[p][q]
+                assert po.strictly_below(p, q) == (leq[p][q] and not leq[q][p])
+                assert po.equivalent(p, q) == (leq[p][q] and leq[q][p])
+        assert po.dump() == "".join(" ".join(str(int(x)) for x in row) + "\n"
+                                    for row in leq)
+
+
+def test_mask_builders_match_their_matrices():
+    for n in range(10):
+        assert matrix_of(total_order(n)) == total_order_matrix(n)
+        assert matrix_of(antichain_order(n)) == antichain_order_matrix(n)
+        if n >= 3:
+            assert matrix_of(reversal_order(n)) == reversal_order_matrix(n)
+            for family in (star_system, reversal_system, syntactic_system):
+                s = family(n)
+                assert matrix_of(preorder_of(s)) == preorder_of_matrix(s)
+
+
+def test_random_order_draws_the_parent_masks():
+    for seed in range(500):
+        (ours, parent) = (random.Random(seed), random.Random(seed))
+        n = ours.randint(0, 9)
+        parent.randint(0, 9)
+        assert _random_order(ours, n) == \
+            preorder_from_matrix(parent_random_order(parent, n))
+        # the draws that follow, such as the final set's, are the parent's
+        assert ours.random() == parent.random()
 
 
 def test_order_properties_of_named_orders():
@@ -321,7 +365,7 @@ def test_syntactic_system_preorder_has_pods():
 def test_preorder_of_inverts_order_system():
     for po in (total_order(4), reversal_order(5), antichain_order(3)):
         finals = {1}
-        assert preorder_of(order_system(po, finals)).leq == po.leq
+        assert matrix_of(preorder_of(order_system(po, finals))) == matrix_of(po)
 
 
 def test_order_system_is_the_betweenness_relation():
@@ -329,7 +373,7 @@ def test_order_system_is_the_betweenness_relation():
     for _ in range(40):
         po = _random_order(rng, rng.randint(2, 7))
         s = order_system(po, _random_convex_finals(rng, po))
-        leq = po.leq
+        leq = matrix_of(po)
         states = range(po.n)
         assert s.triples == {(p, q, r) for p in states for q in states
                              for r in states
@@ -356,7 +400,7 @@ def _random_preorder(rng, n):
         for p in range(n):
             if leq[p][r]:
                 leq[p] = [x or y for x, y in zip(leq[p], leq[r])]
-    return Preorder(n, leq)
+    return preorder_from_matrix(leq)
 
 
 def test_require_partial_order_names_the_pair_order_properties_names():
@@ -364,7 +408,7 @@ def test_require_partial_order_names_the_pair_order_properties_names():
     partial = 0
     for _ in range(600):
         po = _random_preorder(rng, rng.randint(1, 9))
-        (is_partial, _, symmetric, _) = naive_order_properties(po.leq)
+        (is_partial, _, symmetric, _) = naive_order_properties(matrix_of(po))
         if is_partial:
             _require_partial_order(po)
             partial += 1
@@ -385,7 +429,7 @@ def test_order_properties_match_the_pair_loop():
         props = order_properties(po)
         assert (props.is_partial_order, props.is_total_comparability,
                 props.symmetric_pairs, props.comparable_nonzero_pairs) == \
-            naive_order_properties(po.leq)
+            naive_order_properties(matrix_of(po))
 
 
 def test_convex_violation_names_the_triple_of_the_loop():
@@ -396,8 +440,8 @@ def test_convex_violation_names_the_triple_of_the_loop():
     for po in orders:
         for bits in range(1 << po.n):
             finals = frozenset(q for q in range(po.n) if bits >> q & 1)
-            want = first_convexity_violation(po.leq, finals)
-            assert _convex_violation(po, finals) == want
+            want = first_convexity_violation(matrix_of(po), finals)
+            assert _convex_violation(po, bits) == want
             convex += want is None
     # both kinds of final set were met
     assert 0 < convex < sum(1 << po.n for po in orders)
@@ -452,8 +496,9 @@ def test_random_walk_beyond_byte_images():
     po = _random_order(random.Random(8), n)
     image = next(_respecting_walk(po)(random.Random(9)))
     assert len(image) == n and max(image) < n
-    assert all(po.leq[image[p]][image[q]]
-               for p in range(n) for q in range(n) if po.leq[p][q])
+    leq = matrix_of(po)
+    assert all(leq[image[p]][image[q]]
+               for p in range(n) for q in range(n) if leq[p][q])
 
 
 @pytest.mark.parametrize("family", [star_system, reversal_system,
