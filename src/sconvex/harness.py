@@ -13,7 +13,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import compress, permutations
+from itertools import permutations, product
 
 from .automata import (Dfa, atom_count, complexity, determinize, minimize,
                        product_nfa, direct_product, star_nfa, _mask)
@@ -21,7 +21,7 @@ from .errors import BadSize, ResourceCap
 from .transformations import syntactic_complexity
 from .triples import (Preorder, TripleSystem, _bits, _convex_violation,
                       _respecting_walk, antichain_order, canonical_system,
-                      check_enumerable, letter_names, monotone_maps,
+                      check_enumerable, letter_names, monotone_count,
                       order_properties, preorder_of, total_order)
 from .witnesses import (LetterMap, dialect, reversal_order, reversal_witness,
                         star_witness, syntactic_witness)
@@ -161,6 +161,8 @@ def verify_reversal(ns=REVERSAL_RANGE, samples=500, seed=DEFAULT_SEED):
     may not exceed 2^n' - 2^(n'-3), checked as 8*atoms <= 7*2^n' to stay
     in integers.
     """
+    if samples < 0:
+        raise BadSize(f"samples must be at least 0, got {samples}")
     reports = []
     for n in ns:
         t0 = time.perf_counter()
@@ -193,17 +195,20 @@ def verify_syntactic(ns=SYNTACTIC_RANGE):
 
 
 def verify_monotone_counts(ns=MONOTONE_RANGE):
-    '''Exhaustive monotone-map counts, none of the maps stored, match the formulas.'''
+    '''Monotone-map counts, by dynamic programming with none of the maps
+    produced, match the formulas.'''
     reports = []
     for n in ns:
+        if n < 3:
+            raise BadSize(f"the monotone counts need n >= 3, got {n}")
         # before the orders, whose construction grows with n^2
         check_enumerable(n)
         t0 = time.perf_counter()
-        actual = sum(1 for _ in monotone_maps(total_order(n)))
+        actual = monotone_count(total_order(n))
         reports.append(_report("monotone-total", [("n", n)],
                                monotone_total_count(n), actual, t0))
         t0 = time.perf_counter()
-        actual = sum(1 for _ in monotone_maps(reversal_order(n)))
+        actual = monotone_count(reversal_order(n))
         reports.append(_report("monotone-reversal", [("n", n)],
                                monotone_reversal_count(n), actual, t0))
     return reports
@@ -383,47 +388,92 @@ def _up_closed_sets(up):
     return sets
 
 
+def _relabel(up, order):
+    '''The masks up with the old point order[i] renamed to i.'''
+    new = [0] * len(order)
+    for i, a in enumerate(order):
+        new[a] = 1 << i
+    return tuple(sum(new[b] for b in _bits(up[a])) for a in order)
+
+
+def _class_key(up):
+    """The least relabelling of a poset, given by the masks of the points
+    strictly above each point, among the relabellings that sort the points
+    by an invariant: up-set and down-set size, then the sorted such sizes
+    of the points above and of the points below.  Those relabellings turn
+    isomorphic posets into the same set of matrices, so the least is
+    canonical, and only points with equal invariants are permuted among
+    themselves.
+    """
+    m = len(up)
+    down = [sum(1 << b for b in range(m) if up[b] >> a & 1) for a in range(m)]
+    size = [(up[a].bit_count(), down[a].bit_count()) for a in range(m)]
+    invariant = [(size[a], tuple(sorted(size[b] for b in _bits(up[a]))),
+                  tuple(sorted(size[b] for b in _bits(down[a])))) for a in range(m)]
+    cells = {}
+    for a in sorted(range(m), key=invariant.__getitem__):
+        cells.setdefault(invariant[a], []).append(a)
+    return min(_relabel(up, sum(choice, ()))
+               for choice in product(*map(permutations, cells.values())))
+
+
 def _nonzero_posets(n):
-    """Partial orders on the non-zero states, one per isomorphism class.
+    """Partial orders on the non-zero states, one per isomorphism class,
+    each as its _class_key: the masks of the points strictly above each
+    point.
 
     Every poset has a labelling with each point only below earlier ones, so
     the posets grow one point at a time, point k below an up-closed set of
-    0..k-1 (Brinkmann & McKay 2002).  A class is its minimum matrix over the
-    relabellings.  The classes come in the order in which a sweep of every
-    relation, by increasing bit code over the off-diagonal pairs, first
-    meets them: the probe keeps the first best order it sees.
+    0..k-1 (Brinkmann & McKay 2002).  The classes come in the order in which
+    the growth first meets them.
     """
-    m = n - 1
     grown = [()]
-    for _ in range(m):
+    for _ in range(n - 1):
         grown = [up + (above,) for up in grown for above in _up_closed_sets(up)]
+    return list(dict.fromkeys(map(_class_key, grown)))
+
+
+def _least_labelling(up):
+    """How a sweep of every relation, by increasing bit code over the
+    off-diagonal pairs, meets the class of a poset: that least code, and
+    the poset relabelled to its least 0/1 matrix, each over every
+    relabelling."""
+    m = len(up)
     pairs = [(p, q) for p in range(m) for q in range(m) if p != q]
-    perms = list(permutations(range(m)))
-    first_code = {}
-    for up in grown:
-        rel = [[p == q or up[p] >> q & 1 == 1 for q in range(m)] for p in range(m)]
-        views = [tuple(tuple(rel[pi[p]][pi[q]] for q in range(m)) for p in range(m))
-                 for pi in perms]
-        canon = min(views)
-        if canon not in first_code:
-            first_code[canon] = min(
-                sum(1 << i for i, (p, q) in enumerate(pairs) if v[p][q])
-                for v in views)
-    return sorted(first_code, key=first_code.get)
+    views = [_relabel(up, order) for order in permutations(range(m))]
+    code = min(sum(1 << i for i, (p, q) in enumerate(pairs) if view[p] >> q & 1)
+               for view in views)
+    # the matrix rows, each read from column 0
+    least = min(views, key=lambda view: [format(mask | 1 << p, f"0{m}b")[::-1]
+                                         for p, mask in enumerate(view)])
+    return (code, least)
 
 
-def _probe_orders(n):
-    '''Each partial order on the non-zero states, with 0 above them all.'''
-    weights = [2 << q for q in range(n - 1)]  # row p is state p + 1
-    for rel in _nonzero_posets(n):
-        yield Preorder(n, [1] + [1 | sum(compress(weights, row)) for row in rel])
+def _probe_order(n, up):
+    '''The order of a poset on the non-zero states, with 0 above it all.'''
+    return Preorder(n, [1] + [1 | 1 << p + 1 | above << 1
+                              for p, above in enumerate(up)])
 
 
 def _convex_subsets(po):
-    '''Each convex set of states other than none and all, as its bit mask.'''
-    for bits in range(1, (1 << po.n) - 1):
-        if _convex_violation(po, bits) is None:
-            yield bits
+    """Each convex set of states other than none and all, as its bit mask.
+
+    A set is convex exactly when the states above some member and below
+    some member are all members, and those unions of up and down masks
+    are tabled for every set at once.
+    """
+    (ups, downs) = ([0], [0])
+    for q in range(po.n):
+        ups += [u | po.up[q] for u in ups]
+        downs += [d | po.down[q] for d in downs]
+    return [bits for bits in range(1, (1 << po.n) - 1)
+            if ups[bits] & downs[bits] == bits]
+
+
+def _proper(po, finals):
+    '''Whether a convex final set, as a bit mask, is a proper configuration
+    of a probe order: 0 is not in it and it is not down-closed.'''
+    return not finals & 1 and any(po.down[f] & ~finals for f in _bits(finals))
 
 
 def probe_conjecture(n: int) -> ProbeResult:
@@ -450,26 +500,42 @@ def probe_conjecture(n: int) -> ProbeResult:
       two-valued maps separate any two states, so every proper DFA is
       minimal and its syntactic semigroup is M.
 
-    So the maps of each order are counted once, none of them stored, and
+    So the maps of each order are counted once, by monotone_count, and
     the proper configurations are read off the order.  The search space
     covers only order-generated systems, so the result is an exploratory
     lower bound, not a refutation procedure.
+
+    The classes are keyed by _class_key, the least matrix over the
+    relabellings that sort the points by an invariant.  Ties at the
+    maximum are broken as by a sweep of every relation on the non-zero
+    states in increasing bit code: among the classes with a proper
+    configuration and the largest count, the best order is the one with
+    the least code over all its labellings, printed in its least 0/1
+    matrix over all relabellings, with its first proper final set in
+    increasing bit mask.  Only the tied classes pay for all (n-1)!
+    relabellings.
     """
-    if not 2 <= n <= 6:
-        raise ResourceCap(f"the probe enumerates orders only for 2 <= n <= 6, got {n}")
-    best = (0, antichain_order(n), 0)
-    orders = 0
+    if not 2 <= n <= 7:
+        raise ResourceCap(f"the probe enumerates orders only for 2 <= n <= 7, got {n}")
+    classes = _nonzero_posets(n)
     configurations = 0
     proper_count = 0
-    for po in _probe_orders(n):
-        orders += 1
-        size = sum(1 for _ in monotone_maps(po))
-        for finals in _convex_subsets(po):
-            configurations += 1
-            if finals & 1 or not any(po.down[f] & ~finals for f in _bits(finals)):
-                continue
-            proper_count += 1
-            if size > best[0]:
-                best = (size, po, finals)
-    return ProbeResult(n, orders, configurations, proper_count,
-                       best[0], syntactic_bound(n), best[1], frozenset(_bits(best[2])))
+    (best_size, tied) = (0, [])
+    for up in classes:
+        po = _probe_order(n, up)
+        size = monotone_count(po)
+        convex = _convex_subsets(po)
+        proper = sum(_proper(po, finals) for finals in convex)
+        configurations += len(convex)
+        proper_count += proper
+        if proper and size >= best_size:
+            if size > best_size:
+                (best_size, tied) = (size, [])
+            tied.append(up)
+    if tied:
+        best = _probe_order(n, min(map(_least_labelling, tied))[1])
+        finals = next(f for f in _convex_subsets(best) if _proper(best, f))
+    else:
+        (best, finals) = (antichain_order(n), 0)
+    return ProbeResult(n, len(classes), configurations, proper_count, best_size,
+                       syntactic_bound(n), best, frozenset(_bits(finals)))

@@ -514,6 +514,48 @@ def monotone_maps(po: Preorder, cap: int = CLOSURE_CAP):
     return _capped(po.n, _respecting_walk(po)(), cap)
 
 
+def monotone_count(po: Preorder) -> int:
+    """The number of maps monotone for a partial order, by dynamic
+    programming, none of the maps produced.
+
+    States get their images in the order 0..n-1, as in monotone_maps.
+    The maps that agree on 0..q-1 leave each later state r a candidate
+    mask, the AND of up[image[p]] and down[image[p]] over the earlier p
+    below, resp. above, r; how such a map can go on depends only on those
+    masks.  So level q keeps one count per distinct tuple of the masks of
+    q..n-1, packed into one int, n bits per state with q lowest: giving q
+    the image v is one shift and one AND.  The order must be antisymmetric
+    with maximum 0.  ResourceCap is raised once a level holds more than
+    CLOSURE_CAP tuples.
+    """
+    _require_partial_order(po)
+    (n, up, down) = (po.n, po.up, po.down)
+    full = (1 << n) - 1
+    level = {(1 << n * n) - 1: 1}
+    for q in range(n):
+        # one bit at the slot of each state after q that is above q, below
+        # q, or neither, so that a product copies a mask into those slots
+        slots = [0, 0, 0]
+        for r in range(q + 1, n):
+            kind = 0 if up[q] >> r & 1 else 1 if down[q] >> r & 1 else 2
+            slots[kind] |= 1 << n * (r - q - 1)
+        # narrow[v]: the masks that giving q the image v leaves on q+1..n-1
+        narrow = [up[v] * slots[0] | down[v] * slots[1] | full * slots[2]
+                  for v in range(n)]
+        counts = {}
+        for masks, count in level.items():
+            rest = masks >> n
+            for v in _bits(masks & full):
+                key = rest & narrow[v]
+                counts[key] = counts.get(key, 0) + count
+            if len(counts) > CLOSURE_CAP:
+                raise ResourceCap(f"counting on {n} states reached {len(counts)} "
+                                  f"mask tuples at state {q}, over the cap "
+                                  f"{CLOSURE_CAP}")
+        level = counts
+    return sum(level.values())
+
+
 def monotone_transformations(po: Preorder, cap: int = CLOSURE_CAP) -> Semigroup:
     """All of monotone_maps(po, cap), as a Semigroup: the monotone maps
     are closed under composition.

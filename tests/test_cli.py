@@ -181,6 +181,14 @@ def test_triples_takes_a_family_or_a_dfa_not_both(star4_file, capsys):
     assert "not allowed with argument" in captured.err
 
 
+def test_verify_monotone_refuses_n_below_three(capsys):
+    assert main(["verify", "--suite", "monotone", "--min-n", "0",
+                 "--max-n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need n >= 3, got 0" in captured.err
+
+
 def test_verify_monotone_refuses_large_n_at_once(capsys):
     assert main(["verify", "--suite", "monotone", "--min-n", "1000",
                  "--max-n", "1000"]) == 3
@@ -203,7 +211,7 @@ def test_probe_conjecture_output(capsys):
 
 
 def test_probe_conjecture_cap(capsys):
-    assert main(["probe-conjecture", "--n", "7"]) == 3
+    assert main(["probe-conjecture", "--n", "8"]) == 3
 
 
 def test_export_dot(star4_file, capsys):

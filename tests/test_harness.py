@@ -1,9 +1,11 @@
 import json
+import random
 import tracemalloc
+from itertools import permutations
 
 import pytest
 
-from sconvex import (Dfa, Report, ResourceCap, classify, harness,
+from sconvex import (BadSize, Dfa, Report, ResourceCap, classify, harness,
                      is_minimal, is_suffix_convex, monotone_reversal_count,
                      monotone_total_count, probe_conjecture, product_bound,
                      random_suffix_convex, reports_to_json, reversal_bound,
@@ -11,7 +13,8 @@ from sconvex import (Dfa, Report, ResourceCap, classify, harness,
                      verify_exclusions, verify_monotone_counts,
                      verify_product, verify_reversal, verify_star,
                      verify_syntactic)
-from sconvex.triples import letter_names, monotone_maps
+from sconvex.triples import (_convex_violation, letter_names, monotone_count,
+                             monotone_maps)
 
 from oracles import matrix_of, naive_nonzero_posets
 
@@ -162,6 +165,13 @@ GOLDEN_PROBE = {
         "formula=3775 achieves=false",
         "best-order", "  1 0 0 0 0 0", "  1 1 0 0 0 0", "  1 0 1 0 0 0",
         "  1 0 0 1 0 0", "  1 0 0 0 1 0", "  1 0 0 0 1 1", "best-final 4"],
+    # from the code that tried all (n-1)! relabellings of every grown poset
+    # and enumerated every order's maps, with its n <= 6 guard lifted
+    7: ["probe n=7 orders=318 configurations=20180 proper=9938 max=33667 "
+        "formula=54468 achieves=false",
+        "best-order", "  1 0 0 0 0 0 0", "  1 1 0 0 0 0 0", "  1 0 1 0 0 0 0",
+        "  1 0 0 1 0 0 0", "  1 0 0 0 1 0 0", "  1 0 0 0 0 1 0",
+        "  1 0 0 0 0 1 1", "best-final 5"],
 }
 
 
@@ -170,31 +180,73 @@ def test_probe_golden_lines(n):
     assert list(probe_conjecture(n).lines()) == GOLDEN_PROBE[n]
 
 
+def _matrix(up):
+    '''The 0/1 matrix of a poset given by the masks of the points strictly
+    above each point.'''
+    m = len(up)
+    return tuple(tuple(p == q or up[p] >> q & 1 == 1 for q in range(m))
+                 for p in range(m))
+
+
+def _probe_orders(n):
+    return [harness._probe_order(n, up) for up in harness._nonzero_posets(n)]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
 def test_grown_posets_match_the_relation_sweep(n):
-    assert harness._nonzero_posets(n) == naive_nonzero_posets(n)
+    # the least matrix over all relabellings of each class, in the order of
+    # the least bit code over all its labellings, is the sweep's list
+    least = sorted(map(harness._least_labelling, harness._nonzero_posets(n)))
+    assert [_matrix(up) for _, up in least] == naive_nonzero_posets(n)
 
 
 def test_grown_posets_count_the_classes():
-    # 1, 1, 2, 5, 16, 63 unlabelled posets on 0..5 points
-    assert [len(harness._nonzero_posets(n)) for n in range(2, 7)] == [1, 2, 5, 16, 63]
+    # 1, 1, 2, 5, 16, 63, 318 unlabelled posets on 0..6 points (A000112)
+    assert [len(harness._nonzero_posets(n)) for n in range(2, 8)] == \
+        [1, 2, 5, 16, 63, 318]
+
+
+def test_class_key_is_a_relabelling_of_each_grown_poset():
+    # each grown poset on 5 points and a random relabelling of it have the
+    # same key, a listed class and one of the poset's relabellings
+    rng = random.Random(4242)
+    classes = set(harness._nonzero_posets(6))
+    grown = [()]
+    for _ in range(5):
+        grown = [up + (above,) for up in grown
+                 for above in harness._up_closed_sets(up)]
+    for up in grown:
+        order = rng.sample(range(5), 5)
+        key = harness._class_key(harness._relabel(up, order))
+        assert key == harness._class_key(up) and key in classes
+        assert key in {harness._relabel(up, pi) for pi in permutations(range(5))}
 
 
 def test_probe_orders_put_zero_above_each_class_matrix():
     for n in range(2, 7):
-        want = [((True,) + (False,) * (n - 1),) + tuple((True,) + row for row in rel)
-                for rel in harness._nonzero_posets(n)]
-        assert [matrix_of(po) for po in harness._probe_orders(n)] == want
+        top = ((True,) + (False,) * (n - 1),)
+        want = [top + tuple((True,) + row for row in _matrix(up))
+                for up in harness._nonzero_posets(n)]
+        assert [matrix_of(po) for po in _probe_orders(n)] == want
 
 
-def test_probe_enumerates_the_maps_once_per_order(monkeypatch):
+def test_convex_subsets_match_the_violation_search():
+    rng = random.Random(5353)
+    for _ in range(200):
+        po = harness._random_order(rng, rng.randint(1, 7))
+        assert harness._convex_subsets(po) == [
+            bits for bits in range(1, (1 << po.n) - 1)
+            if _convex_violation(po, bits) is None]
+
+
+def test_probe_counts_the_maps_once_per_order(monkeypatch):
     calls = []
 
     def counted(po):
         calls.append(po)
-        return monotone_maps(po)
+        return monotone_count(po)
 
-    monkeypatch.setattr(harness, "monotone_maps", counted)
+    monkeypatch.setattr(harness, "monotone_count", counted)
     result = probe_conjecture(5)
     assert len(calls) == result.orders == 16
     assert result.configurations == 339
@@ -205,7 +257,7 @@ def test_closed_form_matches_classify(n):
     # the probe reads each configuration off the order; classify and
     # is_minimal judge the DFA with every monotone map as a letter
     proper_count = 0
-    for po in harness._probe_orders(n):
+    for po in _probe_orders(n):
         maps = tuple(monotone_maps(po))
         names = letter_names(len(maps))
         leq = matrix_of(po)
@@ -236,7 +288,7 @@ def test_probe_at_two_is_degenerate():
 
 def test_probe_rejects_large_n():
     with pytest.raises(ResourceCap):
-        probe_conjecture(7)
+        probe_conjecture(8)
     with pytest.raises(ResourceCap):
         probe_conjecture(1)
 
@@ -265,3 +317,23 @@ def test_monotone_counts_store_no_maps():
     assert [r.actual for r in reports] == [6435, 524390]
     assert all(r.passed for r in reports)
     assert peak < 5 << 20
+
+
+def test_monotone_counts_past_the_enumeration_cap():
+    # the reversal counts from 9,566,137 maps on, which enumeration
+    # refused at its 2,000,000-map cap
+    reports = verify_monotone_counts(range(9, 13))
+    assert [r.actual for r in reports if r.suite == "monotone-reversal"] == \
+        [9566137, 200000392, 4715896159, 123834729994]
+    assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_monotone_counts_refuse_small_n(n):
+    with pytest.raises(BadSize, match=f"need n >= 3, got {n}"):
+        verify_monotone_counts(range(n, 4))
+
+
+def test_reversal_refuses_negative_samples():
+    with pytest.raises(BadSize, match="samples must be at least 0, got -3"):
+        verify_reversal([], samples=-3)

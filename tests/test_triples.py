@@ -22,9 +22,11 @@ from sconvex import (AxiomViolation, Dfa, FormatError, NonConvexFinals,
                      reversal_system, reversal_witness, star_system,
                      star_witness, syntactic_system, syntactic_witness,
                      total_order)
-from sconvex.harness import _random_convex_finals, _random_order
+from sconvex import harness, triples
+from sconvex.harness import (_random_convex_finals, _random_order,
+                             monotone_reversal_count, monotone_total_count)
 from sconvex.triples import (_convex_violation, _require_partial_order,
-                             _respecting_walk)
+                             _respecting_walk, monotone_count, monotone_maps)
 
 from conftest import random_dfa
 from oracles import (antichain_order_matrix, first_convexity_violation,
@@ -471,6 +473,55 @@ def test_monotone_cap():
         monotone_transformations(total_order(8), cap=100)
     # the cap bounds the maps produced, not the n^n candidates
     assert len(monotone_transformations(total_order(8), cap=6435)) == 6435
+
+
+def test_monotone_count_matches_enumeration_on_probe_orders():
+    for n in range(2, 7):
+        for up in harness._nonzero_posets(n):
+            po = harness._probe_order(n, up)
+            assert monotone_count(po) == sum(1 for _ in monotone_maps(po))
+
+
+def test_monotone_count_matches_enumeration_on_random_orders():
+    rng = random.Random(7070)
+    for _ in range(300):
+        po = _random_order(rng, rng.randint(0, 7))
+        assert monotone_count(po) == sum(1 for _ in monotone_maps(po))
+
+
+def test_monotone_count_meets_both_closed_forms():
+    for n in range(3, 41):
+        assert monotone_count(total_order(n)) == monotone_total_count(n)
+        assert monotone_count(reversal_order(n)) == monotone_reversal_count(n)
+
+
+def test_monotone_count_refuses_what_enumeration_refuses():
+    rng = random.Random(6262)
+    refused = 0
+    for _ in range(200):
+        po = _random_preorder(rng, rng.randint(2, 6))
+        try:
+            _require_partial_order(po)
+        except NotPartialOrder as e:
+            refused += 1
+            with pytest.raises(NotPartialOrder, match=f"^{e}$"):
+                monotone_count(po)
+            with pytest.raises(NotPartialOrder, match=f"^{e}$"):
+                monotone_maps(po)
+        else:
+            assert monotone_count(po) == sum(1 for _ in monotone_maps(po))
+    assert 0 < refused < 200
+
+
+def test_monotone_count_cap(monkeypatch):
+    # the antichain on 5 states leaves 5 distinct mask tuples after state 0
+    monkeypatch.setattr(triples, "CLOSURE_CAP", 4)
+    with pytest.raises(ResourceCap, match="5 states reached 5 mask tuples "
+                                          "at state 0, over the cap 4"):
+        monotone_count(antichain_order(5))
+    monkeypatch.setattr(triples, "CLOSURE_CAP", 5)
+    # image[0] = 0 frees the other four states, any other image pins them
+    assert monotone_count(antichain_order(5)) == 5 ** 4 + 4
 
 
 def test_enumeration_refuses_too_many_states_before_producing_maps():
