@@ -18,7 +18,7 @@ from itertools import permutations, product
 from .automata import (Dfa, atom_count, complexity, determinize, minimize,
                        product_nfa, direct_product, star_nfa, _mask)
 from .errors import BadSize, ResourceCap
-from .transformations import syntactic_complexity
+from .transformations import CLOSURE_CAP, syntactic_complexity
 from .triples import (Preorder, TripleSystem, _bits, _convex_violation,
                       _respecting_walk, antichain_order, canonical_system,
                       check_enumerable, letter_names, monotone_count,
@@ -343,6 +343,10 @@ def random_suffix_convex(n: int, letters: int, seed: int) -> Dfa:
         raise BadSize(f"need n >= 2 for a proper final set, got {n}")
     if letters < 1:
         raise BadSize("need at least one letter")
+    # the order takes n^2 steps to build and the letters n*letters entries
+    if n * n > CLOSURE_CAP or n * letters > CLOSURE_CAP:
+        raise ResourceCap(f"a random DFA on {n} states with {letters} letters "
+                          f"needs n*n and n*letters at most {CLOSURE_CAP}")
     rng = random.Random(seed)
     po = _random_order(rng, n)
     finals = _random_convex_finals(rng, po)
@@ -398,21 +402,18 @@ def _relabel(up, order):
 
 def _class_key(up):
     """The least relabelling of a poset, given by the masks of the points
-    strictly above each point, among the relabellings that sort the points
-    by an invariant: up-set and down-set size, then the sorted such sizes
-    of the points above and of the points below.  Those relabellings turn
-    isomorphic posets into the same set of matrices, so the least is
-    canonical, and only points with equal invariants are permuted among
-    themselves.
+    strictly above each point, among those that sort the points by up-set
+    and then down-set size.  These turn isomorphic posets into the same
+    set of matrices, so the least is canonical.  A point has fewer points
+    above it than any point below it, so the key lists each point only
+    below earlier ones.
     """
     m = len(up)
     down = [sum(1 << b for b in range(m) if up[b] >> a & 1) for a in range(m)]
     size = [(up[a].bit_count(), down[a].bit_count()) for a in range(m)]
-    invariant = [(size[a], tuple(sorted(size[b] for b in _bits(up[a]))),
-                  tuple(sorted(size[b] for b in _bits(down[a])))) for a in range(m)]
     cells = {}
-    for a in sorted(range(m), key=invariant.__getitem__):
-        cells.setdefault(invariant[a], []).append(a)
+    for a in sorted(range(m), key=size.__getitem__):
+        cells.setdefault(size[a], []).append(a)
     return min(_relabel(up, sum(choice, ()))
                for choice in product(*map(permutations, cells.values())))
 
@@ -422,15 +423,16 @@ def _nonzero_posets(n):
     each as its _class_key: the masks of the points strictly above each
     point.
 
-    Every poset has a labelling with each point only below earlier ones, so
-    the posets grow one point at a time, point k below an up-closed set of
-    0..k-1 (Brinkmann & McKay 2002).  The classes come in the order in which
-    the growth first meets them.
+    Each poset is a smaller one with a minimal point added below an
+    up-closed set (Brinkmann & McKay 2002).  So each level adds a point
+    below each up-closed set of each class key one point smaller, and
+    keeps the distinct keys of those posets in the order first met.
     """
-    grown = [()]
+    keys = [()]
     for _ in range(n - 1):
-        grown = [up + (above,) for up in grown for above in _up_closed_sets(up)]
-    return list(dict.fromkeys(map(_class_key, grown)))
+        grown = (up + (above,) for up in keys for above in _up_closed_sets(up))
+        keys = list(dict.fromkeys(map(_class_key, grown)))
+    return keys
 
 
 def _least_labelling(up):
@@ -480,10 +482,10 @@ def probe_conjecture(n: int) -> ProbeResult:
     """Exhaustive search for the largest syntactic complexity reachable
     from order-generated systems.
 
-    Grows every partial order on the non-zero states one point at a time,
-    one per isomorphism class, and puts 0 above them all.  For an order P
-    with monotone maps M, a convex final set F gives the DFA with the maps
-    of M as letters.  Its flags and its syntactic size follow from P:
+    Grows one partial order per isomorphism class on the non-zero states,
+    each from a class one point smaller, and puts 0 above them all.  For
+    an order P with monotone maps M, a convex final set F gives the DFA
+    with M as letters.  Its flags and its syntactic size follow from P:
 
     - Walks take one step.  M is a monoid, so the tuples reached from a
       tuple t are exactly the images m(t), m in M.
@@ -506,17 +508,17 @@ def probe_conjecture(n: int) -> ProbeResult:
     lower bound, not a refutation procedure.
 
     The classes are keyed by _class_key, the least matrix over the
-    relabellings that sort the points by an invariant.  Ties at the
-    maximum are broken as by a sweep of every relation on the non-zero
-    states in increasing bit code: among the classes with a proper
-    configuration and the largest count, the best order is the one with
-    the least code over all its labellings, printed in its least 0/1
+    relabellings that sort the points by up-set and down-set size.  Ties
+    at the maximum are broken as by a sweep of every relation on the
+    non-zero states in increasing bit code: among the classes with a
+    proper configuration and the largest count, the best order is the one
+    with the least code over all its labellings, printed in its least 0/1
     matrix over all relabellings, with its first proper final set in
     increasing bit mask.  Only the tied classes pay for all (n-1)!
     relabellings.
     """
-    if not 2 <= n <= 7:
-        raise ResourceCap(f"the probe enumerates orders only for 2 <= n <= 7, got {n}")
+    if not 2 <= n <= 8:
+        raise ResourceCap(f"the probe enumerates orders only for 2 <= n <= 8, got {n}")
     classes = _nonzero_posets(n)
     configurations = 0
     proper_count = 0

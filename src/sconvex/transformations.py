@@ -181,10 +181,11 @@ def parse_transformation(text: str, n: int) -> Transformation:
 class Semigroup:
     """A transformation semigroup with every element.
 
-    `images` lists the image vectors in the enumeration order of the
-    closure: breadth-first by product length, ties broken by generator
-    order.  Generators appear first, whether or not the identity is among
-    them.
+    `images` lists the image vectors in the order their builder met them.
+    From `closure` that is breadth-first by product length, ties broken by
+    generator order, so generators appear first, whether or not the
+    identity is among them.  `monotone_transformations` and
+    `maximal_semigroup` list their maps lexicographically.
     """
 
     n: int

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -211,7 +212,17 @@ def test_probe_conjecture_output(capsys):
 
 
 def test_probe_conjecture_cap(capsys):
-    assert main(["probe-conjecture", "--n", "8"]) == 3
+    assert main(["probe-conjecture", "--n", "9"]) == 3
+
+
+@pytest.mark.parametrize("args", [["--n", "100000"],
+                                  ["--n", "3", "--letters", "1000000000"]])
+def test_random_refuses_oversized_requests_fast(args, capsys):
+    # refused before the order, which takes n^2 steps to build
+    start = time.process_time()
+    assert main(["random", *args]) == 3
+    assert time.process_time() - start < 0.1
+    assert "at most 2000000" in capsys.readouterr().err
 
 
 def test_export_dot(star4_file, capsys):

@@ -172,6 +172,14 @@ GOLDEN_PROBE = {
         "best-order", "  1 0 0 0 0 0 0", "  1 1 0 0 0 0 0", "  1 0 1 0 0 0 0",
         "  1 0 0 1 0 0 0", "  1 0 0 0 1 0 0", "  1 0 0 0 0 1 0",
         "  1 0 0 0 0 1 1", "best-final 5"],
+    # from the code that grew every labelled poset before keying it, with
+    # its n <= 7 guard lifted
+    8: ["probe n=8 orders=2045 configurations=218021 proper=125419 max=524390 "
+        "formula=941241 achieves=false",
+        "best-order", "  1 0 0 0 0 0 0 0", "  1 1 0 0 0 0 0 0",
+        "  1 0 1 0 0 0 0 0", "  1 0 0 1 0 0 0 0", "  1 0 0 0 1 0 0 0",
+        "  1 0 0 0 0 1 0 0", "  1 0 0 0 0 0 1 0", "  1 0 0 0 0 0 1 1",
+        "best-final 6"],
 }
 
 
@@ -201,9 +209,36 @@ def test_grown_posets_match_the_relation_sweep(n):
 
 
 def test_grown_posets_count_the_classes():
-    # 1, 1, 2, 5, 16, 63, 318 unlabelled posets on 0..6 points (A000112)
-    assert [len(harness._nonzero_posets(n)) for n in range(2, 8)] == \
-        [1, 2, 5, 16, 63, 318]
+    # 1, 1, 2, 5, 16, 63, 318, 2045 unlabelled posets on 0..7 points (A000112)
+    assert [len(harness._nonzero_posets(n)) for n in range(2, 9)] == \
+        [1, 2, 5, 16, 63, 318, 2045]
+
+
+@pytest.mark.slow
+def test_grown_posets_count_the_classes_on_eight_points():
+    assert len(harness._nonzero_posets(9)) == 16999
+
+
+def test_grown_posets_list_each_point_below_earlier_ones():
+    for n in range(2, 9):
+        for up in harness._nonzero_posets(n):
+            assert all(above >> k == 0 for k, above in enumerate(up))
+
+
+def test_grown_posets_key_only_the_extensions_of_the_smaller_classes(monkeypatch):
+    # one point more keys each class on 5 points below each of its
+    # up-closed sets, and no other labelled poset
+    extensions = sum(len(harness._up_closed_sets(up))
+                     for up in harness._nonzero_posets(6))
+    calls = []
+    class_key = harness._class_key
+    monkeypatch.setattr(harness, "_class_key",
+                        lambda up: calls.append(up) or class_key(up))
+    harness._nonzero_posets(6)
+    smaller = len(calls)
+    calls.clear()
+    harness._nonzero_posets(7)
+    assert len(calls) == smaller + extensions
 
 
 def test_class_key_is_a_relabelling_of_each_grown_poset():
@@ -288,7 +323,7 @@ def test_probe_at_two_is_degenerate():
 
 def test_probe_rejects_large_n():
     with pytest.raises(ResourceCap):
-        probe_conjecture(8)
+        probe_conjecture(9)
     with pytest.raises(ResourceCap):
         probe_conjecture(1)
 
