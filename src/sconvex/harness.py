@@ -13,15 +13,16 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import groupby, permutations, product
+from operator import itemgetter
 
 from .automata import (Dfa, atom_count, complexity, determinize, minimize,
                        product_nfa, direct_product, star_nfa, _mask)
 from .errors import BadSize, ResourceCap
 from .transformations import CLOSURE_CAP, syntactic_complexity
 from .triples import (Preorder, TripleSystem, _bits, _convex_violation,
-                      _respecting_walk, antichain_order, canonical_system,
-                      check_enumerable, letter_names, monotone_count,
+                      _count_monotone, _respecting_walk, antichain_order,
+                      canonical_system, letter_names, monotone_count,
                       order_properties, preorder_of, total_order)
 from .witnesses import (LetterMap, dialect, reversal_order, reversal_witness,
                         star_witness, syntactic_witness)
@@ -32,6 +33,8 @@ BOOLEAN_RANGE = range(3, 9)
 REVERSAL_RANGE = range(4, 11)
 SYNTACTIC_RANGE = range(3, 8)
 MONOTONE_RANGE = range(3, 8)
+# the counter's work cap admits both orders to 112 states
+MONOTONE_MAX_N = 100
 EXCLUSION_RANGE = range(4, 9)
 
 DEFAULT_SEED = 987123
@@ -197,12 +200,16 @@ def verify_syntactic(ns=SYNTACTIC_RANGE):
 def verify_monotone_counts(ns=MONOTONE_RANGE):
     '''Monotone-map counts, by dynamic programming with none of the maps
     produced, match the formulas.'''
-    reports = []
+    # before the orders, whose construction grows with n^2
+    ns = list(ns)
     for n in ns:
         if n < 3:
             raise BadSize(f"the monotone counts need n >= 3, got {n}")
-        # before the orders, whose construction grows with n^2
-        check_enumerable(n)
+        if n > MONOTONE_MAX_N:
+            raise ResourceCap(f"the monotone counts support at most "
+                              f"{MONOTONE_MAX_N} states, got {n}")
+    reports = []
+    for n in ns:
         t0 = time.perf_counter()
         actual = monotone_count(total_order(n))
         reports.append(_report("monotone-total", [("n", n)],
@@ -392,14 +399,6 @@ def _up_closed_sets(up):
     return sets
 
 
-def _relabel(up, order):
-    '''The masks up with the old point order[i] renamed to i.'''
-    new = [0] * len(order)
-    for i, a in enumerate(order):
-        new[a] = 1 << i
-    return tuple(sum(new[b] for b in _bits(up[a])) for a in order)
-
-
 def _class_key(up):
     """The least relabelling of a poset, given by the masks of the points
     strictly above each point, among those that sort the points by up-set
@@ -407,15 +406,68 @@ def _class_key(up):
     set of matrices, so the least is canonical.  A point has fewer points
     above it than any point below it, so the key lists each point only
     below earlier ones.
+
+    So the masks of a cell of equal sizes depend only on the labels of
+    the cells before it, and the key is least cell by cell: each cell
+    takes its masks in increasing order, from the labellings of the
+    earlier cells that make them least.  Points with equal masks there
+    are then labelled each way, with two savings that keep the least key:
+    - a point no point lies below is in no mask, so it needs no label,
+      and the others take the lowest labels of their run of equal masks,
+      which leaves every comparison of masks as it was;
+    - points with equal masks and equal down-sets are swapped by an
+      automorphism, so one order of them is enough.
     """
     m = len(up)
-    down = [sum(1 << b for b in range(m) if up[b] >> a & 1) for a in range(m)]
+    above = [list(_bits(mask)) for mask in up]
+    down = [0] * m
+    for b, points in enumerate(above):
+        for a in points:
+            down[a] |= 1 << b
     size = [(up[a].bit_count(), down[a].bit_count()) for a in range(m)]
     cells = {}
     for a in sorted(range(m), key=size.__getitem__):
         cells.setdefault(size[a], []).append(a)
-    return min(_relabel(up, sum(choice, ()))
-               for choice in product(*map(permutations, cells.values())))
+    (key, start) = ((), 0)
+    # partial labellings: label[a] is the bit of the new label of point a
+    labellings = [[0] * m]
+    for cell in cells.values():
+        if len(cell) == 1 == len(labellings):
+            ((a,), label) = (cell, labellings[0])
+            key += (sum(map(label.__getitem__, above[a])),)
+            label[a] = 1 << start
+            start += 1
+            continue
+        blocks = {}
+        for label in labellings:
+            masks = sorted((sum(map(label.__getitem__, above[a])), a) for a in cell)
+            blocks.setdefault(tuple(mask for mask, _ in masks), []).append(
+                (label, masks))
+        least = min(blocks)
+        key += least
+        if start + len(cell) == m:
+            return key
+        labellings = []
+        for label, masks in blocks[least]:
+            (ways, first) = ([], start)
+            for _, run in groupby(masks, itemgetter(0)):
+                run = [a for _, a in run]
+                named = [a for a in run if down[a]]
+                if len(named) > 1:
+                    orders = {tuple(down[a] for a in order): order
+                              for order in permutations(named)}
+                    ways.append([(order, first) for order in orders.values()])
+                elif named:
+                    label[named[0]] = 1 << first
+                first += len(run)
+            for choice in product(*ways):
+                new = label[:] if ways else label
+                for order, first in choice:
+                    for i, a in enumerate(order, first):
+                        new[a] = 1 << i
+                labellings.append(new)
+        start += len(cell)
+    return key
 
 
 def _nonzero_posets(n):
@@ -439,22 +491,80 @@ def _least_labelling(up):
     """How a sweep of every relation, by increasing bit code over the
     off-diagonal pairs, meets the class of a poset: that least code, and
     the poset relabelled to its least 0/1 matrix, each over every
-    relabelling."""
+    relabelling.
+
+    Row p of a relabelling has no bit p, so its pairs in the code are the
+    row with bit p taken out, shifted to p * (m - 1); and matrix rows read
+    from column 0 compare as the rows with their m bits reversed.
+    """
     m = len(up)
-    pairs = [(p, q) for p in range(m) for q in range(m) if p != q]
-    views = [_relabel(up, order) for order in permutations(range(m))]
-    code = min(sum(1 << i for i, (p, q) in enumerate(pairs) if view[p] >> q & 1)
-               for view in views)
-    # the matrix rows, each read from column 0
-    least = min(views, key=lambda view: [format(mask | 1 << p, f"0{m}b")[::-1]
-                                         for p, mask in enumerate(view)])
-    return (code, least)
+    above = [list(_bits(mask)) for mask in up]
+    views = []
+    for order in permutations(range(m)):
+        new = [0] * m
+        for i, a in enumerate(order):
+            new[a] = 1 << i
+        views.append([sum(map(new.__getitem__, above[a])) for a in order])
+    low = [(1 << p) - 1 for p in range(m)]
+    code = min(sum((row & low[p] | row >> 1 & ~low[p]) << p * (m - 1)
+                   for p, row in enumerate(view)) for view in views)
+    reverse = [int(format(row, f"0{m}b")[::-1], 2) for row in range(1 << m)]
+    least = min(views, key=lambda view: [reverse[row | 1 << p]
+                                         for p, row in enumerate(view)])
+    return (code, tuple(least))
 
 
 def _probe_order(n, up):
     '''The order of a poset on the non-zero states, with 0 above it all.'''
     return Preorder(n, [1] + [1 | 1 << p + 1 | above << 1
                               for p, above in enumerate(up)])
+
+
+def _counted_masks(up):
+    """The up and down masks of _probe_order for a class key, with the
+    states numbered from the bottom: key point p is state m-1-p of the m
+    points, and 0 on top is state m.  A relabelling keeps the count of
+    monotone maps, and a count that gives the minimal points their images
+    first stops sooner below a floor."""
+    m = len(up)
+    bit = [1 << m - 1 - p for p in range(m)]
+    (ups, downs) = ([b | 1 << m for b in bit], bit[:])
+    for p, above in enumerate(up):
+        for a in _bits(above):
+            ups[p] |= bit[a]
+            downs[a] |= bit[p]
+    return (ups[::-1] + [1 << m], downs[::-1] + [(2 << m) - 1])
+
+
+def _convex_count(up):
+    """|C(P)|, the convex sets of the poset of a class key, the empty set
+    included.
+
+    The walk decides the points in key order and keeps pairs (C, B): C the
+    points taken, B the points left out that lie below a point of C.  A
+    point may join C only if no point above it is in B, and a point left
+    out joins B if a point above it is in C.  A key lists each point only
+    below earlier ones, so every prefix of a convex set is convex, and the
+    pairs need only the points that a later point lies below: pairs that
+    agree on those are merged.
+    """
+    m = len(up)
+    later = [0] * m
+    for k in range(m - 1, 0, -1):
+        later[k - 1] = later[k] | up[k]
+    # each pair as one int: C in the low m bits, B above them
+    pairs = {0: 1}
+    for k, above in enumerate(up):
+        (bit, above_b, keep) = (1 << k, above << m, later[k] | later[k] << m)
+        grown = {}
+        for pair, count in pairs.items():
+            if not pair & above_b:
+                joined = (pair | bit) & keep
+                grown[joined] = grown.get(joined, 0) + count
+            left = (pair | bit << m if pair & above else pair) & keep
+            grown[left] = grown.get(left, 0) + count
+        pairs = grown
+    return sum(pairs.values())
 
 
 def _convex_subsets(po):
@@ -502,10 +612,21 @@ def probe_conjecture(n: int) -> ProbeResult:
       two-valued maps separate any two states, so every proper DFA is
       minimal and its syntactic semigroup is M.
 
-    So the maps of each order are counted once, by monotone_count, and
-    the proper configurations are read off the order.  The search space
-    covers only order-generated systems, so the result is an exploratory
-    lower bound, not a refutation procedure.
+    So the counts come from the class key.  Let C(P) be the convex sets of
+    the poset P on the non-zero states and I(P) its down-closed sets, the
+    empty set in both.  The convex sets that hold 0 are {0} joined to an
+    up-closed set of P, as many as I(P) by complement, and those that do
+    not are C(P), of which the down-closed ones are not proper.  So there
+    are |C(P)| + |I(P)| - 2 configurations, none and all left out, and
+    |C(P)| - |I(P)| proper ones; P has one exactly when it is not an
+    antichain.  _convex_count walks the key for |C(P)|.
+
+    Only the maps of orders with a proper configuration are counted, by
+    the programme of monotone_count, and each count stops once it is sure
+    to fall below the largest so far, so ties are counted in full.  The
+    search space covers only order-generated systems, so the result is an
+    exploratory lower bound, not a refutation procedure.  It runs for
+    2 <= n <= 9.
 
     The classes are keyed by _class_key, the least matrix over the
     relabellings that sort the points by up-set and down-set size.  Ties
@@ -517,20 +638,20 @@ def probe_conjecture(n: int) -> ProbeResult:
     increasing bit mask.  Only the tied classes pay for all (n-1)!
     relabellings.
     """
-    if not 2 <= n <= 8:
-        raise ResourceCap(f"the probe enumerates orders only for 2 <= n <= 8, got {n}")
+    if not 2 <= n <= 9:
+        raise ResourceCap(f"the probe enumerates orders only for 2 <= n <= 9, got {n}")
     classes = _nonzero_posets(n)
     configurations = 0
     proper_count = 0
     (best_size, tied) = (0, [])
     for up in classes:
-        po = _probe_order(n, up)
-        size = monotone_count(po)
-        convex = _convex_subsets(po)
-        proper = sum(_proper(po, finals) for finals in convex)
-        configurations += len(convex)
-        proper_count += proper
-        if proper and size >= best_size:
+        (convex, ideals) = (_convex_count(up), len(_up_closed_sets(up)))
+        configurations += convex + ideals - 2
+        proper_count += convex - ideals
+        if not any(up):
+            continue
+        size = _count_monotone(n, *_counted_masks(up), best_size)
+        if size >= best_size:
             if size > best_size:
                 (best_size, tied) = (size, [])
             tied.append(up)

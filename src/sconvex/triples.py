@@ -390,6 +390,10 @@ def _check_convex_finals(po: Preorder, finals):
 # default cap.
 ENUM_MAX_STATES = 12
 
+# The mask bits one count may handle, about 1.5 s of CPU: total_order(n)
+# fits up to n=112
+COUNT_WORK_CAP = 10 ** 10
+
 
 def _respecting_walk(po: Preorder, scan=(), masks=()):
     """The walk over every map of Q_n that is monotone for po and keeps
@@ -516,7 +520,17 @@ def monotone_maps(po: Preorder, cap: int = CLOSURE_CAP):
 
 def monotone_count(po: Preorder) -> int:
     """The number of maps monotone for a partial order, by dynamic
-    programming, none of the maps produced.
+    programming, none of the maps produced (see _count_monotone).  The
+    order must be antisymmetric with maximum 0.
+    """
+    _require_partial_order(po)
+    return _count_monotone(po.n, po.up, po.down)
+
+
+def _count_monotone(n, up, down, floor=0):
+    """The number of maps of Q_n monotone for the partial order with these
+    up and down masks, if it is at least floor; otherwise some number
+    below floor, perhaps found before the count is done.
 
     States get their images in the order 0..n-1, as in monotone_maps.
     The maps that agree on 0..q-1 leave each later state r a candidate
@@ -524,15 +538,24 @@ def monotone_count(po: Preorder) -> int:
     below, resp. above, r; how such a map can go on depends only on those
     masks.  So level q keeps one count per distinct tuple of the masks of
     q..n-1, packed into one int, n bits per state with q lowest: giving q
-    the image v is one shift and one AND.  The order must be antisymmetric
-    with maximum 0.  ResourceCap is raised once a level holds more than
-    CLOSURE_CAP tuples.
+    the image v is one shift and one AND.  After each level, the sum of
+    count times the product of the popcounts of its masks bounds the maps,
+    and the count stops once that bound is below floor.
+
+    ResourceCap is raised once a level holds more than CLOSURE_CAP tuples,
+    and before a level that would take the mask bits handled past
+    COUNT_WORK_CAP: each level builds n masks of n * (n - q) bits and
+    steps each tuple by at most n images.
     """
-    _require_partial_order(po)
-    (n, up, down) = (po.n, po.up, po.down)
     full = (1 << n) - 1
     level = {(1 << n * n) - 1: 1}
+    # every level's table, counted up front so that a large n fails at once
+    work = n * n * n * (n + 1) // 2
     for q in range(n):
+        work += len(level) * n * n * (n - q)
+        if work > COUNT_WORK_CAP:
+            raise ResourceCap(f"counting on {n} states would handle {work} mask "
+                              f"bits by state {q}, over the cap {COUNT_WORK_CAP}")
         # one bit at the slot of each state after q that is above q, below
         # q, or neither, so that a product copies a mask into those slots
         slots = [0, 0, 0]
@@ -553,6 +576,16 @@ def monotone_count(po: Preorder) -> int:
                                   f"mask tuples at state {q}, over the cap "
                                   f"{CLOSURE_CAP}")
         level = counts
+        if floor:
+            (bound, shifts) = (0, range(0, n * (n - q - 1), n))
+            for masks, count in level.items():
+                for shift in shifts:
+                    count *= (masks >> shift & full).bit_count()
+                bound += count
+                if bound >= floor:
+                    break
+            else:
+                return bound
     return sum(level.values())
 
 

@@ -276,6 +276,25 @@ def naive_nonzero_posets(n):
     return out
 
 
+def naive_class_key(up):
+    """The least of the poset's relabellings that sort the points by
+    up-set and then down-set size, by trying every such relabelling; up[a]
+    masks the points strictly above a."""
+    m = len(up)
+    down = [sum(1 << b for b in range(m) if up[b] >> a & 1) for a in range(m)]
+    size = [(bin(up[a]).count("1"), bin(down[a]).count("1")) for a in range(m)]
+    cells = {}
+    for a in sorted(range(m), key=size.__getitem__):
+        cells.setdefault(size[a], []).append(a)
+    views = []
+    for choice in product(*map(permutations, cells.values())):
+        order = sum(choice, ())
+        label = {a: i for i, a in enumerate(order)}
+        views.append(tuple(sum(1 << label[b] for b in range(m) if up[a] >> b & 1)
+                           for a in order))
+    return min(views)
+
+
 def matrix_of(po):
     """The n by n 0/1 matrix of a Preorder, read bit by bit off its up
     masks: entry [p][q] is True when p <= q."""

@@ -191,9 +191,17 @@ def test_verify_monotone_refuses_n_below_three(capsys):
 
 
 def test_verify_monotone_refuses_large_n_at_once(capsys):
-    assert main(["verify", "--suite", "monotone", "--min-n", "1000",
+    assert main(["verify", "--suite", "monotone", "--min-n", "100",
                  "--max-n", "1000"]) == 3
-    assert "at most 12 states, got 1000" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the monotone counts support at most 100 states, got 101" in captured.err
+
+
+def test_verify_monotone_counts_past_twelve(capsys):
+    assert main(["verify", "--suite", "monotone", "--min-n", "13",
+                 "--max-n", "13"]) == 0
+    assert capsys.readouterr().out.count("result=PASS") == 2
 
 
 def test_random_then_classify(tmp_path, capsys):
@@ -212,7 +220,8 @@ def test_probe_conjecture_output(capsys):
 
 
 def test_probe_conjecture_cap(capsys):
-    assert main(["probe-conjecture", "--n", "9"]) == 3
+    assert main(["probe-conjecture", "--n", "10"]) == 3
+    assert "2 <= n <= 9, got 10" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [["--n", "100000"],
@@ -264,7 +273,7 @@ def test_one_parser_serves_a_mixed_run_twice(star4_file, capsys, monkeypatch):
     commands = [["classify", star4_file],
                 ["verify", "--suite", "star", "--max-n", "4"],
                 ["classify", "--frobnicate", star4_file],
-                ["verify", "--suite", "monotone", "--min-n", "13", "--max-n", "13"]]
+                ["verify", "--suite", "monotone", "--min-n", "101", "--max-n", "101"]]
 
     def run():
         results = []

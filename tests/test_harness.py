@@ -13,10 +13,11 @@ from sconvex import (BadSize, Dfa, Report, ResourceCap, classify, harness,
                      verify_exclusions, verify_monotone_counts,
                      verify_product, verify_reversal, verify_star,
                      verify_syntactic)
-from sconvex.triples import (_convex_violation, letter_names, monotone_count,
-                             monotone_maps)
+from sconvex import triples
+from sconvex.triples import (_bits, _convex_violation, letter_names,
+                             monotone_count, monotone_maps)
 
-from oracles import matrix_of, naive_nonzero_posets
+from oracles import matrix_of, naive_class_key, naive_nonzero_posets
 
 
 def test_report_line_shape():
@@ -180,10 +181,19 @@ GOLDEN_PROBE = {
         "  1 0 1 0 0 0 0 0", "  1 0 0 1 0 0 0 0", "  1 0 0 0 1 0 0 0",
         "  1 0 0 0 0 1 0 0", "  1 0 0 0 0 0 1 0", "  1 0 0 0 0 0 1 1",
         "best-final 6"],
+    # from the code that listed every convex set of every order and counted
+    # every order's maps in full, with its n <= 8 guard lifted
+    9: ["probe n=9 orders=16999 configurations=3023833 proper=1957155 "
+        "max=9566137 formula=18874432 achieves=false",
+        "best-order", "  1 0 0 0 0 0 0 0 0", "  1 1 0 0 0 0 0 0 0",
+        "  1 0 1 0 0 0 0 0 0", "  1 0 0 1 0 0 0 0 0", "  1 0 0 0 1 0 0 0 0",
+        "  1 0 0 0 0 1 0 0 0", "  1 0 0 0 0 0 1 0 0", "  1 0 0 0 0 0 0 1 0",
+        "  1 0 0 0 0 0 0 1 1", "best-final 7"],
 }
 
 
-@pytest.mark.parametrize("n", sorted(GOLDEN_PROBE))
+@pytest.mark.parametrize("n", [n if n < 9 else pytest.param(n, marks=pytest.mark.slow)
+                               for n in sorted(GOLDEN_PROBE)])
 def test_probe_golden_lines(n):
     assert list(probe_conjecture(n).lines()) == GOLDEN_PROBE[n]
 
@@ -241,6 +251,14 @@ def test_grown_posets_key_only_the_extensions_of_the_smaller_classes(monkeypatch
     assert len(calls) == smaller + extensions
 
 
+def _relabel(up, order):
+    '''The masks up with the old point order[i] renamed to i.'''
+    new = [0] * len(order)
+    for i, a in enumerate(order):
+        new[a] = 1 << i
+    return tuple(sum(new[b] for b in _bits(up[a])) for a in order)
+
+
 def test_class_key_is_a_relabelling_of_each_grown_poset():
     # each grown poset on 5 points and a random relabelling of it have the
     # same key, a listed class and one of the poset's relabellings
@@ -252,9 +270,21 @@ def test_class_key_is_a_relabelling_of_each_grown_poset():
                  for above in harness._up_closed_sets(up)]
     for up in grown:
         order = rng.sample(range(5), 5)
-        key = harness._class_key(harness._relabel(up, order))
+        key = harness._class_key(_relabel(up, order))
         assert key == harness._class_key(up) and key in classes
-        assert key in {harness._relabel(up, pi) for pi in permutations(range(5))}
+        assert key in {_relabel(up, pi) for pi in permutations(range(5))}
+
+
+def test_class_key_matches_the_sweep_of_every_sorted_relabelling():
+    # the cell-by-cell search against trying every relabelling that sorts
+    # the points by size, on each grown poset on 6 points and a random
+    # relabelling of it
+    rng = random.Random(3131)
+    for up in harness._nonzero_posets(7):
+        for above in harness._up_closed_sets(up):
+            grown = up + (above,)
+            for poset in (grown, _relabel(grown, rng.sample(range(7), 7))):
+                assert harness._class_key(poset) == naive_class_key(poset)
 
 
 def test_probe_orders_put_zero_above_each_class_matrix():
@@ -274,17 +304,49 @@ def test_convex_subsets_match_the_violation_search():
             if _convex_violation(po, bits) is None]
 
 
-def test_probe_counts_the_maps_once_per_order(monkeypatch):
+def test_probe_counts_at_most_once_per_class(monkeypatch):
+    # each class costs a walk over its key and at most one bounded count;
+    # only the antichain, which has no proper configuration, is not counted
     calls = []
+    count = harness._count_monotone
 
-    def counted(po):
-        calls.append(po)
-        return monotone_count(po)
+    def counted(*args):
+        calls.append(args)
+        return count(*args)
 
-    monkeypatch.setattr(harness, "monotone_count", counted)
-    result = probe_conjecture(5)
-    assert len(calls) == result.orders == 16
-    assert result.configurations == 339
+    monkeypatch.setattr(harness, "_count_monotone", counted)
+    for n in range(2, 8):
+        calls.clear()
+        orders = probe_conjecture(n).orders
+        assert len(calls) == orders - 1
+
+
+def test_counts_from_the_key_match_the_convex_sets():
+    # |C(P)| + |I(P)| - 2 and |C(P)| - |I(P)| against every convex set of
+    # the order and the proper ones among them
+    for n in range(2, 9):
+        for up in harness._nonzero_posets(n):
+            po = harness._probe_order(n, up)
+            convex = harness._convex_subsets(po)
+            (c, i) = (harness._convex_count(up), len(harness._up_closed_sets(up)))
+            assert c + i - 2 == len(convex)
+            assert c - i == sum(harness._proper(po, f) for f in convex)
+
+
+def test_counted_masks_relabel_the_probe_order():
+    # state m-1-p of the counted order is state p+1 of the probe order, and
+    # 0 is state m; the count is the same
+    for n in range(2, 7):
+        for up in harness._nonzero_posets(n):
+            po = harness._probe_order(n, up)
+            (ups, downs) = harness._counted_masks(up)
+            name = [n - 1] + [n - 2 - p for p in range(n - 1)]
+            assert ups == [sum(1 << name[q] for q in range(n) if po.up[p] >> q & 1)
+                           for p in sorted(range(n), key=name.__getitem__)]
+            assert downs == [sum(1 << name[q] for q in range(n)
+                                 if po.down[p] >> q & 1)
+                             for p in sorted(range(n), key=name.__getitem__)]
+            assert triples._count_monotone(n, ups, downs) == monotone_count(po)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
@@ -322,23 +384,31 @@ def test_probe_at_two_is_degenerate():
 
 
 def test_probe_rejects_large_n():
-    with pytest.raises(ResourceCap):
-        probe_conjecture(9)
+    with pytest.raises(ResourceCap, match="2 <= n <= 9, got 10"):
+        probe_conjecture(10)
     with pytest.raises(ResourceCap):
         probe_conjecture(1)
 
 
 def test_monotone_counts_refuse_before_building_orders():
     # building the two orders first costs about 374 MB max RSS at 2,000
-    # states, and it grows with n^2
+    # states, and it grows with n^2; n=100 goes first, so the whole range
+    # is refused before any count
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceCap, match="at most 12 states, got 3000"):
-            verify_monotone_counts(range(3000, 3001))
+        with pytest.raises(ResourceCap, match="at most 100 states, got 3000"):
+            verify_monotone_counts([100, 3000])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_monotone_counts_reach_their_bound():
+    reports = verify_monotone_counts([harness.MONOTONE_MAX_N])
+    assert [r.actual for r in reports] == [monotone_total_count(100),
+                                           monotone_reversal_count(100)]
+    assert all(r.passed for r in reports)
 
 
 def test_monotone_counts_store_no_maps():
@@ -356,10 +426,10 @@ def test_monotone_counts_store_no_maps():
 
 def test_monotone_counts_past_the_enumeration_cap():
     # the reversal counts from 9,566,137 maps on, which enumeration
-    # refused at its 2,000,000-map cap
-    reports = verify_monotone_counts(range(9, 13))
+    # refused at its 2,000,000-map cap, and past its 12 states
+    reports = verify_monotone_counts(range(9, 14))
     assert [r.actual for r in reports if r.suite == "monotone-reversal"] == \
-        [9566137, 200000392, 4715896159, 123834729994]
+        [9566137, 200000392, 4715896159, 123834729994, 3584320791157]
     assert all(r.passed for r in reports)
 
 

@@ -25,8 +25,9 @@ from sconvex import (AxiomViolation, Dfa, FormatError, NonConvexFinals,
 from sconvex import harness, triples
 from sconvex.harness import (_random_convex_finals, _random_order,
                              monotone_reversal_count, monotone_total_count)
-from sconvex.triples import (_convex_violation, _require_partial_order,
-                             _respecting_walk, monotone_count, monotone_maps)
+from sconvex.triples import (_convex_violation, _count_monotone,
+                             _require_partial_order, _respecting_walk,
+                             monotone_count, monotone_maps)
 
 from conftest import random_dfa
 from oracles import (antichain_order_matrix, first_convexity_violation,
@@ -522,6 +523,46 @@ def test_monotone_count_cap(monkeypatch):
     monkeypatch.setattr(triples, "CLOSURE_CAP", 5)
     # image[0] = 0 frees the other four states, any other image pins them
     assert monotone_count(antichain_order(5)) == 5 ** 4 + 4
+
+
+def test_bounded_count_is_exact_at_or_above_its_floor():
+    # floors around the true count: at or below it the count is exact, and
+    # above it the counter may stop early but answers below the floor
+    rng = random.Random(8181)
+    stopped = 0
+    for _ in range(300):
+        po = _random_order(rng, rng.randint(1, 8))
+        (n, up, down) = (po.n, po.up, po.down)
+        count = monotone_count(po)
+        assert _count_monotone(n, up, down, 0) == count
+        for floor in (1, count // 2, count - 1, count, count + 1, 2 * count,
+                      rng.randint(1, 3 * count)):
+            got = _count_monotone(n, up, down, floor)
+            if count >= floor:
+                assert got == count
+            else:
+                assert got < floor
+                stopped += got != count
+    assert stopped > 0
+
+
+def test_count_refuses_past_its_work_cap(monkeypatch):
+    # the tables of every level alone are n^4/2 bits or so, so 1000 states
+    # are refused before the first
+    po = total_order(1000)
+    start = time.process_time()
+    with pytest.raises(ResourceCap, match="counting on 1000 states would handle "
+                                          "501500000000 mask bits by state 0"):
+        monotone_count(po)
+    assert time.process_time() - start < 0.1
+    # total_order(4): tables 160 bits, then each level's tuples times 16 bits
+    # per remaining state: 64, 4 * 48, 4 * 32 and 4 * 16
+    monkeypatch.setattr(triples, "COUNT_WORK_CAP", 607)
+    with pytest.raises(ResourceCap, match="handle 608 mask bits by state 3, "
+                                          "over the cap 607"):
+        monotone_count(total_order(4))
+    monkeypatch.setattr(triples, "COUNT_WORK_CAP", 608)
+    assert monotone_count(total_order(4)) == 35
 
 
 def test_enumeration_refuses_too_many_states_before_producing_maps():
