@@ -35,6 +35,10 @@ holds on the reachable part of any complete DFA, minimal or not.
 canonical.
 
 Each predicate on its own runs only its pair walk, with no triples.
+
+`triples.canonical_system` decides convexity with its own backward masks,
+which hold every triple that reaches (final, final, non-final), and runs
+this chain only to spell the counterexample of a refusal.
 """
 
 from __future__ import annotations

@@ -567,27 +567,6 @@ def _convex_count(up):
     return sum(pairs.values())
 
 
-def _convex_subsets(po):
-    """Each convex set of states other than none and all, as its bit mask.
-
-    A set is convex exactly when the states above some member and below
-    some member are all members, and those unions of up and down masks
-    are tabled for every set at once.
-    """
-    (ups, downs) = ([0], [0])
-    for q in range(po.n):
-        ups += [u | po.up[q] for u in ups]
-        downs += [d | po.down[q] for d in downs]
-    return [bits for bits in range(1, (1 << po.n) - 1)
-            if ups[bits] & downs[bits] == bits]
-
-
-def _proper(po, finals):
-    '''Whether a convex final set, as a bit mask, is a proper configuration
-    of a probe order: 0 is not in it and it is not down-closed.'''
-    return not finals & 1 and any(po.down[f] & ~finals for f in _bits(finals))
-
-
 def probe_conjecture(n: int) -> ProbeResult:
     """Exhaustive search for the largest syntactic complexity reachable
     from order-generated systems.
@@ -657,7 +636,10 @@ def probe_conjecture(n: int) -> ProbeResult:
             tied.append(up)
     if tied:
         best = _probe_order(n, min(map(_least_labelling, tied))[1])
-        finals = next(f for f in _convex_subsets(best) if _proper(best, f))
+        # the least convex mask that misses 0 and is not down-closed
+        finals = next(f for f in range(2, 1 << n, 2)
+                      if _convex_violation(best, f) is None
+                      and any(best.down[g] & ~f for g in _bits(f)))
     else:
         (best, finals) = (antichain_order(n), 0)
     return ProbeResult(n, len(classes), configurations, proper_count, best_size,

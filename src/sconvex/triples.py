@@ -22,8 +22,8 @@ from functools import reduce
 from itertools import compress
 from operator import or_
 
-from .automata import Dfa, _mask, _text_rows, minimize
-from .classify import _chain
+from .automata import Dfa, _mask, _text_rows, is_minimal, reachable_tuples
+from .classify import is_suffix_convex
 from .errors import (AxiomViolation, FormatError, NonConvexFinals, NotMinimal,
                      NotPartialOrder, NotSuffixConvex, ResourceCap,
                      SizeMismatch, StateOutOfRange)
@@ -223,13 +223,14 @@ def canonical_system(d: Dfa) -> TripleSystem:
     (p, q, r) enters R exactly when no word leads the state triple into
     (final, final, non-final).  Requires d minimal and L(d) suffix-convex;
     the result then satisfies the axioms and d respects it.
+
+    The masks decide convexity too: L(d) is suffix-convex exactly when no
+    seed (0, x, y) of classify's triple walk, (x, y) a pair reachable from
+    a (q, 0), is out of R.  Only a refusal runs that walk, to spell the
+    counterexample of its message.
     """
-    minimal = minimize(d)
-    if minimal.n != d.n:
+    if not is_minimal(d):
         raise NotMinimal("canonical_system needs a minimal DFA")
-    counterexample = _chain(minimal)[0]
-    if counterexample is not None:
-        raise NotSuffixConvex(f"language is not suffix-convex: {counterexample}")
     n = d.n
     pre = [[[] for _ in range(n)] for _ in d.alphabet]
     for k in range(len(d.alphabet)):
@@ -255,6 +256,10 @@ def canonical_system(d: Dfa) -> TripleSystem:
                     if back & ~bad[i]:
                         stack.append((p, q, back & ~bad[i]))
                         bad[i] |= back
+    pairs = reachable_tuples(d.delta, [(q, 0) for q in range(n)])
+    if any(bad[x] >> y & 1 for (x, y) in pairs):
+        counterexample = is_suffix_convex(d)[1]
+        raise NotSuffixConvex(f"language is not suffix-convex: {counterexample}")
     return TripleSystem(n, d.finals, [full & ~m for m in bad])
 
 
@@ -363,11 +368,13 @@ def _require_partial_order(po: Preorder):
 def _convex_violation(po: Preorder, finals: int):
     '''The first (f, g, h) with f <= g <= h, f and h in the final set, given
     as a bit mask, and g not, or None.'''
+    below = reduce(or_, map(po.down.__getitem__, _bits(finals)), 0) & ~finals
     for f in _bits(finals):
-        for h in _bits(finals):
-            between = po.up[f] & po.down[h] & ~finals
-            if between:
-                return (f, (between & -between).bit_length() - 1, h)
+        if po.up[f] & below:
+            for h in _bits(finals):
+                between = po.up[f] & po.down[h] & ~finals
+                if between:
+                    return (f, (between & -between).bit_length() - 1, h)
     return None
 
 

@@ -130,6 +130,18 @@ def test_triples_canonical(star4_file, capsys):
     assert main(["triples", "--family", "star"]) == 2
 
 
+def test_triples_canonical_refuses_a_non_convex_dfa(monkeypatch, capsys):
+    # the 5-state DFA of a + baa that the console-script check feeds on stdin
+    text = ("states 5\nalphabet a b\ninitial 0\nfinal 1\n0 a 1\n0 b 2\n"
+            "1 a 4\n1 b 4\n2 a 3\n2 b 4\n3 a 1\n3 b 4\n4 a 4\n4 b 4\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["triples", "--canonical", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: language is not suffix-convex: (('b',), ('a',), ('a',))\n"
+
+
 def test_verify_text_and_json(tmp_path, capsys):
     report = tmp_path / "report.json"
     assert main(["verify", "--suite", "star", "--max-n", "5",

@@ -295,15 +295,6 @@ def test_probe_orders_put_zero_above_each_class_matrix():
         assert [matrix_of(po) for po in _probe_orders(n)] == want
 
 
-def test_convex_subsets_match_the_violation_search():
-    rng = random.Random(5353)
-    for _ in range(200):
-        po = harness._random_order(rng, rng.randint(1, 7))
-        assert harness._convex_subsets(po) == [
-            bits for bits in range(1, (1 << po.n) - 1)
-            if _convex_violation(po, bits) is None]
-
-
 def test_probe_counts_at_most_once_per_class(monkeypatch):
     # each class costs a walk over its key and at most one bounded count;
     # only the antichain, which has no proper configuration, is not counted
@@ -327,10 +318,12 @@ def test_counts_from_the_key_match_the_convex_sets():
     for n in range(2, 9):
         for up in harness._nonzero_posets(n):
             po = harness._probe_order(n, up)
-            convex = harness._convex_subsets(po)
+            convex = [f for f in range(1, (1 << n) - 1)
+                      if _convex_violation(po, f) is None]
             (c, i) = (harness._convex_count(up), len(harness._up_closed_sets(up)))
             assert c + i - 2 == len(convex)
-            assert c - i == sum(harness._proper(po, f) for f in convex)
+            assert c - i == sum(not f & 1 and any(po.down[g] & ~f for g in _bits(f))
+                                for f in convex)
 
 
 def test_counted_masks_relabel_the_probe_order():
@@ -358,7 +351,8 @@ def test_closed_form_matches_classify(n):
         maps = tuple(monotone_maps(po))
         names = letter_names(len(maps))
         leq = matrix_of(po)
-        for bits in harness._convex_subsets(po):
+        for bits in [f for f in range(1, (1 << n) - 1)
+                     if _convex_violation(po, f) is None]:
             finals = frozenset(q for q in range(n) if bits >> q & 1)
             up_closed = all(r in finals for f in finals
                             for r in range(n) if leq[f][r])

@@ -14,7 +14,8 @@ from sconvex import (AxiomViolation, Dfa, FormatError, NonConvexFinals,
                      NotMinimal, NotPartialOrder, NotSuffixConvex, Preorder,
                      ResourceCap, StateOutOfRange, Transformation,
                      TripleSystem, antichain_order, base_triples,
-                     canonical_system, dfa_respects, is_suffix_convex,
+                     canonical_system, classify, dfa_respects,
+                     is_minimal, is_suffix_convex,
                      make_triple_system, maximal_semigroup, minimize,
                      monotone_dfa, monotone_transformations, order_properties,
                      order_system, preorder_of, quotient_contains,
@@ -657,17 +658,20 @@ def test_canonical_system_requires_minimal_convex_input():
 
 
 def test_canonical_system_messages_and_one_minimize(monkeypatch):
+    # a convex or a non-minimal input builds no quotient; a refusal
+    # minimizes once, inside is_suffix_convex, to spell its counterexample
     calls = []
-    for name in ("automata", "classify", "triples"):
+    for name in ("automata", "classify"):
         module = importlib.import_module(f"sconvex.{name}")
         real = module.minimize
         monkeypatch.setattr(module, "minimize",
                             lambda d, real=real: calls.append(d) or real(d))
     canonical_system(star_witness(5))
-    assert len(calls) == 1
+    assert len(calls) == 0
     with pytest.raises(NotMinimal) as info:
         canonical_system(Dfa(4, ("a",), ((3, 2, 1, 0),), frozenset({1, 3})))
     assert str(info.value) == "canonical_system needs a minimal DFA"
+    assert len(calls) == 0
     a_or_baa = Dfa(5, ("a", "b"),
                    ((1, 4, 3, 1, 4), (2, 4, 4, 4, 4)),
                    frozenset({1}))
@@ -675,7 +679,61 @@ def test_canonical_system_messages_and_one_minimize(monkeypatch):
         canonical_system(a_or_baa)
     assert str(info.value) == \
         "language is not suffix-convex: (('b',), ('a',), ('a',))"
-    assert len(calls) == 3
+    assert len(calls) == 1
+
+
+def test_canonical_system_refuses_exactly_the_non_convex():
+    # the refusal read off the masks against classify's triple walk, and
+    # the minimality refusal against is_minimal, on uniform DFAs
+    rng = random.Random(2202)
+    refused = 0
+    for _ in range(600):
+        d = random_dfa(rng, rng.randint(2, 7), rng.randint(1, 3))
+        for d in (d, minimize(d)):
+            if not is_minimal(d):
+                with pytest.raises(NotMinimal):
+                    canonical_system(d)
+                continue
+            c = classify(d)
+            if c.suffix_convex:
+                canonical_system(d)
+                continue
+            refused += 1
+            with pytest.raises(NotSuffixConvex) as info:
+                canonical_system(d)
+            assert str(info.value) == \
+                f"language is not suffix-convex: {c.counterexample}"
+    assert refused > 100
+
+
+def test_canonical_system_of_a_convex_dfa_runs_no_triple_walk(monkeypatch):
+    calls = []
+    classify_module = importlib.import_module("sconvex.classify")
+    real = classify_module._chain
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+
+    # wherever the chain of walks is bound by name
+    for module in (classify_module, triples):
+        if getattr(module, "_chain", None) is real:
+            monkeypatch.setattr(module, "_chain", counted)
+    for n in range(4, 9):
+        for family in (star_witness, reversal_witness, syntactic_witness):
+            canonical_system(family(n))
+    assert calls == []
+
+
+def test_canonical_system_memory_is_its_masks():
+    d = star_witness(60)
+    tracemalloc.start()
+    try:
+        canonical_system(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_canonical_system_of_a_left_ideal():
