@@ -36,9 +36,10 @@ canonical.
 
 Each predicate on its own runs only its pair walk, with no triples.
 
-`triples.canonical_system` decides convexity with its own backward masks,
-which hold every triple that reaches (final, final, non-final), and runs
-this chain only to spell the counterexample of a refusal.
+`triples.canonical_system` decides convexity with its own backward masks
+and refuses at the first seed (0, x, y) they mark.  Only then does it run
+this chain, on its minimal input with no second minimize: the walks
+follow letter and discovery order alone, so the words do not change.
 """
 
 from __future__ import annotations

@@ -46,6 +46,10 @@ REVERSAL_SAMPLE_MAX_LETTERS = 6
 
 @dataclass(frozen=True)
 class Report:
+    """One check of one suite at one parameter point.  `ms` is the wall
+    time of the check's own compute() alone: inputs its suite builds
+    before the check are not counted."""
+
     suite: str
     params: tuple[tuple[str, int], ...]
     expected: int
@@ -68,7 +72,10 @@ class Report:
                 "pass": self.passed, "ms": self.ms}
 
 
-def _report(suite, params, expected, actual, t0):
+def _check(suite, params, expected, compute) -> Report:
+    '''Run compute() once, timed, and report its value against expected.'''
+    t0 = time.perf_counter()
+    actual = compute()
     ms = round((time.perf_counter() - t0) * 1000, 2)
     return Report(suite, tuple(params), expected, actual, ms)
 
@@ -107,32 +114,29 @@ def monotone_reversal_count(n: int) -> int:
 # ---------------------------------------------------------------------------
 # verification suites
 
+def _star_dialect(n, images):
+    '''The star witness on n states, its letters a..f renamed to images.'''
+    return dialect(star_witness(n), LetterMap.keep("abcdef", images))
+
+
 def verify_star(ns=STAR_RANGE):
     '''Star of the a,b,c,d dialect of the star witness hits its bound.'''
-    reports = []
-    for n in ns:
-        t0 = time.perf_counter()
-        w = star_witness(n)
-        four = dialect(w, LetterMap.keep(w.alphabet, ("a", "b", "c", "d", None, None)))
-        actual = complexity(determinize(star_nfa(four)))
-        reports.append(_report("star", [("n", n)], star_bound(n), actual, t0))
-    return reports
+    four = ("a", "b", "c", "d", None, None)
+    return [_check("star", [("n", n)], star_bound(n),
+                   lambda: complexity(determinize(star_nfa(_star_dialect(n, four)))))
+            for n in ns]
 
 
 def verify_product(ms=PRODUCT_RANGE, ns=PRODUCT_RANGE):
     '''Concatenating the two star-witness dialects hits the product bound.'''
     reports = []
     for m in ms:
-        left = dialect(star_witness(m),
-                       LetterMap.keep("abcdef", ("a", "b", "c", None, "e", "f")))
+        left = _star_dialect(m, ("a", "b", "c", None, "e", "f"))
         for n in ns:
-            t0 = time.perf_counter()
-            right = dialect(star_witness(n),
-                            LetterMap.keep("abcdef", ("e", "f", None, None, "a", "b")))
+            right = _star_dialect(n, ("e", "f", None, None, "a", "b"))
             cat = product_nfa(left, right, complete_missing=True)
-            actual = complexity(determinize(cat))
-            reports.append(_report("product", [("n", n), ("m", m)],
-                                   product_bound(m, n), actual, t0))
+            reports.append(_check("product", [("n", n), ("m", m)], product_bound(m, n),
+                                  lambda: complexity(determinize(cat))))
     return reports
 
 
@@ -143,17 +147,25 @@ def verify_boolean(ms=BOOLEAN_RANGE, ns=BOOLEAN_RANGE):
     '''All four boolean operations on the dialect pair hit m times n.'''
     reports = []
     for m in ms:
-        left = dialect(star_witness(m),
-                       LetterMap.keep("abcdef", ("a", "b", None, None, "e", "f")))
+        left = _star_dialect(m, ("a", "b", None, None, "e", "f"))
         for n in ns:
-            right = dialect(star_witness(n),
-                            LetterMap.keep("abcdef", ("e", "f", None, None, "a", "b")))
+            right = _star_dialect(n, ("e", "f", None, None, "a", "b"))
             for op in BOOLEAN_OPS:
-                t0 = time.perf_counter()
-                actual = complexity(direct_product(left, right, op))
-                reports.append(_report(f"boolean-{op}", [("n", n), ("m", m)],
-                                       m * n, actual, t0))
+                reports.append(_check(f"boolean-{op}", [("n", n), ("m", m)], m * n,
+                                      lambda: complexity(direct_product(left, right, op))))
     return reports
+
+
+def _bound_violations(samples, seed):
+    rng = random.Random(seed)
+    violations = 0
+    for _ in range(samples):
+        n = rng.randint(3, REVERSAL_SAMPLE_MAX_N)
+        k = rng.randint(1, REVERSAL_SAMPLE_MAX_LETTERS)
+        d = minimize(random_suffix_convex(n, k, rng.randrange(2 ** 32)))
+        if 8 * atom_count(d) > 7 * 2 ** d.n:
+            violations += 1
+    return violations
 
 
 def verify_reversal(ns=REVERSAL_RANGE, samples=500, seed=DEFAULT_SEED):
@@ -166,35 +178,21 @@ def verify_reversal(ns=REVERSAL_RANGE, samples=500, seed=DEFAULT_SEED):
     """
     if samples < 0:
         raise BadSize(f"samples must be at least 0, got {samples}")
-    reports = []
-    for n in ns:
-        t0 = time.perf_counter()
-        actual = atom_count(reversal_witness(n))
-        reports.append(_report("reversal", [("n", n)], reversal_bound(n), actual, t0))
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    violations = 0
-    for _ in range(samples):
-        n = rng.randint(3, REVERSAL_SAMPLE_MAX_N)
-        k = rng.randint(1, REVERSAL_SAMPLE_MAX_LETTERS)
-        d = minimize(random_suffix_convex(n, k, rng.randrange(2 ** 32)))
-        if 8 * atom_count(d) > 7 * 2 ** d.n:
-            violations += 1
-    reports.append(_report("reversal-bound",
-                           [("n", REVERSAL_SAMPLE_MAX_N), ("samples", samples),
-                            ("seed", seed)],
-                           0, violations, t0))
+    reports = [_check("reversal", [("n", n)], reversal_bound(n),
+                      lambda: atom_count(reversal_witness(n)))
+               for n in ns]
+    reports.append(_check("reversal-bound",
+                          [("n", REVERSAL_SAMPLE_MAX_N), ("samples", samples),
+                           ("seed", seed)],
+                          0, lambda: _bound_violations(samples, seed)))
     return reports
 
 
 def verify_syntactic(ns=SYNTACTIC_RANGE):
     '''Transition semigroup of the syntactic witness hits the size bound.'''
-    reports = []
-    for n in ns:
-        t0 = time.perf_counter()
-        actual = syntactic_complexity(syntactic_witness(n))
-        reports.append(_report("syntactic", [("n", n)], syntactic_bound(n), actual, t0))
-    return reports
+    return [_check("syntactic", [("n", n)], syntactic_bound(n),
+                   lambda: syntactic_complexity(syntactic_witness(n)))
+            for n in ns]
 
 
 def verify_monotone_counts(ns=MONOTONE_RANGE):
@@ -210,14 +208,11 @@ def verify_monotone_counts(ns=MONOTONE_RANGE):
                               f"{MONOTONE_MAX_N} states, got {n}")
     reports = []
     for n in ns:
-        t0 = time.perf_counter()
-        actual = monotone_count(total_order(n))
-        reports.append(_report("monotone-total", [("n", n)],
-                               monotone_total_count(n), actual, t0))
-        t0 = time.perf_counter()
-        actual = monotone_count(reversal_order(n))
-        reports.append(_report("monotone-reversal", [("n", n)],
-                               monotone_reversal_count(n), actual, t0))
+        reports.append(_check("monotone-total", [("n", n)], monotone_total_count(n),
+                              lambda: monotone_count(total_order(n))))
+        reports.append(_check("monotone-reversal", [("n", n)],
+                              monotone_reversal_count(n),
+                              lambda: monotone_count(reversal_order(n))))
     return reports
 
 
@@ -233,17 +228,20 @@ def _containment_breaches(s: TripleSystem) -> int:
     return sum(m.bit_count() for m in loops)
 
 
+def _reversal_order_pair(s: TripleSystem) -> bool:
+    props = order_properties(preorder_of(s))
+    return props.is_partial_order and props.comparable_nonzero_pairs == {(2, 1)}
+
+
 def verify_exclusions(ns=EXCLUSION_RANGE):
     """Each witness strictly misses the other bounds, with the structure
     of the canonical systems pinned down.
 
-    Per n: the star witness misses the reversal bound and the reversal
-    witness misses the star bound (both strictly), both witnesses sit
-    strictly under the syntactic bound, the canonical order of the star
-    witness is totally comparable, the canonical order of the reversal
-    witness is a partial order whose only comparable distinct non-zero
-    pair is (2, 1), and neither witness has a quotient containment between
-    distinct states other than possibly initial-into-final.
+    Per n: the canonical order of the star witness is totally comparable,
+    that of the reversal witness is a partial order whose only comparable
+    distinct non-zero pair is (2, 1), and neither witness has a quotient
+    containment between distinct states other than possibly
+    initial-into-final.
     """
     reports = []
     for n in ns:
@@ -251,47 +249,25 @@ def verify_exclusions(ns=EXCLUSION_RANGE):
         # since the structural predicates below name specific states
         star = star_witness(n)
         rev = reversal_witness(n)
-
-        t0 = time.perf_counter()
-        ok = atom_count(star) < reversal_bound(n)
-        reports.append(_report("exclusions-star-reversal-bound", [("n", n)],
-                               1, int(ok), t0))
-
-        t0 = time.perf_counter()
-        ok = complexity(determinize(star_nfa(rev))) < star_bound(n)
-        reports.append(_report("exclusions-reversal-star-bound", [("n", n)],
-                               1, int(ok), t0))
-
-        t0 = time.perf_counter()
-        ok = syntactic_complexity(star) < syntactic_bound(n)
-        reports.append(_report("exclusions-star-syntactic", [("n", n)],
-                               1, int(ok), t0))
-
-        t0 = time.perf_counter()
-        ok = syntactic_complexity(rev) < syntactic_bound(n)
-        reports.append(_report("exclusions-reversal-syntactic", [("n", n)],
-                               1, int(ok), t0))
-
-        t0 = time.perf_counter()
         star_system = canonical_system(star)
-        props = order_properties(preorder_of(star_system))
-        reports.append(_report("exclusions-star-order-total", [("n", n)],
-                               1, int(props.is_total_comparability), t0))
-
-        t0 = time.perf_counter()
         rev_system = canonical_system(rev)
-        props = order_properties(preorder_of(rev_system))
-        ok = props.is_partial_order and props.comparable_nonzero_pairs == {(2, 1)}
-        reports.append(_report("exclusions-reversal-order-pair", [("n", n)],
-                               1, int(ok), t0))
-
-        t0 = time.perf_counter()
-        reports.append(_report("exclusions-star-containments", [("n", n)],
-                               0, _containment_breaches(star_system), t0))
-
-        t0 = time.perf_counter()
-        reports.append(_report("exclusions-reversal-containments", [("n", n)],
-                               0, _containment_breaches(rev_system), t0))
+        checks = (
+            ("star-reversal-bound", 1,
+             lambda: int(atom_count(star) < reversal_bound(n))),
+            ("reversal-star-bound", 1,
+             lambda: int(complexity(determinize(star_nfa(rev))) < star_bound(n))),
+            ("star-syntactic", 1,
+             lambda: int(syntactic_complexity(star) < syntactic_bound(n))),
+            ("reversal-syntactic", 1,
+             lambda: int(syntactic_complexity(rev) < syntactic_bound(n))),
+            ("star-order-total", 1, lambda: int(
+                order_properties(preorder_of(star_system)).is_total_comparability)),
+            ("reversal-order-pair", 1, lambda: int(_reversal_order_pair(rev_system))),
+            ("star-containments", 0, lambda: _containment_breaches(star_system)),
+            ("reversal-containments", 0, lambda: _containment_breaches(rev_system)),
+        )
+        for name, expected, compute in checks:
+            reports.append(_check(f"exclusions-{name}", [("n", n)], expected, compute))
     return reports
 
 

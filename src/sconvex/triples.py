@@ -23,7 +23,7 @@ from itertools import compress
 from operator import or_
 
 from .automata import Dfa, _mask, _text_rows, is_minimal, reachable_tuples
-from .classify import is_suffix_convex
+from .classify import _chain
 from .errors import (AxiomViolation, FormatError, NonConvexFinals, NotMinimal,
                      NotPartialOrder, NotSuffixConvex, ResourceCap,
                      SizeMismatch, StateOutOfRange)
@@ -217,6 +217,11 @@ def dfa_respects(d: Dfa, s: TripleSystem) -> bool:
 # ---------------------------------------------------------------------------
 # canonical system of a DFA
 
+def _not_convex(d: Dfa) -> NotSuffixConvex:
+    '''The refusal of a minimal d, spelled by classify's chain of walks.'''
+    return NotSuffixConvex(f"language is not suffix-convex: {_chain(d)[0]}")
+
+
 def canonical_system(d: Dfa) -> TripleSystem:
     """The largest system the language of d respects.
 
@@ -226,8 +231,9 @@ def canonical_system(d: Dfa) -> TripleSystem:
 
     The masks decide convexity too: L(d) is suffix-convex exactly when no
     seed (0, x, y) of classify's triple walk, (x, y) a pair reachable from
-    a (q, 0), is out of R.  Only a refusal runs that walk, to spell the
-    counterexample of its message.
+    a (q, 0), is out of R.  The fixpoint refuses at the first seed it
+    marks, and only a refusal runs classify's walks, on d as it is, to
+    spell the counterexample of its message.
     """
     if not is_minimal(d):
         raise NotMinimal("canonical_system needs a minimal DFA")
@@ -237,12 +243,19 @@ def canonical_system(d: Dfa) -> TripleSystem:
         for p in range(n):
             pre[k][d.delta[k][p]].append(p)
     pre_mask = [[_mask(ps) for ps in row] for row in pre]
+    # bit y of seeds[x]: the seed (0, x, y) of the triple walk; rows p > 0 stay 0
+    seeds = [0] * (n * n)
+    for (x, y) in reachable_tuples(d.delta, [(q, 0) for q in range(n)]):
+        seeds[x] |= 1 << y
     # bit r of bad[p * n + q]: a word takes (p, q, r) to (F, F, non-F)
     full = (1 << n) - 1
     bad = [0] * (n * n)
-    stack = [(p, q, full & ~_mask(d.finals)) for p in d.finals for q in d.finals]
+    non_finals = full & ~_mask(d.finals)
+    stack = [(p, q, non_finals) for p in d.finals for q in d.finals]
     for (p, q, new) in stack:
         bad[p * n + q] = new
+        if new & seeds[p * n + q]:
+            raise _not_convex(d)
     while stack:
         (x, y, new) = stack.pop()
         zs = list(_bits(new))
@@ -253,13 +266,14 @@ def canonical_system(d: Dfa) -> TripleSystem:
             for p in pre[k][x]:
                 for q in pre[k][y]:
                     i = p * n + q
-                    if back & ~bad[i]:
-                        stack.append((p, q, back & ~bad[i]))
-                        bad[i] |= back
-    pairs = reachable_tuples(d.delta, [(q, 0) for q in range(n)])
-    if any(bad[x] >> y & 1 for (x, y) in pairs):
-        counterexample = is_suffix_convex(d)[1]
-        raise NotSuffixConvex(f"language is not suffix-convex: {counterexample}")
+                    fresh = back & ~bad[i]
+                    if fresh:
+                        # a seed is checked as it is marked: the stack is
+                        # last in, first out, so its pop may come late
+                        if fresh & seeds[i]:
+                            raise _not_convex(d)
+                        stack.append((p, q, fresh))
+                        bad[i] |= fresh
     return TripleSystem(n, d.finals, [full & ~m for m in bad])
 
 

@@ -153,6 +153,19 @@ def test_verify_text_and_json(tmp_path, capsys):
     rows = json.loads(report.read_text(encoding="utf-8"))
     assert [row["actual"] for row in rows] == [6, 12, 24]
     assert all(row["pass"] for row in rows)
+    # every suite's checks: each row says what its printed line says
+    assert main(["verify", "--suite", "all", "--min-n", "4", "--max-n", "4",
+                 "--samples", "5", "--json", str(report)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    rows = json.loads(report.read_text(encoding="utf-8"))
+    assert len(rows) == len(out) == 19
+    for line, row in zip(out, rows):
+        middle = "".join(f" {k}={v}" for k, v in row["params"].items())
+        result = "PASS" if row["pass"] else "FAIL"
+        assert line == (f"suite={row['suite']}{middle} expected={row['expected']} "
+                        f"actual={row['actual']} result={result}")
+        assert row["pass"] == (row["expected"] == row["actual"])
+        assert isinstance(row["ms"], float) and row["ms"] >= 0
 
 
 def test_every_suite_takes_its_range_of_n_first():

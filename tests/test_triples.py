@@ -657,9 +657,9 @@ def test_canonical_system_requires_minimal_convex_input():
         canonical_system(a_or_baa)
 
 
-def test_canonical_system_messages_and_one_minimize(monkeypatch):
-    # a convex or a non-minimal input builds no quotient; a refusal
-    # minimizes once, inside is_suffix_convex, to spell its counterexample
+def test_canonical_system_messages_and_no_minimize(monkeypatch):
+    # no input builds a quotient: a refusal spells its counterexample by
+    # classify's walks on the DFA itself, already known to be minimal
     calls = []
     for name in ("automata", "classify"):
         module = importlib.import_module(f"sconvex.{name}")
@@ -679,7 +679,27 @@ def test_canonical_system_messages_and_one_minimize(monkeypatch):
         canonical_system(a_or_baa)
     assert str(info.value) == \
         "language is not suffix-convex: (('b',), ('a',), ('a',))"
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+def test_canonical_system_refuses_at_the_first_marked_seed(monkeypatch):
+    # the minimal star closure of the a-d dialect of the star witness at
+    # n=6 has 48 states and a final initial state, so its first marks
+    # already fall on a seed (0, x, y) and the backward fixpoint pops no
+    # mask: nothing reaches the _bits of a pop
+    four = sconvex.dialect(star_witness(6), sconvex.LetterMap.keep(
+        "abcdef", ("a", "b", "c", "d", None, None)))
+    d = minimize(sconvex.determinize(sconvex.star_nfa(four)))
+    assert d.n == 48
+    calls = []
+    real = triples._bits
+    monkeypatch.setattr(triples, "_bits",
+                        lambda mask: calls.append(mask) or real(mask))
+    with pytest.raises(NotSuffixConvex) as info:
+        canonical_system(d)
+    assert str(info.value) == ("language is not suffix-convex: "
+                               "(('a', 'a', 'a'), ('a',), ())")
+    assert calls == []
 
 
 def test_canonical_system_refuses_exactly_the_non_convex():
