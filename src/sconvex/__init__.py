@@ -3,8 +3,9 @@ classification, and exact verification of the operation bounds."""
 
 from .automata import (Dfa, Nfa, atom_count, complete_to, complexity,
                        determinize, direct_product, equivalent, is_minimal,
-                       minimize, product_nfa, quotient_contains, reverse_nfa,
-                       star_nfa, union_alphabet)
+                       minimize, nfa_complexity, product_nfa,
+                       quotient_contains, reverse_nfa, star_nfa,
+                       union_alphabet)
 from .classify import (Classification, classify, is_left_ideal,
                        is_suffix_closed, is_suffix_convex, is_suffix_free)
 from .errors import (AlphabetMismatch, AxiomViolation, BadSize, FormatError,

@@ -291,16 +291,22 @@ def _refine(d: Dfa):
     num = dict(zip(reach, range(len(reach))))
     columns = list(zip(*d.delta))
     flat = list(map(num.__getitem__, chain.from_iterable(map(columns.__getitem__, reach))))
+    return reach, flat, _moore(flat, k, [int(q in d.finals) for q in reach])
+
+
+def _moore(flat, k, block):
+    """The Moore rounds on a state-major table whose states are all
+    reachable, from the finality block (0 or 1) of each state; returns the
+    Nerode block of each state, numbered by first appearance."""
     # a state's signature is its block and its targets' blocks, and each
     # distinct signature is a block of the next round, numbered by first
     # appearance; zipping k copies of one iterator deals the targets out k
     # at a time, so a round does no per-letter work.  The rounds stop once
     # the partition is stable or discrete, as a discrete one cannot split
-    block = [int(q in d.finals) for q in reach]
     nblocks = len(set(block))
-    if nblocks == len(reach):
+    if nblocks == len(block):
         # discrete before any round (one state, or two split by finality)
-        return reach, flat, list(range(nblocks))
+        return list(range(nblocks))
     # two or more states, so flat has two or more entries and the getter
     # returns a tuple
     gather = itemgetter(*flat)
@@ -308,8 +314,8 @@ def _refine(d: Dfa):
         sigs = {}
         targets = iter(gather(block))
         block = [sigs.setdefault(sig, len(sigs)) for sig in zip(block, *[targets] * k)]
-        if len(sigs) in (nblocks, len(reach)):
-            return reach, flat, block
+        if len(sigs) in (nblocks, len(block)):
+            return block
         nblocks = len(sigs)
 
 
@@ -347,17 +353,22 @@ def _mask(states) -> int:
     return sum(1 << q for q in states)
 
 
-def determinize(m: Nfa, cap: int = SUBSET_CAP) -> Dfa:
-    """Accessible subset construction.
+def _succ(m: Nfa):
+    '''succ[q][k]: the mask of state q's successors under letter k.'''
+    return [tuple(map(_mask, row)) for row in m.delta]
 
-    Subsets are numbered by breadth-first discovery with the alphabet order;
-    the empty subset appears only when it is reachable.  Raises ResourceCap,
+
+def _subset_walk(succ, start, k, cap):
+    """The accessible subset construction over bit masks, from the subset
+    `start`, where succ[q][j] is state q's successor mask under letter j.
+
+    Returns (order, flat): the subsets in breadth-first discovery order
+    with the alphabet order, and the state-major table, in which subset i
+    goes to subset flat[i*k + j] under letter j.  Raises ResourceCap,
     saying how many subsets were fully expanded, when more than `cap`
     subsets are discovered.
     """
-    # subsets are bit masks; succ[q][k] is state q's successors under letter k
-    succ = [tuple(map(_mask, row)) for row in m.delta]
-    empty = (0,) * len(m.alphabet)
+    empty = (0,) * k
     # chunk[pos << 8 | byte]: the successors, under every letter, of the
     # states byte * 2^(8 pos) selects, filled in on first use
     chunk = {}
@@ -372,10 +383,9 @@ def determinize(m: Nfa, cap: int = SUBSET_CAP) -> Dfa:
             chunk[key] = out
         return out
 
-    start = _mask(m.initials)
     order = [start]
     index = {start: 0}
-    rows = [[] for _ in m.alphabet]
+    flat = []
     i = 0
     while i < len(order):
         S = order[i]
@@ -387,7 +397,7 @@ def determinize(m: Nfa, cap: int = SUBSET_CAP) -> Dfa:
             S ^= byte << (pos << 3)
             vec = successors(pos, byte)
             targets = vec if targets is empty else tuple(map(or_, targets, vec))
-        for row, T in zip(rows, targets):
+        for T in targets:
             j = index.get(T)
             if j is None:
                 if len(order) >= cap:
@@ -395,10 +405,33 @@ def determinize(m: Nfa, cap: int = SUBSET_CAP) -> Dfa:
                                       f"({i - 1} expanded)")
                 j = index[T] = len(order)
                 order.append(T)
-            row.append(j)
+            flat.append(j)
+    return order, flat
+
+
+def determinize(m: Nfa, cap: int = SUBSET_CAP) -> Dfa:
+    """Accessible subset construction.
+
+    Subsets are numbered by breadth-first discovery with the alphabet order;
+    the empty subset appears only when it is reachable.  Raises ResourceCap,
+    saying how many subsets were fully expanded, when more than `cap`
+    subsets are discovered.
+    """
+    k = len(m.alphabet)
+    order, flat = _subset_walk(_succ(m), _mask(m.initials), k, cap)
     fmask = _mask(m.finals)
     finals = frozenset(i for i, S in enumerate(order) if S & fmask)
-    return Dfa(len(order), m.alphabet, tuple(tuple(r) for r in rows), finals)
+    return Dfa(len(order), m.alphabet, [flat[j::k] for j in range(k)], finals)
+
+
+def nfa_complexity(m: Nfa, cap: int = SUBSET_CAP) -> int:
+    """complexity(determinize(m, cap)), with the same ResourceCap: the Moore
+    rounds run on the subset walk's own table, whose subsets are all
+    reachable, so no DFA is built and no second walk is made."""
+    k = len(m.alphabet)
+    order, flat = _subset_walk(_succ(m), _mask(m.initials), k, cap)
+    fmask = _mask(m.finals)
+    return max(_moore(flat, k, [int(S & fmask != 0) for S in order])) + 1
 
 
 def reverse_nfa(d: Dfa) -> Nfa:
@@ -587,13 +620,38 @@ def is_minimal(d: Dfa) -> bool:
     return max(_refine(d)[2]) + 1 == d.n
 
 
+def _atoms(d: Dfa, reach, flat) -> int:
+    """The number of atoms of L(d), from _refine(d)'s reachable part.
+
+    The reversal of that part is walked by one subset construction from
+    its final states.  The part is accessible, so the construction is
+    already minimal (Brzozowski 1962): its size is the complexity of
+    L(d)^R, which is the atom count.
+    """
+    k = len(d.alphabet)
+    # pred[q][j]: the states that letter j takes to q
+    pred = [[0] * k for _ in reach]
+    for i, t in enumerate(flat):
+        pred[t][i % k] |= 1 << (i // k)
+    start = _mask(q for q, s in enumerate(reach) if s in d.finals)
+    return len(_subset_walk(pred, start, k, SUBSET_CAP)[0])
+
+
+def _complexity_and_atoms(d: Dfa):
+    '''(complexity(d), atom count of L(d)) for any d, minimal or not, from
+    one refinement and one subset walk.'''
+    reach, flat, block = _refine(d)
+    return max(block) + 1, _atoms(d, reach, flat)
+
+
 def atom_count(d: Dfa) -> int:
     """The number of atoms of L(d), which equals the complexity of L(d)^R.
 
-    Requires a minimal DFA, since atoms are defined over distinct quotients.
-    A minimal DFA is accessible, so the subset construction on its reversal
-    is already minimal (Brzozowski 1962): its size is the complexity.
+    Requires a minimal DFA, since atoms are defined over distinct quotients;
+    the one refinement that checks this also gives the table that `_atoms`
+    reverses, so no reversal NFA or DFA is built.
     """
-    if not is_minimal(d):
+    reach, flat, block = _refine(d)
+    if max(block) + 1 != d.n:
         raise NotMinimal("atom_count needs a minimal DFA")
-    return determinize(reverse_nfa(d)).n
+    return _atoms(d, reach, flat)

@@ -10,9 +10,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .automata import (Dfa, atom_count, complete_to, complexity, determinize,
+from .automata import (Dfa, complete_to, complexity, determinize,
                        direct_product, minimize, product_nfa, star_nfa,
-                       union_alphabet)
+                       union_alphabet, _complexity_and_atoms)
 from .classify import classify
 from .errors import ResourceCap, SconvexError
 from .harness import (DEFAULT_SEED, SUITES, probe_conjecture,
@@ -86,11 +86,7 @@ def _cmd_classify(args):
 
 def _cmd_complexity(args):
     d = _read_dfa(args.input)
-    if args.reverse:
-        value = atom_count(minimize(d))
-    else:
-        value = complexity(d)
-    print(value)
+    print(_complexity_and_atoms(d)[1] if args.reverse else complexity(d))
     return 0
 
 

@@ -10,11 +10,14 @@ from sconvex import (AlphabetMismatch, Dfa, FormatError, Nfa, NotMinimal,
                      determinize, direct_product, equivalent, is_minimal,
                      minimize, product_nfa, quotient_contains, reverse_nfa,
                      star_nfa, union_alphabet)
-from sconvex.automata import reachable_tuples
+from sconvex import automata
+from sconvex.automata import _complexity_and_atoms, reachable_tuples
+from sconvex.witnesses import reversal_witness, star_witness
 
 from conftest import random_dfa
 from oracles import (accepts_concat, accepts_star, signature_atom_count,
                      table_filling_complexity)
+from parent_kernels import parent_determinize
 
 ODD_A = Dfa(2, ("a",), ((1, 0),), frozenset({1}))
 
@@ -371,9 +374,55 @@ def test_reachable_tuples_of_the_initial_state_is_reachable(d):
     assert [q for (q,) in reachable_tuples(d.delta, [(0,)])] == d.reachable()
 
 
-def test_atom_count_requires_minimal():
-    with pytest.raises(NotMinimal):
-        atom_count(Dfa(4, ("a",), ((3, 2, 1, 0),), frozenset({1, 3})))
+def _refuse(*args, **kwargs):
+    raise AssertionError("atom_count must not call this")
+
+
+def test_atom_count_requires_minimal(monkeypatch):
+    # the minimality check runs before any subset walk
+    monkeypatch.setattr(automata, "_subset_walk", _refuse)
+    # two equivalent pairs of states; an unreachable state 2
+    for d in (Dfa(4, ("a",), ((3, 2, 1, 0),), frozenset({1, 3})),
+              Dfa(3, ("a",), ((1, 0, 2),), frozenset({1}))):
+        with pytest.raises(NotMinimal):
+            atom_count(d)
+
+
+def test_atom_count_builds_no_reversal_automaton(monkeypatch):
+    witnesses = ([reversal_witness(n) for n in range(4, 13)]
+                 + [star_witness(n) for n in range(4, 9)])
+    # the signature oracle walks the whole transition semigroup, which
+    # takes 5 to 170 s on the reversal witnesses at n=10..12; there the
+    # reference is the subset construction on the reversal NFA, by the
+    # parent's loop, worked out before the patches below
+    expected = [signature_atom_count(d) if d.n <= 9
+                else parent_determinize(reverse_nfa(d)).n for d in witnesses]
+    for name in ("reverse_nfa", "determinize", "Nfa"):
+        monkeypatch.setattr(automata, name, _refuse)
+    assert [atom_count(d) for d in witnesses] == expected
+
+
+def _uniform_dfas(count, seed):
+    """Uniform tables on r reachable states plus up to two states that
+    nothing reaches; the final sets are empty, full or random in turn."""
+    rng = random.Random(seed)
+    for i in range(count):
+        r, u, letters = rng.randint(1, 6), rng.randint(0, 2), rng.randint(1, 3)
+        n = r + u
+        delta = [[rng.randrange(r if q < r else n) for q in range(n)]
+                 for _ in range(letters)]
+        finals = (frozenset(), frozenset(range(n)),
+                  frozenset(q for q in range(n) if rng.random() < 0.4))[i % 3]
+        yield Dfa(n, "abc"[:letters], delta, finals)
+
+
+def test_sizes_from_one_refinement_on_uniform_dfas():
+    # Brzozowski (1962): the subset construction on the reversal of the
+    # reachable part of any DFA, minimal or not, is minimal, so its size
+    # is the atom count of the minimized DFA
+    for d in _uniform_dfas(2000, 20261019):
+        assert _complexity_and_atoms(d) == (complexity(d),
+                                            signature_atom_count(minimize(d)))
 
 
 def test_atom_count_small_cases():

@@ -44,6 +44,16 @@ def test_reverse_complexity_of_a_non_minimal_dfa(tmp_path, capsys):
     assert capsys.readouterr().out == "2\n"
 
 
+def test_reverse_complexity_of_a_raw_random_dfa(tmp_path, capsys):
+    # 8 states, 6 of them reachable, complexity 4; the atom count is the
+    # one printed before atoms were read off the raw DFA
+    assert main(["random", "--n", "8", "--letters", "3", "--seed", "3"]) == 0
+    path = tmp_path / "raw.txt"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["complexity", "--reverse", str(path)]) == 0
+    assert capsys.readouterr().out == "4\n"
+
+
 def test_classify_output(star4_file, capsys):
     assert main(["classify", star4_file]) == 0
     out = capsys.readouterr().out

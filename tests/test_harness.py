@@ -5,8 +5,8 @@ from itertools import permutations
 
 import pytest
 
-from sconvex import (BadSize, Dfa, Report, ResourceCap, classify, harness,
-                     is_minimal, is_suffix_convex, monotone_reversal_count,
+from sconvex import (BadSize, Dfa, Report, ResourceCap, atom_count, classify,
+                     complexity, harness, is_minimal, minimize, is_suffix_convex, monotone_reversal_count,
                      monotone_total_count, probe_conjecture, product_bound,
                      random_suffix_convex, reports_to_json, reversal_bound,
                      star_bound, syntactic_bound, verify_boolean,
@@ -14,10 +14,12 @@ from sconvex import (BadSize, Dfa, Report, ResourceCap, classify, harness,
                      verify_product, verify_reversal, verify_star,
                      verify_syntactic)
 from sconvex import triples
+from sconvex.automata import _complexity_and_atoms
 from sconvex.triples import (_bits, _convex_violation, letter_names,
                              monotone_count, monotone_maps)
 
-from oracles import matrix_of, naive_class_key, naive_nonzero_posets
+from oracles import (matrix_of, naive_class_key, naive_nonzero_posets,
+                     signature_atom_count)
 
 
 def test_report_line_shape():
@@ -431,6 +433,31 @@ def test_monotone_counts_past_the_enumeration_cap():
 def test_monotone_counts_refuse_small_n(n):
     with pytest.raises(BadSize, match=f"need n >= 3, got {n}"):
         verify_monotone_counts(range(n, 4))
+
+
+def _reversal_samples(samples, seed):
+    '''The raw DFAs the reversal-bound check draws, by the same rng calls.'''
+    rng = random.Random(seed)
+    for _ in range(samples):
+        n = rng.randint(3, harness.REVERSAL_SAMPLE_MAX_N)
+        k = rng.randint(1, harness.REVERSAL_SAMPLE_MAX_LETTERS)
+        yield random_suffix_convex(n, k, rng.randrange(2 ** 32))
+
+
+def test_reversal_sample_sizes_from_one_refinement():
+    # most samples shrink when minimized; the check reads complexity and
+    # atoms off the raw sample, which the report's actual=0 alone would not
+    # guard against atom counts that came out too small
+    for d in _reversal_samples(500, harness.DEFAULT_SEED):
+        m = minimize(d)
+        assert _complexity_and_atoms(d) == (m.n, signature_atom_count(m))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bound_violations_match_minimized_atom_counts(seed):
+    expected = sum(8 * atom_count(minimize(d)) > 7 * 2 ** complexity(d)
+                   for d in _reversal_samples(500, seed))
+    assert harness._bound_violations(500, seed) == expected
 
 
 def test_reversal_refuses_negative_samples():

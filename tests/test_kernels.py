@@ -1,7 +1,7 @@
 """Cross-checks of the subset-construction, minimization and respecting-map
 kernels against the loops they replaced (parent_kernels.py): same DFA, same
-numbering, same ResourceCap, the same state counts from complexity and
-is_minimal; same maps in the same order, and the same random draws."""
+numbering, same ResourceCap, the same state counts from complexity,
+is_minimal and nfa_complexity; same maps in the same order, and the same random draws."""
 
 import hashlib
 import random
@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from sconvex import (Dfa, Nfa, ResourceCap, canonical_system, complexity,
                      determinize, is_minimal, maximal_semigroup, minimize,
-                     order_system, preorder_of, product_nfa,
+                     nfa_complexity, order_system, preorder_of, product_nfa,
                      random_suffix_convex, reverse_nfa, star_nfa)
 from sconvex.harness import _random_convex_finals, _random_order
 from sconvex.triples import _respecting_walk
@@ -77,12 +77,16 @@ def _witness_nfas():
 @settings(max_examples=300, deadline=None)
 def test_determinize_matches_parent_on_random_nfas(seed):
     m = _random_nfa(random.Random(seed))
-    assert determinize(m) == parent_determinize(m)
+    d = determinize(m)
+    assert d == parent_determinize(m)
+    assert nfa_complexity(m) == complexity(d)
 
 
 @pytest.mark.parametrize("m", _witness_nfas())
 def test_determinize_matches_parent_on_witnesses(m):
-    assert determinize(m) == parent_determinize(m)
+    d = determinize(m)
+    assert d == parent_determinize(m)
+    assert nfa_complexity(m) == complexity(d)
 
 
 def _raises_at(construct, m, cap):
@@ -104,6 +108,7 @@ def test_determinize_cap_matches_parent(seed):
         assert (old is None) == (new is None)
         if old is not None:
             assert new.startswith(old + " (")
+        assert _raises_at(nfa_complexity, m, cap) == new
 
 
 def test_determinize_cap_reports_progress():
@@ -112,9 +117,11 @@ def test_determinize_cap_reports_progress():
     # subset 100 (the 101st) is first found while expanding subset `expanded`,
     # after subsets 0..expanded-1 were done
     expanded = min(q for q in range(full.n) if any(row[q] == 100 for row in full.delta))
-    with pytest.raises(ResourceCap) as info:
-        determinize(m, cap=100)
-    assert str(info.value) == f"subset construction exceeded 100 subsets ({expanded} expanded)"
+    for construct in (determinize, nfa_complexity):
+        with pytest.raises(ResourceCap) as info:
+            construct(m, cap=100)
+        assert str(info.value) == \
+            f"subset construction exceeded 100 subsets ({expanded} expanded)"
 
 
 def _check_minimize(d):
