@@ -80,6 +80,7 @@ def apply_to_set(t: Transformation, P) -> frozenset[int]:
 #
 # Whitespace is ignored everywhere.
 
+_SPACE = re.compile(r"\s+")
 _SHIFT = re.compile(r"^_(\d+)\^(\d+)([a-z])->\3([+-])1$")
 _CYCLE = re.compile(r"^\d+(?:,\d+)*$")
 _ARROW = re.compile(r"^(.*)->(\d+)$")
@@ -141,7 +142,7 @@ def _parse_factor(body: str, n: int) -> Transformation:
 
 
 def parse_transformation(text: str, n: int) -> Transformation:
-    compact = re.sub(r"\s+", "", text)
+    compact = _SPACE.sub("", text)
     for typeset, ascii_ in (("→", "->"), ("∖", "\\"), ("−", "-")):
         compact = compact.replace(typeset, ascii_)
     if compact == "1":
@@ -168,8 +169,11 @@ def parse_transformation(text: str, n: int) -> Transformation:
             raise NotationError(f"unexpected {ch!r} between factors")
     if depth != 0:
         raise NotationError("unbalanced parentheses")
-    result = identity(n)
-    for body in factors:
+    if n < 1:
+        raise ValueError("domain must be nonempty")
+    # composing from the first factor saves building the identity
+    result = _parse_factor(factors[0], n)
+    for body in factors[1:]:
         result = compose(result, _parse_factor(body, n))
     return result
 

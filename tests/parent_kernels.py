@@ -12,13 +12,15 @@ storing a token list per line: `parent_parse_dfa`, `parent_to_text` and
 `parent_triple_system_from_text` is `TripleSystem.from_text`, with the
 helpers they used.  And `parent_random_order`, the random partial order of
 `sconvex.harness._random_order` from when it built its order's matrix.
+And `parent_direct_product`, `sconvex.automata.direct_product` from before
+it was built on the pair walk that the boolean suite shares.
 
 This is not an independent oracle: it shares the algorithms it checks.
 The oracles in oracles.py avoid subset construction and refinement.
 """
 
 from sconvex.automata import SUBSET_CAP, Dfa, Nfa, _check_alphabet
-from sconvex.errors import FormatError, ResourceCap
+from sconvex.errors import AlphabetMismatch, FormatError, ResourceCap
 from sconvex.triples import CLOSURE_CAP, TripleSystem, _set_bits
 
 
@@ -92,6 +94,50 @@ def parent_determinize(m: Nfa, cap: int = SUBSET_CAP) -> Dfa:
             rows[k].append(index[T])
     finals = frozenset(i for i, S in enumerate(order) if S & m.finals)
     return Dfa(len(order), m.alphabet, tuple(tuple(r) for r in rows), finals)
+
+
+_BOOLEAN_OPS = {
+    "union": lambda a, b: a or b,
+    "xor": lambda a, b: a != b,
+    "diff": lambda a, b: a and not b,
+    "intersect": lambda a, b: a and b,
+}
+
+
+def parent_direct_product(d1: Dfa, d2: Dfa, op: str) -> Dfa:
+    """The accessible product DFA for a boolean operation on L(d1), L(d2).
+
+    op is one of 'union', 'xor', 'diff', 'intersect'.  Alphabets must be
+    equal as sets; letters are matched by name and the result uses d1's
+    letter order.
+    """
+    try:
+        combine = _BOOLEAN_OPS[op]
+    except KeyError:
+        raise ValueError(f"unknown boolean operation {op!r}") from None
+    if set(d1.alphabet) != set(d2.alphabet):
+        raise AlphabetMismatch("boolean operations need equal alphabets")
+    sigma = d1.alphabet
+    k2 = [d2.letter_index(letter) for letter in sigma]
+    # its own loop, not reachable_tuples on the disjoint union: that walk
+    # gave the same DFA on 8,000 random cases but took about 1.5 times the
+    # CPU time, on the boolean suite's inputs and on a 150 x 150 product
+    order = [(0, 0)]
+    index = {(0, 0): 0}
+    rows = [[] for _ in sigma]
+    i = 0
+    while i < len(order):
+        (p, q) = order[i]
+        i += 1
+        for k in range(len(sigma)):
+            t = (d1.delta[k][p], d2.delta[k2[k]][q])
+            if t not in index:
+                index[t] = len(order)
+                order.append(t)
+            rows[k].append(index[t])
+    finals = frozenset(i for i, (p, q) in enumerate(order)
+                       if combine(p in d1.finals, q in d2.finals))
+    return Dfa(len(order), sigma, tuple(tuple(r) for r in rows), finals)
 
 
 def parent_random_order(rng, n):

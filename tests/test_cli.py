@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import time
@@ -85,6 +86,24 @@ def test_combine_star_pipeline(star4_file, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(starred))
     assert main(["complexity", "-"]) == 0
     assert capsys.readouterr().out.strip() == "12"
+
+
+@pytest.mark.parametrize("op, digest", [
+    ("union", "8991eea8411af17c7964db17aa43a0a149eb23a0e4b25d8101cd9907230a2bc8"),
+    ("xor", "e1e179aba4e5b9bc63c89c4fc3b1525b5bd814a674bea1d3640298bd6a72bed0"),
+    ("diff", "9b5af3463295a2ff176b7263bb085d16a7a3b4d75781e20e72b5a11e0bbfe0c2"),
+    ("intersect", "79647224888055d5d81fce3fc78bed590d0481a84a0318957cf3d39e274b27d3"),
+])
+def test_combine_boolean_output_is_pinned(star4_file, tmp_path, capsys, monkeypatch,
+                                          op, digest):
+    assert main(["witness", "--family", "syntactic", "--n", "5"]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    assert main(["dialect", "--map", "a=a,b=b,c=c,d=d,e=e,f=f,g=-,h=-", "-"]) == 0
+    right = tmp_path / "syntactic5.txt"
+    right.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["combine", "--op", op, star4_file, str(right)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_combine_argument_counts(star4_file, capsys):

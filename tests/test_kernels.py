@@ -1,7 +1,8 @@
-"""Cross-checks of the subset-construction, minimization and respecting-map
-kernels against the loops they replaced (parent_kernels.py): same DFA, same
-numbering, same ResourceCap, the same state counts from complexity,
-is_minimal and nfa_complexity; same maps in the same order, and the same random draws."""
+"""Cross-checks of the subset-construction, pair-walk, minimization and
+respecting-map kernels against the loops they replaced (parent_kernels.py):
+same DFA, same numbering, same ResourceCap and errors, the same state counts
+from complexity, is_minimal, nfa_complexity and the boolean suite's shared
+walk; same maps in the same order, and the same random draws."""
 
 import hashlib
 import random
@@ -9,19 +10,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sconvex import (Dfa, Nfa, ResourceCap, canonical_system, complexity,
-                     determinize, is_minimal, maximal_semigroup, minimize,
-                     nfa_complexity, order_system, preorder_of, product_nfa,
-                     random_suffix_convex, reverse_nfa, star_nfa)
-from sconvex.harness import _random_convex_finals, _random_order
+from sconvex import (AlphabetMismatch, Dfa, Nfa, ResourceCap, canonical_system,
+                     complexity, determinize, direct_product, is_minimal,
+                     maximal_semigroup, minimize, nfa_complexity, order_system,
+                     preorder_of, product_nfa, random_suffix_convex, reverse_nfa,
+                     star_nfa)
+from sconvex.automata import _pair_complexity, _pair_walk
+from sconvex.harness import (BOOLEAN_OPS, _random_convex_finals, _random_order,
+                             _star_dialect, verify_boolean)
 from sconvex.triples import _respecting_walk
 from sconvex.witnesses import (reversal_system, reversal_witness, star_system,
                                star_witness, syntactic_system,
                                syntactic_witness)
 
 from oracles import matrix_of
-from parent_kernels import (parent_determinize, parent_minimize,
-                            parent_respecting_maps)
+from parent_kernels import (parent_determinize, parent_direct_product,
+                            parent_minimize, parent_respecting_maps)
 
 WITNESSES = (star_witness, reversal_witness, syntactic_witness)
 
@@ -192,6 +196,97 @@ def test_counts_build_no_dfa(monkeypatch):
     # minimize builds exactly its result, so the counter does count
     minimize(d)
     assert built == [size]
+
+
+# ---------------------------------------------------------------------------
+# the pair walk
+
+def _operand(rng: random.Random, names) -> Dfa:
+    """A DFA over the letters `names`, taken in a shuffled order: up to 6
+    states that reach only each other, one of them 0, and up to 3 that
+    nothing reaches; its final set is sometimes empty or full."""
+    r = rng.randint(1, 6)
+    n = r + rng.randint(0, 3)
+    # relabel every state but the initial one
+    label = [0] + rng.sample(range(1, n), n - 1)
+    delta = [[0] * n for _ in names]
+    for row in delta:
+        for q in range(n):
+            row[label[q]] = label[rng.randrange(r if q < r else n)]
+    shape = rng.random()
+    finals = (() if shape < 0.1 else range(n) if shape < 0.2
+              else [q for q in range(n) if rng.random() < 0.4])
+    return Dfa(n, tuple(rng.sample(names, len(names))), delta, finals)
+
+
+def _operand_pairs():
+    for seed in range(2000):
+        rng = random.Random(seed)
+        names = "abc"[:rng.randint(1, 3)]
+        yield _operand(rng, names), _operand(rng, names)
+
+
+def test_direct_product_and_the_shared_walk_match_parent():
+    sizes = set()
+    for d1, d2 in _operand_pairs():
+        walk = _pair_walk(d1, d2)
+        for op in BOOLEAN_OPS:
+            parent = parent_direct_product(d1, d2, op)
+            assert direct_product(d1, d2, op) == parent
+            assert _pair_complexity(d1, d2, walk, op) == complexity(parent)
+        sizes.add((d1.n, d2.n))
+    # the operands span 1 to 9 states each
+    assert (1, 1) in sizes and (9, 9) in sizes
+
+
+def test_verify_boolean_matches_parent():
+    expected = []
+    for m in range(3, 9):
+        left = _star_dialect(m, ("a", "b", None, None, "e", "f"))
+        for n in range(3, 9):
+            right = _star_dialect(n, ("e", "f", None, None, "a", "b"))
+            expected += [(f"boolean-{op}", (("n", n), ("m", m)), m * n,
+                          complexity(parent_direct_product(left, right, op)))
+                         for op in BOOLEAN_OPS]
+    assert [(r.suite, r.params, r.expected, r.actual)
+            for r in verify_boolean(range(3, 9), range(3, 9))] == expected
+
+
+def test_verify_boolean_builds_no_dfa(monkeypatch):
+    operands = {m: _star_dialect(m, ("a", "b", None, None, "e", "f")) for m in (4, 5)}
+    operands[6] = _star_dialect(6, ("e", "f", None, None, "a", "b"))
+    monkeypatch.setattr("sconvex.harness._star_dialect",
+                        lambda n, images: operands[n])
+    built = []
+    post_init = Dfa.__post_init__
+
+    def counting(self):
+        built.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(Dfa, "__post_init__", counting)
+    reports = verify_boolean([4, 5], [6])
+    assert [r.actual for r in reports] == [24] * 4 + [30] * 4
+    assert built == []
+
+
+def _error(construct, *args):
+    with pytest.raises(Exception) as info:
+        construct(*args)
+    return type(info.value), str(info.value)
+
+
+def test_direct_product_errors_match_parent():
+    ab = Dfa(1, ("a", "b"), [(0,), (0,)], ())
+    ba = Dfa(1, ("b", "a"), [(0,), (0,)], ())
+    a = Dfa(1, ("a",), [(0,)], ())
+    for d1, d2, op in ((ab, ba, "nand"), (ab, a, "nand"), (ab, a, "union"),
+                       (a, ba, "xor"), (ab, ba, "Union")):
+        error = _error(parent_direct_product, d1, d2, op)
+        assert _error(direct_product, d1, d2, op) == error
+    assert _error(direct_product, ab, a, "diff")[0] is AlphabetMismatch
+    assert _error(_pair_complexity, ab, ba, _pair_walk(ab, ba), "nand") == \
+        (ValueError, "unknown boolean operation 'nand'")
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,67 @@ def test_parse_rejects_out_of_range_states(bad):
         parse_transformation(bad, 4)
 
 
+@st.composite
+def _factor(draw, n):
+    """A factor literal on n states and its image, worked out here."""
+    kind = draw(st.sampled_from(("cycle", "set", "whole", "one", "shift")))
+    image = list(range(n))
+    if kind == "shift" and n >= 2:
+        lo = draw(st.integers(0, n - 2))
+        hi = draw(st.integers(lo, n - 2))
+        if draw(st.booleans()):
+            for q in range(lo, hi + 1):
+                image[q] = q + 1
+            return f"(_{lo}^{hi} q->q+1)", image
+        for q in range(lo + 1, hi + 2):
+            image[q] = q - 1
+        return f"(_{lo + 1}^{hi + 1}q → q−1)", image
+    if kind == "cycle":
+        states = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+        for i, q in enumerate(states):
+            image[q] = states[(i + 1) % len(states)]
+        return "(" + ", ".join(map(str, states)) + ")", image
+    target = draw(st.integers(0, n - 1))
+    sources = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    if kind == "set":
+        text = "({" + ",".join(map(str, sorted(sources))) + "}->" + f"{target})"
+    elif kind == "whole" and len(sources) < n:
+        kept = sorted(set(range(n)) - sources)
+        text = ("(Q\\{" + ",".join(map(str, kept)) + "} -> " + f"{target})"
+                if kept else f"(Q_{n}->{target})")
+    else:
+        sources = {min(sources)}
+        text = f"( {min(sources)} -> {target} )"
+    for q in sources:
+        image[q] = target
+    return text, image
+
+
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(_factor(n), min_size=1, max_size=6))))
+@settings(max_examples=300, deadline=None)
+def test_parse_multi_factor_literals_compose_from_the_identity(case):
+    n, factors = case
+    image = list(range(n))
+    for _, factor in factors:
+        image = [factor[q] for q in image]
+    text = " ".join(text for text, _ in factors)
+    assert parse_transformation(text, n).image == tuple(image)
+
+
+@pytest.mark.parametrize("text, n, error, message", [
+    ("(0,1)(9->1)", 4, "StateOutOfRange", "state 9 outside 0..3"),
+    ("(0,1)(x)(9->1)", 4, "NotationError", "cannot read factor (x)"),
+    ("(Q->0)(Q_5->0)", 4, "NotationError", "Q_5 used with domain size 4"),
+    ("(0,1)", 0, "ValueError", "domain must be nonempty"),
+    ("1", 0, "ValueError", "domain must be nonempty"),
+])
+def test_parse_errors_name_the_first_bad_factor(text, n, error, message):
+    with pytest.raises(Exception) as info:
+        parse_transformation(text, n)
+    assert (type(info.value).__name__, str(info.value)) == (error, message)
+
+
 def test_closure_of_full_transformation_monoid_generators():
     gens = [t(3, 1, 2, 0), t(3, 1, 0, 2), t(3, 0, 0, 2)]
     sg = closure(gens)
