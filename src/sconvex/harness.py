@@ -297,11 +297,28 @@ def _random_order(rng, n):
     # up[p] has bit q set when p <= q
     up = [1 | 1 << p for p in range(n)]
     if n >= 3:
-        # sample copies any sequence into the same pool, so sampling from
-        # one list draws what sampling from range(1, n) each time would
-        pool = list(range(1, n))
+        # (p, q) = rng.sample(range(1, n), 2), drawn as random.Random.sample
+        # draws it: j and then i, each as _randbelow draws it, retrying
+        # getrandbits past the bound.  Up to 21 items sample draws i below
+        # m - 1 from a pool whose slot j now holds the last item, m; past 21
+        # it redraws i below m while i == j.
+        (m, getrandbits) = (n - 1, rng.getrandbits)
+        (k, k1) = (m.bit_length(), (m - 1).bit_length())
         for _ in range(rng.randint(0, n * n)):
-            p, q = rng.sample(pool, 2)
+            j = getrandbits(k)
+            while j >= m:
+                j = getrandbits(k)
+            if m <= 21:
+                i = getrandbits(k1)
+                while i >= m - 1:
+                    i = getrandbits(k1)
+                q = m if i == j else i + 1
+            else:
+                i = j
+                while i == j or i >= m:
+                    i = getrandbits(k)
+                q = i + 1
+            p = j + 1
             if up[q] >> p & 1 or up[p] >> q & 1:
                 continue
             # closing over one new edge: everything below p goes below
@@ -331,7 +348,9 @@ def random_suffix_convex(n: int, letters: int, seed: int) -> Dfa:
     final set keep the language suffix-convex.  Fully determined by seed.
     Each letter is the first map of one shuffled walk of the monotone-map
     enumerator, all on tables built once for the order; a walk reaches
-    every monotone map but not with perfectly uniform weight.
+    every monotone map but not with perfectly uniform weight.  A walk that
+    enters more than n + CLOSURE_CAP // n levels for one letter, backing
+    out of dead ends, raises ResourceCap.
     """
     if n < 2:
         raise BadSize(f"need n >= 2 for a proper final set, got {n}")
@@ -345,8 +364,9 @@ def random_suffix_convex(n: int, letters: int, seed: int) -> Dfa:
     po = _random_order(rng, n)
     finals = _random_convex_finals(rng, po)
     walk = _respecting_walk(po)
-    delta = tuple(next(walk(rng)) for _ in range(letters))
-    return Dfa(n, letter_names(letters), delta, finals)
+    names = letter_names(letters)
+    delta = tuple(next(walk(rng, letter)) for letter in names)
+    return Dfa(n, names, delta, finals)
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +543,9 @@ def _counted_masks(up):
     return (ups[::-1] + [1 << m], downs[::-1] + [(2 << m) - 1])
 
 
-def _convex_count(up):
-    """|C(P)|, the convex sets of the poset of a class key, the empty set
-    included.
+def _convex_counts(up):
+    """(|C(P)|, |I(P)|): the convex and the down-closed sets of the poset
+    of a class key, the empty set included in both.
 
     The walk decides the points in key order and keeps pairs (C, B): C the
     points taken, B the points left out that lie below a point of C.  A
@@ -533,25 +553,28 @@ def _convex_count(up):
     out joins B if a point above it is in C.  A key lists each point only
     below earlier ones, so every prefix of a convex set is convex, and the
     pairs need only the points that a later point lies below: pairs that
-    agree on those are merged.
+    agree on those are merged.  C is down-closed exactly when no point
+    ever joined B, which one more bit records.
     """
     m = len(up)
     later = [0] * m
     for k in range(m - 1, 0, -1):
         later[k - 1] = later[k] | up[k]
-    # each pair as one int: C in the low m bits, B above them
-    pairs = {0: 1}
+    # each pair as one int: C in the low m bits, B above them, and above
+    # both the bit set once a point has joined B
+    (pairs, joined_b) = ({0: 1}, 1 << 2 * m)
     for k, above in enumerate(up):
-        (bit, above_b, keep) = (1 << k, above << m, later[k] | later[k] << m)
+        (bit, above_b) = (1 << k, above << m)
+        keep = later[k] | later[k] << m | joined_b
         grown = {}
         for pair, count in pairs.items():
             if not pair & above_b:
                 joined = (pair | bit) & keep
                 grown[joined] = grown.get(joined, 0) + count
-            left = (pair | bit << m if pair & above else pair) & keep
+            left = (pair | bit << m | joined_b if pair & above else pair) & keep
             grown[left] = grown.get(left, 0) + count
         pairs = grown
-    return sum(pairs.values())
+    return (sum(pairs.values()), pairs.get(0, 0))
 
 
 def probe_conjecture(n: int) -> ProbeResult:
@@ -585,7 +608,7 @@ def probe_conjecture(n: int) -> ProbeResult:
     not are C(P), of which the down-closed ones are not proper.  So there
     are |C(P)| + |I(P)| - 2 configurations, none and all left out, and
     |C(P)| - |I(P)| proper ones; P has one exactly when it is not an
-    antichain.  _convex_count walks the key for |C(P)|.
+    antichain.  _convex_counts walks the key once for both.
 
     Only the maps of orders with a proper configuration are counted, by
     the programme of monotone_count, and each count stops once it is sure
@@ -611,7 +634,7 @@ def probe_conjecture(n: int) -> ProbeResult:
     proper_count = 0
     (best_size, tied) = (0, [])
     for up in classes:
-        (convex, ideals) = (_convex_count(up), len(_up_closed_sets(up)))
+        (convex, ideals) = _convex_counts(up)
         configurations += convex + ideals - 2
         proper_count += convex - ideals
         if not any(up):

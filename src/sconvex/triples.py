@@ -433,8 +433,11 @@ def _respecting_walk(po: Preorder, scan=(), masks=()):
         diag[image[c]] for (q, q, c).
     Without `rng`, values are tried in increasing order, so the maps come
     out lexicographically.  With `rng`, each level is entered with one
-    `rng.shuffle` of 0..n-1 and tries the values in that order instead: a
-    randomized walk.
+    shuffle of 0..n-1, drawn from `rng.getrandbits` exactly as
+    `rng.shuffle` draws it, and tries the values in that order instead: a
+    randomized walk.  It backtracks out of dead ends, which some orders
+    have, so it raises ResourceCap once it has entered more than
+    n + CLOSURE_CAP // n levels, naming `letter`.
     """
     (n, up, down) = (po.n, po.up, po.down)
     values = range(n)
@@ -460,11 +463,22 @@ def _respecting_walk(po: Preorder, scan=(), masks=()):
     pack = bytes if n <= 256 else tuple
     (last, tails) = (n - 1, [pack((v,)) for v in values])
     listed = {}  # the values of each candidate mask met so far, increasing
+    # the shuffle's swaps, last first: x[i] with x[j] for j drawn below i + 1
+    # from k = (i + 1).bit_length() random bits
+    spans = [(i, (i + 1).bit_length()) for i in reversed(range(1, n))]
 
-    def walk(rng=None):
+    def walk(rng=None, letter=None):
+        if n == 0:
+            yield b""
+            return
         image = [0] * n
+        entered = 0  # levels of a randomized walk
+        if rng is not None:
+            getrandbits = rng.getrandbits
+            cap = n + CLOSURE_CAP // n
 
         def candidates(q):
+            nonlocal entered
             mask = full
             for p in below[q]:
                 mask &= up[image[p]]
@@ -482,13 +496,21 @@ def _respecting_walk(po: Preorder, scan=(), masks=()):
                 if out is None:
                     out = listed[mask] = [v for v in values if mask >> v & 1]
                 return out
+            entered += 1
+            if entered > cap:
+                raise ResourceCap(f"the random walk for letter {letter} entered "
+                                  f"{entered} levels on {n} states, past the cap "
+                                  f"n + CLOSURE_CAP // n = {cap}")
+            # the draws of random.Random.shuffle: each j as _randbelow(i + 1)
+            # draws it, retrying getrandbits(k) until j <= i
             order = list(values)
-            rng.shuffle(order)
+            for (i, k) in spans:
+                j = getrandbits(k)
+                while j > i:
+                    j = getrandbits(k)
+                order[i], order[j] = order[j], order[i]
             return [v for v in order if mask >> v & 1]
 
-        if n == 0:
-            yield b""
-            return
         # pending[q] iterates over the candidates of state q not yet tried;
         # each candidate of the last state completes the head into a map
         pending = [iter(candidates(0))]

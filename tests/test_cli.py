@@ -288,6 +288,17 @@ def test_random_refuses_oversized_requests_fast(args, capsys):
     assert "at most 2000000" in capsys.readouterr().err
 
 
+def test_random_refuses_a_runaway_walk(capsys):
+    # the walk for the second letter backtracks out of dead ends without
+    # end; it is refused past n + CLOSURE_CAP // n levels, about 0.5 s
+    start = time.process_time()
+    assert main(["random", "--n", "32", "--letters", "5", "--seed", "56"]) == 3
+    assert time.process_time() - start < 2
+    assert capsys.readouterr().err == (
+        "error: the random walk for letter t001 entered 62533 levels on 32 "
+        "states, past the cap n + CLOSURE_CAP // n = 62532\n")
+
+
 def test_export_dot(star4_file, capsys):
     assert main(["export-dot", "--name", "W", star4_file]) == 0
     out = capsys.readouterr().out

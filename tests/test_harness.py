@@ -127,6 +127,18 @@ def test_random_suffix_convex_shape_and_convexity(n, letters, seed=9):
     assert convex
 
 
+def test_random_suffix_convex_refuses_runaway_walks_only():
+    # a walk that backtracks out of dead ends is refused once it has
+    # entered n + CLOSURE_CAP // n levels ...
+    with pytest.raises(ResourceCap, match="letter t001 entered 62533 levels "
+                       "on 32 states, past the cap n [+] CLOSURE_CAP // n = 62532"):
+        random_suffix_convex(32, 5, 56)
+    # ... while one that enters 30,607 levels, under the cap of 66,696,
+    # still gives its DFA
+    d = random_suffix_convex(30, 1, 57)
+    assert is_suffix_convex(d)[0]
+
+
 def test_random_suffix_convex_spread():
     seen_proper = False
     for seed in range(30):
@@ -322,7 +334,8 @@ def test_counts_from_the_key_match_the_convex_sets():
             po = harness._probe_order(n, up)
             convex = [f for f in range(1, (1 << n) - 1)
                       if _convex_violation(po, f) is None]
-            (c, i) = (harness._convex_count(up), len(harness._up_closed_sets(up)))
+            (c, i) = harness._convex_counts(up)
+            assert i == len(harness._up_closed_sets(up))
             assert c + i - 2 == len(convex)
             assert c - i == sum(not f & 1 and any(po.down[g] & ~f for g in _bits(f))
                                 for f in convex)

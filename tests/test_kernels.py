@@ -6,6 +6,8 @@ walk; same maps in the same order, and the same random draws."""
 
 import hashlib
 import random
+from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -367,6 +369,49 @@ def test_seeded_walks_match_parent_and_leave_the_same_draws(seed):
             assert new.random() == old.random()
 
 
+@pytest.mark.parametrize("lengths", [
+    [*range(1, 65), 127, 128, 129, 255, 256, 257, 300],
+    pytest.param(range(1, 301), marks=pytest.mark.slow)])
+def test_walk_shuffles_as_random_shuffle_draws(lengths):
+    # with no state below another (not a Preorder, which needs 0 on top)
+    # every level's candidates are all n values, so the first n maps show
+    # the first value of each level's shuffle and all of the last one's
+    for n in lengths:
+        units = [1 << p for p in range(n)]
+        walk = _respecting_walk(SimpleNamespace(n=n, up=units, down=units))
+        (ours, theirs) = (random.Random(n), random.Random(n))
+        got = [tuple(image) for image in islice(walk(ours), n)]
+        orders = []
+        for _ in range(n):
+            order = list(range(n))
+            theirs.shuffle(order)
+            orders.append(order)
+        head = tuple(order[0] for order in orders[:-1])
+        assert got == [head + (v,) for v in orders[-1]], n
+        assert ours.getstate() == theirs.getstate(), n
+
+
+class _OneEdge(random.Random):
+    """Draws one candidate edge per random order: randint gives 1 and
+    draws nothing."""
+
+    def randint(self, a, b):
+        return 1
+
+
+@pytest.mark.parametrize("m", range(2, 41))
+def test_random_order_edge_draws_as_random_sample(m):
+    # on both sides of sample's switch from a pool to a set at 21 items;
+    # the one edge p <= q of a fresh order is the only up mask with 3 bits
+    for seed in range(60):
+        (ours, theirs) = (_OneEdge(seed), random.Random(seed))
+        up = _random_order(ours, m + 1).up
+        ((p, mask),) = [(p, u) for p, u in enumerate(up) if u.bit_count() == 3]
+        q = (mask & ~(1 | 1 << p)).bit_length() - 1
+        assert [p, q] == theirs.sample(range(1, m + 1), 2)
+        assert ours.getstate() == theirs.getstate()
+
+
 def test_maximal_semigroup_of_the_syntactic_system_at_seven_is_pinned():
     images = maximal_semigroup(syntactic_system(7)).images
     digest = hashlib.sha256()
@@ -385,3 +430,15 @@ def test_random_suffix_convex_is_pinned():
                 digest.update(random_suffix_convex(n, k, seed).to_text().encode())
     assert digest.hexdigest() == \
         "c835abf1c22acfcf0dd4f4b51183128536307b772b37b36d45014eed7d176803"
+
+
+def test_random_suffix_convex_is_pinned_past_nine():
+    # byte images up to 256 states and tuples past them, and the random
+    # order's edges drawn from a pool (n - 1 <= 21) and from a set
+    digest = hashlib.sha256()
+    for n in (10, 16, 23, 40, 300):
+        for k in (1, 3):
+            for seed in range(4):
+                digest.update(random_suffix_convex(n, k, seed).to_text().encode())
+    assert digest.hexdigest() == \
+        "a967a27fd0ca74504d533bd392c6639a423d69a6fdea020d47328582311635d4"
