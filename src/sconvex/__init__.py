@@ -3,11 +3,9 @@ classification, and exact verification of the operation bounds."""
 
 from .automata import (Dfa, Nfa, atom_count, complete_to, complexity,
                        determinize, direct_product, equivalent, is_minimal,
-                       minimize, nfa_complexity, product_nfa,
-                       quotient_contains, reverse_nfa, star_nfa,
+                       minimize, nfa_complexity, product_nfa, star_nfa,
                        union_alphabet)
-from .classify import (Classification, classify, is_left_ideal,
-                       is_suffix_closed, is_suffix_convex, is_suffix_free)
+from .classify import Classification, classify
 from .errors import (AlphabetMismatch, AxiomViolation, BadSize, FormatError,
                      NonConvexFinals, NotInjective, NotMinimal, NotPartialOrder,
                      NotSuffixConvex, NotationError, ResourceCap, SconvexError,
@@ -19,16 +17,14 @@ from .harness import (ProbeResult, Report, monotone_reversal_count,
                       verify_boolean, verify_exclusions,
                       verify_monotone_counts, verify_product, verify_reversal,
                       verify_star, verify_syntactic)
-from .transformations import (Semigroup, Transformation, apply_to_set,
-                              closure, compose, identity, parse_transformation,
-                              semigroup_size, syntactic_complexity,
-                              transition_semigroup)
+from .transformations import (Semigroup, Transformation, closure, compose,
+                              identity, parse_transformation, semigroup_size,
+                              syntactic_complexity, transition_semigroup)
 from .triples import (OrderProperties, Preorder, RespectCheck, TripleSystem,
                       antichain_order, base_triples, canonical_system,
                       dfa_respects, make_triple_system, maximal_semigroup,
-                      monotone_dfa, monotone_maps, monotone_transformations,
-                      order_properties, order_system, preorder_of, respects,
-                      total_order)
+                      monotone_maps, order_properties, order_system,
+                      preorder_of, respects, total_order)
 from .witnesses import (LetterMap, dialect, reversal_order, reversal_system,
                         reversal_witness, star_system, star_witness,
                         syntactic_system, syntactic_witness)

@@ -358,16 +358,17 @@ def _succ(m: Nfa):
     return [tuple(map(_mask, row)) for row in m.delta]
 
 
-def _subset_walk(succ, start, k, cap):
+def _subset_walk(succ, start, k):
     """The accessible subset construction over bit masks, from the subset
     `start`, where succ[q][j] is state q's successor mask under letter j.
 
     Returns (order, flat): the subsets in breadth-first discovery order
     with the alphabet order, and the state-major table, in which subset i
     goes to subset flat[i*k + j] under letter j.  Raises ResourceCap,
-    saying how many subsets were fully expanded, when more than `cap`
+    saying how many subsets were fully expanded, when more than SUBSET_CAP
     subsets are discovered.
     """
+    cap = SUBSET_CAP
     empty = (0,) * k
     # chunk[pos << 8 | byte]: the successors, under every letter, of the
     # states byte * 2^(8 pos) selects, filled in on first use
@@ -409,40 +410,29 @@ def _subset_walk(succ, start, k, cap):
     return order, flat
 
 
-def determinize(m: Nfa, cap: int = SUBSET_CAP) -> Dfa:
+def determinize(m: Nfa) -> Dfa:
     """Accessible subset construction.
 
     Subsets are numbered by breadth-first discovery with the alphabet order;
     the empty subset appears only when it is reachable.  Raises ResourceCap,
-    saying how many subsets were fully expanded, when more than `cap`
+    saying how many subsets were fully expanded, when more than SUBSET_CAP
     subsets are discovered.
     """
     k = len(m.alphabet)
-    order, flat = _subset_walk(_succ(m), _mask(m.initials), k, cap)
+    order, flat = _subset_walk(_succ(m), _mask(m.initials), k)
     fmask = _mask(m.finals)
     finals = frozenset(i for i, S in enumerate(order) if S & fmask)
     return Dfa(len(order), m.alphabet, [flat[j::k] for j in range(k)], finals)
 
 
-def nfa_complexity(m: Nfa, cap: int = SUBSET_CAP) -> int:
-    """complexity(determinize(m, cap)), with the same ResourceCap: the Moore
+def nfa_complexity(m: Nfa) -> int:
+    """complexity(determinize(m)), with the same ResourceCap: the Moore
     rounds run on the subset walk's own table, whose subsets are all
     reachable, so no DFA is built and no second walk is made."""
     k = len(m.alphabet)
-    order, flat = _subset_walk(_succ(m), _mask(m.initials), k, cap)
+    order, flat = _subset_walk(_succ(m), _mask(m.initials), k)
     fmask = _mask(m.finals)
     return max(_moore(flat, k, [int(S & fmask != 0) for S in order])) + 1
-
-
-def reverse_nfa(d: Dfa) -> Nfa:
-    '''The reversal NFA: every transition flipped, finals become initials.'''
-    delta = [[set() for _ in d.alphabet] for _ in range(d.n)]
-    for k in range(len(d.alphabet)):
-        for p in range(d.n):
-            delta[d.delta[k][p]][k].add(p)
-    return Nfa(d.n, d.alphabet,
-               tuple(tuple(frozenset(s) for s in row) for row in delta),
-               initials=d.finals, finals=frozenset({0}))
 
 
 def _into(t, finals, entry):
@@ -616,19 +606,6 @@ def reachable_tuples(rows, seeds, parent=None):
                 yield t
 
 
-def quotient_contains(d: Dfa, p: int, q: int) -> bool:
-    """Whether the left quotient at state p is contained in the one at q.
-
-    Decided by reachability in the pair automaton: containment fails exactly
-    when some reachable pair is (final, non-final).
-    """
-    if not (0 <= p < d.n and 0 <= q < d.n):
-        raise ValueError("states out of range")
-    finals = d.finals
-    return not any(x in finals and y not in finals
-                   for x, y in reachable_tuples(d.delta, [(p, q)]))
-
-
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
     """Whether L(d1) = L(d2), by pairwise reachability.  Alphabets must match.
 
@@ -665,7 +642,7 @@ def _atoms(d: Dfa, reach, flat) -> int:
     for i, t in enumerate(flat):
         pred[t][i % k] |= 1 << (i // k)
     start = _mask(q for q, s in enumerate(reach) if s in d.finals)
-    return len(_subset_walk(pred, start, k, SUBSET_CAP)[0])
+    return len(_subset_walk(pred, start, k)[0])
 
 
 def _complexity_and_atoms(d: Dfa):

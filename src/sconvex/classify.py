@@ -34,8 +34,6 @@ holds on the reachable part of any complete DFA, minimal or not.
 `classify` minimizes only to keep the walks small and its counterexample
 canonical.
 
-Each predicate on its own runs only its pair walk, with no triples.
-
 `triples.canonical_system` decides convexity with its own backward masks
 and refuses at the first seed (0, x, y) they mark.  Only then does it run
 this chain, on its minimal input with no second minimize: the walks
@@ -96,16 +94,6 @@ def _chain(d: Dfa):
     return None, pair_parent
 
 
-def is_suffix_convex(d: Dfa):
-    """Decide suffix-convexity of L(d).
-
-    Returns (True, None), or (False, (u, v, w)) with each word a tuple of
-    letter names such that w and uvw are accepted but vw is not.
-    """
-    counterexample = _chain(minimize(d))[0]
-    return counterexample is None, counterexample
-
-
 def _inclusions(finals, pairs):
     """Whether L is a left ideal and whether it is suffix-closed, read off
     every pair reachable from a (q, 0), q reachable; L is nonempty when
@@ -115,13 +103,12 @@ def _inclusions(finals, pairs):
     return ideal, (True, False) not in kinds
 
 
-def _free_pairs(delta, states):
-    '''Every pair reachable from a (delta(q, a), 0), q in states.'''
-    return reachable_tuples(delta, [(row[q], 0) for q in states for row in delta])
-
-
-def _suffix_free(finals, free_pairs) -> bool:
-    return not any(x in finals and y in finals for x, y in free_pairs)
+def _suffix_free(d: Dfa) -> bool:
+    '''Whether no pair reachable from a (delta(q, a), 0) is (final, final).'''
+    finals = d.finals
+    seeds = [(row[q], 0) for q in range(d.n) for row in d.delta]
+    return not any(x in finals and y in finals
+                   for x, y in reachable_tuples(d.delta, seeds))
 
 
 def classify(d: Dfa) -> Classification:
@@ -131,23 +118,6 @@ def classify(d: Dfa) -> Classification:
     if counterexample is not None:
         return Classification(False, False, False, False, False, counterexample)
     ideal, closed = _inclusions(d.finals, pairs)
-    free = _suffix_free(d.finals, _free_pairs(d.delta, range(d.n)))
+    free = _suffix_free(d)
     return Classification(True, ideal, closed, free,
                           not (ideal or closed or free))
-
-
-def is_left_ideal(d: Dfa) -> bool:
-    '''Whether L(d) is nonempty and equal to sigma* L(d).'''
-    seeds = [(q, 0) for q in d.reachable()]
-    return _inclusions(d.finals, reachable_tuples(d.delta, seeds))[0]
-
-
-def is_suffix_closed(d: Dfa) -> bool:
-    '''Whether every suffix of every accepted word is accepted.'''
-    seeds = [(q, 0) for q in d.reachable()]
-    return _inclusions(d.finals, reachable_tuples(d.delta, seeds))[1]
-
-
-def is_suffix_free(d: Dfa) -> bool:
-    '''Whether no accepted word is a proper suffix of another.'''
-    return _suffix_free(d.finals, _free_pairs(d.delta, d.reachable()))

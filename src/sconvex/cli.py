@@ -1,12 +1,15 @@
 """Command line interface.
 
 Exit codes: 0 success (and every verification PASS), 1 verification
-failure, 2 usage or input errors, 3 resource cap exceeded.
+failure, 2 usage or input errors, 3 resource cap exceeded, 141 (128 +
+SIGPIPE) when the reader of standard output went away, as a shell reports
+for a writer that SIGPIPE killed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -112,6 +115,8 @@ def _cmd_combine(args):
 
 
 def _cmd_semigroup(args):
+    if args.cap < 1:
+        raise SconvexError(f"--cap must be at least 1, got {args.cap}")
     d = _read_dfa(args.input)
     if args.count_only:
         letters = [Transformation(d.n, row) for row in d.delta]
@@ -284,13 +289,24 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        # what is still buffered goes out here, so that a closed pipe shows
+        # below and not at exit
+        sys.stdout.flush()
+        return code
     except ResourceCap as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SconvexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # no error line: fd 1 goes to the null device, so that the flush at
+        # exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 141
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,12 +33,6 @@ class Transformation:
             if not 0 <= q < self.n:
                 raise StateOutOfRange(f"image entry {q} outside 0..{self.n - 1}")
 
-    def apply(self, q: int) -> int:
-        return self.image[q]
-
-    def is_identity(self) -> bool:
-        return all(self.image[q] == q for q in range(self.n))
-
     def __str__(self):
         return "[" + " ".join(str(q) for q in self.image) + "]"
 
@@ -52,16 +46,6 @@ def compose(s: Transformation, t: Transformation) -> Transformation:
     if s.n != t.n:
         raise SizeMismatch(f"cannot compose domains {s.n} and {t.n}")
     return Transformation(s.n, tuple(t.image[q] for q in s.image))
-
-
-def apply_to_set(t: Transformation, P) -> frozenset[int]:
-    '''The image set Pt = {pt | p in P}.'''
-    out = set()
-    for p in P:
-        if not 0 <= p < t.n:
-            raise StateOutOfRange(f"state {p} outside 0..{t.n - 1}")
-        out.add(t.image[p])
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +172,8 @@ class Semigroup:
     `images` lists the image vectors in the order their builder met them.
     From `closure` that is breadth-first by product length, ties broken by
     generator order, so generators appear first, whether or not the
-    identity is among them.  `monotone_transformations` and
-    `maximal_semigroup` list their maps lexicographically.
+    identity is among them.  `maximal_semigroup` lists its maps
+    lexicographically.
     """
 
     n: int
@@ -197,25 +181,6 @@ class Semigroup:
 
     def __len__(self):
         return len(self.images)
-
-    def __contains__(self, t) -> bool:
-        if isinstance(t, Transformation):
-            if t.n != self.n:
-                return False
-            t = bytes(t.image)
-        return t in self.image_set()
-
-    def image_set(self) -> frozenset[bytes]:
-        cached = self.__dict__.get("_image_set")
-        if cached is None:
-            cached = frozenset(self.images)
-            object.__setattr__(self, "_image_set", cached)
-        return cached
-
-    def elements(self):
-        '''Yield every element as a Transformation, in enumeration order.'''
-        for img in self.images:
-            yield Transformation(self.n, tuple(img))
 
     def dump(self) -> str:
         '''One image vector per line, entries space-separated, sorted.'''

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress
+from itertools import compress, islice
 from operator import or_
 
 from .automata import Dfa, _mask, _text_rows, is_minimal, reachable_tuples
@@ -320,15 +320,6 @@ class Preorder:
                     raise FormatError(
                         f"preorder not transitive: {p} <= {q} <= {r}")
 
-    def below(self, p: int, q: int) -> bool:
-        return bool(self.up[p] >> q & 1)
-
-    def strictly_below(self, p: int, q: int) -> bool:
-        return self.below(p, q) and not self.below(q, p)
-
-    def equivalent(self, p: int, q: int) -> bool:
-        return self.below(p, q) and self.below(q, p)
-
     def dump(self) -> str:
         '''n lines of n space-separated 0/1 entries.'''
         return "\n".join(" ".join(format(m, f"0{self.n}b")[::-1])
@@ -530,35 +521,38 @@ def _respecting_walk(po: Preorder, scan=(), masks=()):
     return walk
 
 
-def check_enumerable(n: int) -> None:
-    '''Refuse a map enumeration on more than ENUM_MAX_STATES states.'''
+def _enumeration(n: int, walk):
+    """The maps that walk() yields, a walk on n states, passed on lazily.
+
+    ResourceCap is raised at once for more than ENUM_MAX_STATES states,
+    before walk() builds any table, and once more than CLOSURE_CAP maps
+    have come, the cap as it is at this call.
+    """
     if n > ENUM_MAX_STATES:
         raise ResourceCap(f"map enumeration supports at most {ENUM_MAX_STATES} "
                           f"states, got {n}")
+    (cap, maps) = (CLOSURE_CAP, walk())
+
+    def capped():
+        yield from islice(maps, cap)  # islice counts the maps in C
+        if next(maps, None) is not None:
+            raise ResourceCap(f"enumeration on {n} states reached {cap + 1} "
+                              f"maps, over the cap {cap}")
+
+    return capped()
 
 
-def _capped(n: int, maps, cap: int):
-    '''Pass the maps on, raising ResourceCap once more than cap of them
-    have come; the callers refuse more than ENUM_MAX_STATES states first.'''
-    for count, image in enumerate(maps, 1):
-        if count > cap:
-            raise ResourceCap(f"enumeration on {n} states reached {count} maps, "
-                              f"over the cap {cap}")
-        yield image
-
-
-def monotone_maps(po: Preorder, cap: int = CLOSURE_CAP):
+def monotone_maps(po: Preorder):
     """An iterator over the maps monotone for a partial order, lexicographic,
     as image bytes, so they can be counted without being stored.
 
     Monotone means p below q forces pt below qt.  The order must be
     antisymmetric with maximum 0.  ResourceCap is raised once more than
-    `cap` maps have been produced, and at once for more than
+    CLOSURE_CAP maps have been produced, and at once for more than
     ENUM_MAX_STATES states.
     """
     _require_partial_order(po)
-    check_enumerable(po.n)  # before the walk's tables are built
-    return _capped(po.n, _respecting_walk(po)(), cap)
+    return _enumeration(po.n, lambda: _respecting_walk(po)())
 
 
 def monotone_count(po: Preorder) -> int:
@@ -632,25 +626,18 @@ def _count_monotone(n, up, down, floor=0):
     return sum(level.values())
 
 
-def monotone_transformations(po: Preorder, cap: int = CLOSURE_CAP) -> Semigroup:
-    """All of monotone_maps(po, cap), as a Semigroup: the monotone maps
-    are closed under composition.
-    """
-    return Semigroup(po.n, tuple(monotone_maps(po, cap)))
-
-
-def maximal_semigroup(s: TripleSystem, cap: int = CLOSURE_CAP) -> Semigroup:
+def maximal_semigroup(s: TripleSystem) -> Semigroup:
     """Every transformation respecting s, lexicographic.
 
     Condition 2 is monotonicity for the derived preorder, so the maps are
     enumerated state by state as monotone maps, and each scan triple of
     Condition 1 narrows the candidate mask of its largest state.
-    ResourceCap is raised once more than `cap` maps have been produced,
-    and at once for more than ENUM_MAX_STATES states.
+    ResourceCap is raised once more than CLOSURE_CAP maps have been
+    produced, and at once for more than ENUM_MAX_STATES states.
     """
-    check_enumerable(s.n)  # before the walk's tables are built
-    maps = _respecting_walk(preorder_of(s), s.scan_triples(), s.masks)()
-    return Semigroup(s.n, tuple(_capped(s.n, maps, cap)))
+    maps = _enumeration(s.n, lambda: _respecting_walk(
+        preorder_of(s), s.scan_triples(), s.masks)())
+    return Semigroup(s.n, tuple(maps))
 
 
 def order_system(po: Preorder, finals) -> TripleSystem:
@@ -671,21 +658,6 @@ def letter_names(count: int) -> tuple[str, ...]:
     '''Canonical letter names t000, t001, ... widened past a thousand.'''
     width = max(3, len(str(count - 1))) if count else 3
     return tuple(f"t{i:0{width}d}" for i in range(count))
-
-
-def monotone_dfa(po: Preorder, finals) -> Dfa:
-    """The DFA with one letter per monotone transformation.
-
-    With a convex final set that is neither empty nor everything, the
-    result is minimal, suffix-convex, and respects order_system(po, finals).
-    Letters are named t000, t001, ... in the lexicographic element order.
-    """
-    finals = frozenset(finals)
-    if not finals or len(finals) >= po.n:
-        raise ValueError("final set must be nonempty and proper")
-    _check_convex_finals(po, finals)
-    delta = tuple(monotone_maps(po))
-    return Dfa(po.n, letter_names(len(delta)), delta, finals)
 
 
 def total_order(n: int) -> Preorder:

@@ -210,6 +210,24 @@ def naive_closure(generators):
     return seen
 
 
+def quotient_contains(d, p, q):
+    """Whether the left quotient at state p is contained in the one at q:
+    no word takes the pair (p, q) to (final, non-final).  A plain worklist
+    over the pairs the words reach."""
+    seen = {(p, q)}
+    frontier = [(p, q)]
+    while frontier:
+        (x, y) = frontier.pop()
+        if x in d.finals and y not in d.finals:
+            return False
+        for row in d.delta:
+            nxt = (row[x], row[y])
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return True
+
+
 def naive_canonical_triples(d):
     """The canonical system's relation straight from its definition:
     (p, q, r) is in R exactly when no word leads the state triple into

@@ -14,6 +14,10 @@ helpers they used.  And `parent_random_order`, the random partial order of
 `sconvex.harness._random_order` from when it built its order's matrix.
 And `parent_direct_product`, `sconvex.automata.direct_product` from before
 it was built on the pair walk that the boolean suite shares.
+And `reverse_nfa`, the reversal NFA that `sconvex.automata` built before
+atom counting walked the reversal of its refinement's table: the reference
+for atom counts past the signature oracle's reach and for the Brzozowski
+property tests.
 
 This is not an independent oracle: it shares the algorithms it checks.
 The oracles in oracles.py avoid subset construction and refinement.
@@ -138,6 +142,17 @@ def parent_direct_product(d1: Dfa, d2: Dfa, op: str) -> Dfa:
     finals = frozenset(i for i, (p, q) in enumerate(order)
                        if combine(p in d1.finals, q in d2.finals))
     return Dfa(len(order), sigma, tuple(tuple(r) for r in rows), finals)
+
+
+def reverse_nfa(d: Dfa) -> Nfa:
+    '''The reversal NFA: every transition flipped, finals become initials.'''
+    delta = [[set() for _ in d.alphabet] for _ in range(d.n)]
+    for k in range(len(d.alphabet)):
+        for p in range(d.n):
+            delta[d.delta[k][p]][k].add(p)
+    return Nfa(d.n, d.alphabet,
+               tuple(tuple(frozenset(s) for s in row) for row in delta),
+               initials=d.finals, finals=frozenset({0}))
 
 
 def parent_random_order(rng, n):

@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 from sconvex import (atom_count, canonical_system, classify, dfa_respects,
-                     is_suffix_convex, maximal_semigroup, minimize,
+                     maximal_semigroup, minimize,
                      order_properties, preorder_of, reversal_witness,
                      star_witness, syntactic_bound, syntactic_complexity,
                      syntactic_system, syntactic_witness, transition_semigroup,
@@ -85,7 +85,7 @@ def test_exhaustive_filter_matches_generated_semigroup():
     for n in range(3, 7):
         filtered = maximal_semigroup(syntactic_system(n))
         generated = transition_semigroup(syntactic_witness(n))
-        if filtered.image_set() != generated.image_set():
+        if set(filtered.images) != set(generated.images):
             mismatches.append(n)
     _conclude_flag("respecting-filter-equals-closure n=3..6", not mismatches,
                    f"diverges at n={mismatches}")
@@ -148,7 +148,8 @@ def test_oracle_agreement_on_random_dfas():
     disagreements = []
     for i in range(200):
         d = random_dfa(rng, rng.randint(2, 5), rng.randint(1, 3))
-        got, cex = is_suffix_convex(d)
+        c = classify(d)
+        (got, cex) = (c.suffix_convex, c.counterexample)
         want, _ = brute_force_suffix_convex(d)
         if got != want:
             disagreements.append((i, "convexity", d))

@@ -4,10 +4,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sconvex import (Dfa, classify, is_left_ideal, is_suffix_closed,
-                     is_suffix_convex, is_suffix_free, minimize,
-                     random_suffix_convex, reversal_witness, star_witness,
-                     syntactic_witness)
+from sconvex import (Dfa, classify, minimize, random_suffix_convex,
+                     reversal_witness, star_witness, syntactic_witness)
 
 from conftest import random_dfa
 from oracles import (accepts, brute_force_special_classes,
@@ -25,38 +23,39 @@ NOTHING = Dfa(1, ("a", "b"), ((0,), (0,)), frozenset())
 
 
 def test_known_counterexample():
-    convex, cex = is_suffix_convex(A_OR_BAA)
-    assert not convex
-    assert cex == (("b",), ("a",), ("a",))
+    c = classify(A_OR_BAA)
+    assert not c.suffix_convex
+    assert c.counterexample == (("b",), ("a",), ("a",))
 
 
 def test_counterexamples_simulate():
-    convex, (u, v, w) = is_suffix_convex(A_OR_BAA)
-    assert not convex
+    c = classify(A_OR_BAA)
+    assert not c.suffix_convex
+    (u, v, w) = c.counterexample
     assert A_OR_BAA.accepts(u + v + w)
     assert A_OR_BAA.accepts(w)
     assert not A_OR_BAA.accepts(v + w)
 
 
 def test_left_ideal():
-    assert is_left_ideal(ENDS_A)
-    assert not is_left_ideal(ONLY_AS)
-    assert not is_left_ideal(NOTHING)
-    assert is_left_ideal(EVERYTHING)
+    assert classify(ENDS_A).left_ideal
+    assert not classify(ONLY_AS).left_ideal
+    assert not classify(NOTHING).left_ideal
+    assert classify(EVERYTHING).left_ideal
 
 
 def test_suffix_closed():
-    assert is_suffix_closed(ONLY_AS)
-    assert is_suffix_closed(NOTHING)
-    assert not is_suffix_closed(ENDS_A)
-    assert not is_suffix_closed(SINGLE_A)
+    assert classify(ONLY_AS).suffix_closed
+    assert classify(NOTHING).suffix_closed
+    assert not classify(ENDS_A).suffix_closed
+    assert not classify(SINGLE_A).suffix_closed
 
 
 def test_suffix_free():
-    assert is_suffix_free(SINGLE_A)
-    assert is_suffix_free(NOTHING)
-    assert not is_suffix_free(ONLY_AS)
-    assert not is_suffix_free(EVERYTHING)
+    assert classify(SINGLE_A).suffix_free
+    assert classify(NOTHING).suffix_free
+    assert not classify(ONLY_AS).suffix_free
+    assert not classify(EVERYTHING).suffix_free
 
 
 @pytest.mark.parametrize("d, proper", [
@@ -109,7 +108,8 @@ def test_special_classes_are_convex(seed):
 def test_agrees_with_word_level_search(seed):
     rng = random.Random(seed)
     d = random_dfa(rng, rng.randint(2, 5), rng.randint(1, 3))
-    got, cex = is_suffix_convex(d)
+    c = classify(d)
+    (got, cex) = (c.suffix_convex, c.counterexample)
     want, _ = brute_force_suffix_convex(d)
     assert got == want
     if cex is not None:
@@ -155,17 +155,12 @@ def _special_classes(d):
     return (c.left_ideal, c.suffix_closed, c.suffix_free)
 
 
-def _standalone_special_classes(d):
-    return (is_left_ideal(d), is_suffix_closed(d), is_suffix_free(d))
-
-
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_special_classes_agree_with_oracle(seed):
     rng = random.Random(seed)
     d = random_dfa(rng, rng.randint(1, 6), rng.randint(1, 3))
     assert _special_classes(d) == brute_force_special_classes(d)
-    assert _standalone_special_classes(d) == brute_force_special_classes(d)
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -174,7 +169,6 @@ def test_special_classes_agree_with_oracle(seed):
 def test_special_classes_of_witnesses_agree_with_oracle(family, n):
     d = family(n)
     assert _special_classes(d) == brute_force_special_classes(d)
-    assert _standalone_special_classes(d) == brute_force_special_classes(d)
 
 
 GOLDEN = Path(__file__).parent / "data" / "classify_golden.txt"

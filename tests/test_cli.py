@@ -1,11 +1,16 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import sconvex
 from sconvex import Dfa, cli, star_witness
 from sconvex.cli import main
 from sconvex.harness import SUITES
@@ -141,6 +146,17 @@ def test_semigroup_count_cap_exits_3_before_storing_much(tmp_path, capsys):
 def test_semigroup_cap_exits_3(star4_file, capsys):
     assert main(["semigroup", "--cap", "5", star4_file]) == 3
     assert "exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("mode", [[], ["--count-only"]])
+def test_semigroup_cap_below_one_is_a_usage_error(mode, cap, tmp_path, capsys):
+    # refused before the file is read, so a missing file does not show
+    missing = str(tmp_path / "missing.txt")
+    assert main(["semigroup", *mode, "--cap", cap, missing]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == \
+        ("", f"error: --cap must be at least 1, got {cap}\n")
 
 
 def test_triples_family_and_preorder(capsys):
@@ -323,6 +339,26 @@ def test_huge_declared_size_exits_2(tmp_path, capsys):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("n", [4, 400])
+def test_a_closed_stdout_exits_141_without_an_error_line(n):
+    # the read end is closed before the command starts, so its first write
+    # fails: 24 kB for n=400 fail while they are written, 0.2 kB for n=4 in
+    # the flush at the end of main
+    src = Path(sconvex.__file__).resolve().parents[1]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "sconvex.cli", "witness", "--family", "star",
+             "--n", str(n)],
+            stdout=write, stderr=subprocess.PIPE,
+            env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+            timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_one_parser_serves_a_mixed_run_twice(star4_file, capsys, monkeypatch):

@@ -6,8 +6,8 @@ from itertools import permutations
 import pytest
 
 from sconvex import (BadSize, Dfa, Report, ResourceCap, atom_count, classify,
-                     complexity, harness, is_minimal, minimize, is_suffix_convex, monotone_reversal_count,
-                     monotone_total_count, probe_conjecture, product_bound,
+                     complexity, harness, is_minimal, minimize,
+                     monotone_reversal_count, monotone_total_count, probe_conjecture, product_bound,
                      random_suffix_convex, reports_to_json, reversal_bound,
                      star_bound, syntactic_bound, verify_boolean,
                      verify_exclusions, verify_monotone_counts,
@@ -123,8 +123,7 @@ def test_random_suffix_convex_shape_and_convexity(n, letters, seed=9):
     d = random_suffix_convex(n, letters, seed)
     assert d.n == n
     assert len(d.alphabet) == letters
-    convex, _ = is_suffix_convex(d)
-    assert convex
+    assert classify(d).suffix_convex
 
 
 def test_random_suffix_convex_refuses_runaway_walks_only():
@@ -136,7 +135,7 @@ def test_random_suffix_convex_refuses_runaway_walks_only():
     # ... while one that enters 30,607 levels, under the cap of 66,696,
     # still gives its DFA
     d = random_suffix_convex(30, 1, 57)
-    assert is_suffix_convex(d)[0]
+    assert classify(d).suffix_convex
 
 
 def test_random_suffix_convex_spread():

@@ -6,6 +6,7 @@ walk; same maps in the same order, and the same random draws."""
 
 import hashlib
 import random
+from functools import partial
 from itertools import islice
 from types import SimpleNamespace
 
@@ -15,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from sconvex import (AlphabetMismatch, Dfa, Nfa, ResourceCap, canonical_system,
                      complexity, determinize, direct_product, is_minimal,
                      maximal_semigroup, minimize, nfa_complexity, order_system,
-                     preorder_of, product_nfa, random_suffix_convex, reverse_nfa,
-                     star_nfa)
+                     preorder_of, product_nfa, random_suffix_convex, star_nfa)
+from sconvex import automata
 from sconvex.automata import _pair_complexity, _pair_walk
 from sconvex.harness import (BOOLEAN_OPS, _random_convex_finals, _random_order,
                              _star_dialect, verify_boolean)
@@ -27,7 +28,8 @@ from sconvex.witnesses import (reversal_system, reversal_witness, star_system,
 
 from oracles import matrix_of
 from parent_kernels import (parent_determinize, parent_direct_product,
-                            parent_minimize, parent_respecting_maps)
+                            parent_minimize, parent_respecting_maps,
+                            reverse_nfa)
 
 WITNESSES = (star_witness, reversal_witness, syntactic_witness)
 
@@ -96,10 +98,13 @@ def test_determinize_matches_parent_on_witnesses(m):
 
 
 def _raises_at(construct, m, cap):
-    try:
-        construct(m, cap=cap)
-    except ResourceCap as e:
-        return str(e)
+    '''The ResourceCap message of construct(m) with SUBSET_CAP at cap, or None.'''
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(automata, "SUBSET_CAP", cap)
+        try:
+            construct(m)
+        except ResourceCap as e:
+            return str(e)
     return None
 
 
@@ -109,7 +114,7 @@ def test_determinize_cap_matches_parent(seed):
     m = _random_nfa(random.Random(seed))
     size = parent_determinize(m).n
     for cap in range(size + 1):
-        old = _raises_at(parent_determinize, m, cap)
+        old = _raises_at(partial(parent_determinize, cap=cap), m, cap)
         new = _raises_at(determinize, m, cap)
         assert (old is None) == (new is None)
         if old is not None:
@@ -117,15 +122,16 @@ def test_determinize_cap_matches_parent(seed):
         assert _raises_at(nfa_complexity, m, cap) == new
 
 
-def test_determinize_cap_reports_progress():
+def test_determinize_cap_reports_progress(monkeypatch):
     m = star_nfa(star_witness(8))
     full = parent_determinize(m)
     # subset 100 (the 101st) is first found while expanding subset `expanded`,
     # after subsets 0..expanded-1 were done
     expanded = min(q for q in range(full.n) if any(row[q] == 100 for row in full.delta))
+    monkeypatch.setattr(automata, "SUBSET_CAP", 100)
     for construct in (determinize, nfa_complexity):
         with pytest.raises(ResourceCap) as info:
-            construct(m, cap=100)
+            construct(m)
         assert str(info.value) == \
             f"subset construction exceeded 100 subsets ({expanded} expanded)"
 

@@ -5,6 +5,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,11 +15,9 @@ from sconvex import (AxiomViolation, Dfa, FormatError, NonConvexFinals,
                      NotMinimal, NotPartialOrder, NotSuffixConvex, Preorder,
                      ResourceCap, StateOutOfRange, Transformation,
                      TripleSystem, antichain_order, base_triples,
-                     canonical_system, classify, dfa_respects,
-                     is_minimal, is_suffix_convex,
+                     canonical_system, classify, dfa_respects, is_minimal,
                      make_triple_system, maximal_semigroup, minimize,
-                     monotone_dfa, monotone_transformations, order_properties,
-                     order_system, preorder_of, quotient_contains,
+                     order_properties, order_system, preorder_of,
                      random_suffix_convex, respects, reversal_order,
                      reversal_system, reversal_witness, star_system,
                      star_witness, syntactic_system, syntactic_witness,
@@ -28,7 +27,7 @@ from sconvex.harness import (_random_convex_finals, _random_order,
                              monotone_reversal_count, monotone_total_count)
 from sconvex.triples import (_convex_violation, _count_monotone,
                              _require_partial_order, _respecting_walk,
-                             monotone_count, monotone_maps)
+                             letter_names, monotone_count, monotone_maps)
 
 from conftest import random_dfa
 from oracles import (antichain_order_matrix, first_convexity_violation,
@@ -36,7 +35,8 @@ from oracles import (antichain_order_matrix, first_convexity_violation,
                      naive_canonical_triples, naive_monotone_maps,
                      naive_order_properties, naive_respecting_maps,
                      preorder_from_matrix, preorder_of_matrix,
-                     reversal_order_matrix, total_order_matrix)
+                     quotient_contains, reversal_order_matrix,
+                     total_order_matrix)
 from parent_kernels import parent_random_order
 
 ENDS_A = Dfa(2, ("a", "b"), ((1, 1), (0, 0)), frozenset({1}))
@@ -300,22 +300,17 @@ def test_preorder_masks_at_the_edges():
 
 def test_preorder_relations():
     po = total_order(3)
-    assert po.below(2, 1) and not po.below(1, 2)
-    assert po.strictly_below(2, 0)
-    assert not po.equivalent(1, 2)
+    # 2 below 1 below 0: bit q of up[p] when p <= q, of down[p] when q <= p
+    assert (po.up, po.down) == ((0b001, 0b011, 0b111), (0b111, 0b110, 0b100))
     assert po.dump() == "1 0 0\n1 1 0\n1 1 1\n"
     rng = random.Random(77)
     mixed = _random_preorder(rng, 7)
     while not order_properties(mixed).symmetric_pairs:
         mixed = _random_preorder(rng, 7)
-    for po in (reversal_order(5), antichain_order(4), mixed):
-        leq = matrix_of(po)
-        states = range(po.n)
-        for p in states:
-            for q in states:
-                assert po.below(p, q) == leq[p][q]
-                assert po.strictly_below(p, q) == (leq[p][q] and not leq[q][p])
-                assert po.equivalent(p, q) == (leq[p][q] and leq[q][p])
+    for po, leq in ((reversal_order(5), reversal_order_matrix(5)),
+                    (antichain_order(4), antichain_order_matrix(4)),
+                    (mixed, matrix_of(mixed))):
+        _assert_masks_match(po, leq)
         assert po.dump() == "".join(" ".join(str(int(x)) for x in row) + "\n"
                                     for row in leq)
 
@@ -455,26 +450,35 @@ def _images(sg):
     return [tuple(img) for img in sg.images]
 
 
-def test_monotone_transformations_match_naive_filter():
+def test_monotone_maps_match_naive_filter():
     rng = random.Random(31337)
     seeded = [_random_order(rng, rng.randint(2, 6)) for _ in range(12)]
     for po in (total_order(3), total_order(4), antichain_order(3),
                reversal_order(4), *seeded):
         # same maps, in the same lexicographic order
-        assert _images(monotone_transformations(po)) == naive_monotone_maps(po)
+        assert list(map(tuple, monotone_maps(po))) == naive_monotone_maps(po)
 
 
 def test_monotone_counts_small():
-    assert len(monotone_transformations(total_order(3))) == 10
-    assert len(monotone_transformations(antichain_order(3))) == 11
-    assert len(monotone_transformations(reversal_order(4))) == 40
+    assert len(list(monotone_maps(total_order(3)))) == 10
+    assert len(list(monotone_maps(antichain_order(3)))) == 11
+    assert len(list(monotone_maps(reversal_order(4)))) == 40
 
 
-def test_monotone_cap():
-    with pytest.raises(ResourceCap, match="8 states reached 101 maps"):
-        monotone_transformations(total_order(8), cap=100)
+def test_monotone_cap(monkeypatch):
+    monkeypatch.setattr(triples, "CLOSURE_CAP", 100)
+    produced = []
+    with pytest.raises(ResourceCap, match="^enumeration on 8 states reached "
+                                          "101 maps, over the cap 100$"):
+        produced.extend(monotone_maps(total_order(8)))
+    # the first 100 come before the refusal
+    assert len(produced) == 100
     # the cap bounds the maps produced, not the n^n candidates
-    assert len(monotone_transformations(total_order(8), cap=6435)) == 6435
+    monkeypatch.setattr(triples, "CLOSURE_CAP", 6435)
+    assert len(list(monotone_maps(total_order(8)))) == 6435
+    monkeypatch.setattr(triples, "CLOSURE_CAP", 54467)
+    with pytest.raises(ResourceCap, match="reached 54468 maps, over the cap 54467"):
+        maximal_semigroup(syntactic_system(7))
 
 
 def test_monotone_count_matches_enumeration_on_probe_orders():
@@ -566,22 +570,24 @@ def test_count_refuses_past_its_work_cap(monkeypatch):
     assert monotone_count(total_order(4)) == 35
 
 
-def test_enumeration_refuses_too_many_states_before_producing_maps():
-    # with cap=10 a missing size check would show as the cap message instead
+def test_enumeration_refuses_too_many_states_before_producing_maps(monkeypatch):
+    # the refusal comes at the call, before any map is asked for, and with
+    # the cap at 10 a late size check would show as the cap message instead
+    monkeypatch.setattr(triples, "CLOSURE_CAP", 10)
     po = total_order(1000)
     start = time.process_time()
     with pytest.raises(ResourceCap, match="at most 12 states, got 1000"):
-        monotone_transformations(po, cap=10)
+        monotone_maps(po)
     # the partial-order check before it reads one row and one column mask
     # per state; an n^2 scan of every pair took about 0.4 s of CPU on a
     # 2 vCPU host
     assert time.process_time() - start < 0.2
     with pytest.raises(ResourceCap, match="at most 12 states, got 13"):
-        maximal_semigroup(star_system(13), cap=10)
+        maximal_semigroup(star_system(13))
 
 
-def test_monotone_transformations_of_empty_order():
-    assert monotone_transformations(total_order(0)).images == (b"",)
+def test_monotone_maps_of_empty_order():
+    assert list(monotone_maps(total_order(0))) == [b""]
 
 
 def test_random_walk_beyond_byte_images():
@@ -618,33 +624,67 @@ def test_library_imports_without_numpy():
                    env={"PYTHONPATH": str(src)})
 
 
+# every public name of the package, module by module, so that adding or
+# removing one is a change made here too
+PUBLIC = {
+    # automata
+    "Dfa", "Nfa", "atom_count", "complete_to", "complexity", "determinize",
+    "direct_product", "equivalent", "is_minimal", "minimize",
+    "nfa_complexity", "product_nfa", "star_nfa", "union_alphabet",
+    # classify
+    "Classification", "classify",
+    # errors
+    "AlphabetMismatch", "AxiomViolation", "BadSize", "FormatError",
+    "NonConvexFinals", "NotInjective", "NotMinimal", "NotPartialOrder",
+    "NotSuffixConvex", "NotationError", "ResourceCap", "SconvexError",
+    "SizeMismatch", "StateOutOfRange",
+    # harness
+    "ProbeResult", "Report", "monotone_reversal_count",
+    "monotone_total_count", "probe_conjecture", "product_bound",
+    "random_suffix_convex", "reports_to_json", "reversal_bound",
+    "star_bound", "syntactic_bound", "verify_boolean", "verify_exclusions",
+    "verify_monotone_counts", "verify_product", "verify_reversal",
+    "verify_star", "verify_syntactic",
+    # transformations
+    "Semigroup", "Transformation", "closure", "compose", "identity",
+    "parse_transformation", "semigroup_size", "syntactic_complexity",
+    "transition_semigroup",
+    # triples
+    "OrderProperties", "Preorder", "RespectCheck", "TripleSystem",
+    "antichain_order", "base_triples", "canonical_system", "dfa_respects",
+    "make_triple_system", "maximal_semigroup", "monotone_maps",
+    "order_properties", "order_system", "preorder_of", "respects",
+    "total_order",
+    # witnesses
+    "LetterMap", "dialect", "reversal_order", "reversal_system",
+    "reversal_witness", "star_system", "star_witness", "syntactic_system",
+    "syntactic_witness",
+}
+
+
+def test_public_surface_is_pinned():
+    names = {name for name, value in vars(sconvex).items()
+             if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert names == PUBLIC
+
+
 def test_maximal_semigroup_of_bare_system():
     s = make_triple_system(2, {1}, base_triples(2))
-    sg = maximal_semigroup(s)
-    assert sorted(t.image for t in sg.elements()) == [(0, 0), (0, 1), (1, 1)]
+    assert _images(maximal_semigroup(s)) == [(0, 0), (0, 1), (1, 1)]
 
 
 def test_maximal_semigroup_of_chain_system_is_monotone_set():
     s = star_system(3)
-    assert maximal_semigroup(s).image_set() == \
-        monotone_transformations(total_order(3)).image_set()
+    assert maximal_semigroup(s).images == tuple(monotone_maps(total_order(3)))
 
 
 def test_monotone_dfa_shape():
-    d = monotone_dfa(total_order(3), {1})
-    assert d.n == 3
+    # one letter per monotone map, as the probe's configurations are built
+    maps = tuple(monotone_maps(total_order(3)))
+    d = Dfa(3, letter_names(len(maps)), maps, {1})
     assert len(d.alphabet) == 10
     assert d.alphabet[0] == "t000"
-    assert d.finals == frozenset({1})
     assert dfa_respects(d, star_system(3))
-    with pytest.raises(ValueError):
-        monotone_dfa(total_order(3), set())
-    with pytest.raises(ValueError):
-        monotone_dfa(total_order(3), {0, 1, 2})
-    # checked before the convexity test reads a state's masks
-    for bad in ({5}, {-1}):
-        with pytest.raises(StateOutOfRange):
-            monotone_dfa(total_order(3), bad)
 
 
 def test_canonical_system_requires_minimal_convex_input():
@@ -812,7 +852,7 @@ def _canonical_samples():
     sampled = 0
     while sampled < 200:
         d = minimize(random_dfa(rng, rng.randint(2, 7), rng.randint(1, 2)))
-        if d.n >= 2 and is_suffix_convex(d)[0]:
+        if d.n >= 2 and classify(d).suffix_convex:
             sampled += 1
             yield d
 
