@@ -7,8 +7,8 @@ shared freely across threads; every operation below is a pure function.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter, or_
 
 from .errors import AlphabetMismatch, FormatError, NotMinimal, ResourceCap
@@ -89,21 +89,7 @@ class Dfa:
 
     def reachable(self) -> list[int]:
         '''Reachable states in breadth-first discovery order over the alphabet order.'''
-        # its own loop, not reachable_tuples: minimize calls this every time,
-        # and on the 24,576-state star n=15 DFA the walk over 1-tuples took
-        # 0.041 s of CPU against this loop's 0.014 s
-        order = [0]
-        seen = {0}
-        i = 0
-        while i < len(order):
-            q = order[i]
-            i += 1
-            for row in self.delta:
-                t = row[q]
-                if t not in seen:
-                    seen.add(t)
-                    order.append(t)
-        return order
+        return _table_walk(0, list(zip(*self.delta)).__getitem__)[0]
 
     def to_text(self) -> str:
         lines = [f"states {self.n}",
@@ -121,7 +107,9 @@ class Dfa:
     def to_dot(self, name: str = "dfa") -> str:
         """Graphviz DOT: one node per state, doubled when final, and one
         edge per state and target, labelled with its letters in alphabet
-        order; each distinct label is quoted once."""
+        order; each distinct label is quoted once.  The graph's name must
+        be a plain DOT identifier and not a DOT keyword, or FormatError
+        is raised."""
         return _dfa_dot(self, name)
 
 
@@ -253,7 +241,13 @@ def _quote(s):
     return '"' + str(s).replace('"', '\\"') + '"'
 
 
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
+
+
 def _dfa_dot(d, name):
+    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name.lower() in _DOT_KEYWORDS:
+        raise FormatError(f"graph name {name!r} must be a DOT identifier "
+                          "([A-Za-z_][A-Za-z0-9_]*) and not a DOT keyword")
     lines = [f"digraph {name} {{", "  rankdir=LR;",
              '  __start [shape=point, label=""];']
     lines += [f"  {q} [shape={'doublecircle' if q in d.finals else 'circle'}];"
@@ -278,6 +272,35 @@ def _dfa_dot(d, name):
 # ---------------------------------------------------------------------------
 # core constructions
 
+def _table_walk(start, step, cap=None):
+    """The nodes reachable from `start`, where step(node) gives a node's
+    targets in letter order: states, subsets and state pairs alike.
+
+    Returns (order, flat): the nodes in breadth-first discovery order,
+    `start` first, then each node's new targets in letter order; and the
+    state-major table, in which node i goes to node flat[i*k + j] under
+    letter j.  With a cap, which only the subset construction passes,
+    raises ResourceCap, saying how many subsets were fully expanded, when
+    more than cap subsets are discovered.
+    """
+    order = [start]
+    index = {start: 0}
+    flat = []
+    (get, append, record) = (index.get, order.append, flat.append)
+    # the loop reads each node appended while it runs
+    for i, node in enumerate(order):
+        for t in step(node):
+            j = get(t)
+            if j is None:
+                j = index[t] = len(order)
+                if cap is not None and j >= cap:
+                    raise ResourceCap(f"subset construction exceeded {cap} subsets "
+                                      f"({i} expanded)")
+                append(t)
+            record(j)
+    return order, flat
+
+
 def _refine(d: Dfa):
     """Moore refinement (Moore 1956) of d's reachable part.
 
@@ -286,12 +309,8 @@ def _refine(d: Dfa):
     state q's targets are flat[q*k:(q+1)*k]; and the Nerode block of each
     state, blocks numbered 0, 1, ... by first appearance in that order.
     """
-    k = len(d.alphabet)
-    reach = d.reachable()
-    num = dict(zip(reach, range(len(reach))))
-    columns = list(zip(*d.delta))
-    flat = list(map(num.__getitem__, chain.from_iterable(map(columns.__getitem__, reach))))
-    return reach, flat, _moore(flat, k, [int(q in d.finals) for q in reach])
+    reach, flat = _table_walk(0, list(zip(*d.delta)).__getitem__)
+    return reach, flat, _moore(flat, len(d.alphabet), [int(q in d.finals) for q in reach])
 
 
 def _moore(flat, k, block):
@@ -368,7 +387,6 @@ def _subset_walk(succ, start, k):
     saying how many subsets were fully expanded, when more than SUBSET_CAP
     subsets are discovered.
     """
-    cap = SUBSET_CAP
     empty = (0,) * k
     # chunk[pos << 8 | byte]: the successors, under every letter, of the
     # states byte * 2^(8 pos) selects, filled in on first use
@@ -384,13 +402,7 @@ def _subset_walk(succ, start, k):
             chunk[key] = out
         return out
 
-    order = [start]
-    index = {start: 0}
-    flat = []
-    i = 0
-    while i < len(order):
-        S = order[i]
-        i += 1
+    def step(S):
         targets = empty
         while S:
             pos = ((S & -S).bit_length() - 1) >> 3
@@ -398,16 +410,9 @@ def _subset_walk(succ, start, k):
             S ^= byte << (pos << 3)
             vec = successors(pos, byte)
             targets = vec if targets is empty else tuple(map(or_, targets, vec))
-        for T in targets:
-            j = index.get(T)
-            if j is None:
-                if len(order) >= cap:
-                    raise ResourceCap(f"subset construction exceeded {cap} subsets "
-                                      f"({i - 1} expanded)")
-                j = index[T] = len(order)
-                order.append(T)
-            flat.append(j)
-    return order, flat
+        return targets
+
+    return _table_walk(start, step, SUBSET_CAP)
 
 
 def determinize(m: Nfa) -> Dfa:
@@ -515,23 +520,9 @@ def _pair_walk(d1: Dfa, d2: Dfa):
     discovery order with d1's letter order, and the state-major table, in
     which pair i goes to pair flat[i*k + j] under letter j.
     """
-    # its own loop, not reachable_tuples on the disjoint union: that walk
-    # gave the same DFA on 8,000 random cases but took about 1.5 times the
-    # CPU time, on the boolean suite's inputs and on a 150 x 150 product
     one = list(zip(*d1.delta))
     two = list(zip(*map(d2.action, d1.alphabet)))
-    pairs = [(0, 0)]
-    index = {(0, 0): 0}
-    flat = []
-    # the loop reads each pair appended while it runs
-    for p, q in pairs:
-        for t in zip(one[p], two[q]):
-            j = index.get(t)
-            if j is None:
-                j = index[t] = len(pairs)
-                pairs.append(t)
-            flat.append(j)
-    return pairs, flat
+    return _table_walk((0, 0), lambda pq: zip(one[pq[0]], two[pq[1]]))
 
 
 def _boolean_op(op: str):
@@ -607,19 +598,12 @@ def reachable_tuples(rows, seeds, parent=None):
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """Whether L(d1) = L(d2), by pairwise reachability.  Alphabets must match.
-
-    The walk runs on the disjoint union, with d2's states shifted by d1.n
-    and its letters matched to d1's by name, from the pair of initial states.
-    """
+    """Whether L(d1) = L(d2): no pair that _pair_walk(d1, d2) reaches
+    disagrees on finality.  Alphabets must match."""
     if set(d1.alphabet) != set(d2.alphabet):
         raise AlphabetMismatch("cannot compare languages over different alphabets")
-    m = d1.n
-    rows = [row + tuple(m + t for t in d2.action(letter))
-            for row, letter in zip(d1.delta, d1.alphabet)]
-    finals = d1.finals | {m + q for q in d2.finals}
-    return all((x in finals) == (y in finals)
-               for x, y in reachable_tuples(rows, [(0, m)]))
+    (f1, f2) = (d1.finals, d2.finals)
+    return all((p in f1) == (q in f2) for p, q in _pair_walk(d1, d2)[0])
 
 
 def is_minimal(d: Dfa) -> bool:

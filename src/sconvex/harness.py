@@ -615,7 +615,7 @@ def probe_conjecture(n: int) -> ProbeResult:
     to fall below the largest so far, so ties are counted in full.  The
     search space covers only order-generated systems, so the result is an
     exploratory lower bound, not a refutation procedure.  It runs for
-    2 <= n <= 9.
+    2 <= n <= 9; a smaller n raises BadSize and a larger one ResourceCap.
 
     The classes are keyed by _class_key, the least matrix over the
     relabellings that sort the points by up-set and down-set size.  Ties
@@ -627,7 +627,9 @@ def probe_conjecture(n: int) -> ProbeResult:
     increasing bit mask.  Only the tied classes pay for all (n-1)!
     relabellings.
     """
-    if not 2 <= n <= 9:
+    if n < 2:
+        raise BadSize(f"the probe needs n >= 2, got {n}")
+    if n > 9:
         raise ResourceCap(f"the probe enumerates orders only for 2 <= n <= 9, got {n}")
     classes = _nonzero_posets(n)
     configurations = 0

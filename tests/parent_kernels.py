@@ -2,7 +2,10 @@
 used before its bit-mask and list-based kernels, kept verbatim as the pinned
 reference for the cross-checks in test_kernels.py, except that the subset
 construction's two epsilon-closure calls are plain frozensets, since an
-`Nfa` has no epsilon edges.  Also the respecting-map enumerator that
+`Nfa` has no epsilon edges.  `parent_minimize` finds the reachable states
+with its own copy of the loop `Dfa.reachable` ran before it was built on
+the table walk, so it shares no walk with the minimization it checks.
+Also the respecting-map enumerator that
 `sconvex.triples` used before it checked Condition 1 as mask intersections,
 which tested each candidate value against each scan triple.  And the text
 parsers and writers from before the text layer read its lines without
@@ -34,7 +37,18 @@ def parent_minimize(d: Dfa) -> Dfa:
     States of the result are numbered by breadth-first discovery order over
     the alphabet order, so equal languages give byte-identical automata.
     """
-    reach = d.reachable()
+    order = [0]
+    seen = {0}
+    i = 0
+    while i < len(order):
+        q = order[i]
+        i += 1
+        for row in d.delta:
+            t = row[q]
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+    reach = order
     # Moore partition refinement on the reachable part
     block = {q: int(q in d.finals) for q in reach}
     nblocks = len(set(block.values()))

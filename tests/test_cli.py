@@ -294,6 +294,13 @@ def test_probe_conjecture_cap(capsys):
     assert "2 <= n <= 9, got 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_probe_conjecture_below_2_is_a_usage_error(n, capsys):
+    assert main(["probe-conjecture", "--n", n]) == 2
+    (out, err) = capsys.readouterr()
+    assert out == "" and err == f"error: the probe needs n >= 2, got {n}\n"
+
+
 @pytest.mark.parametrize("args", [["--n", "100000"],
                                   ["--n", "3", "--letters", "1000000000"]])
 def test_random_refuses_oversized_requests_fast(args, capsys):
@@ -320,6 +327,22 @@ def test_export_dot(star4_file, capsys):
     out = capsys.readouterr().out
     assert out.startswith("digraph W {")
     assert "doublecircle" in out
+
+
+@pytest.mark.parametrize("name", ["my dfa", "x{", "9lives", "", "Digraph",
+                                  "node", "STRICT", "a-b", "a\n"])
+def test_export_dot_refuses_a_name_that_is_not_a_dot_identifier(name, star4_file,
+                                                                capsys):
+    assert main(["export-dot", "--name", name, star4_file]) == 2
+    (out, err) = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: graph name {name!r} must be a DOT identifier")
+
+
+@pytest.mark.parametrize("name", ["_", "dfa_2", "nodes", "Graph1"])
+def test_export_dot_accepts_plain_identifiers(name, star4_file, capsys):
+    assert main(["export-dot", "--name", name, star4_file]) == 0
+    assert capsys.readouterr().out.startswith(f"digraph {name} {{\n")
 
 
 def test_malformed_input_exits_2(tmp_path, capsys):

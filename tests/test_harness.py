@@ -394,7 +394,7 @@ def test_probe_at_two_is_degenerate():
 def test_probe_rejects_large_n():
     with pytest.raises(ResourceCap, match="2 <= n <= 9, got 10"):
         probe_conjecture(10)
-    with pytest.raises(ResourceCap):
+    with pytest.raises(BadSize, match="n >= 2, got 1"):
         probe_conjecture(1)
 
 

@@ -621,7 +621,7 @@ def test_library_imports_without_numpy():
     src = Path(sconvex.__file__).resolve().parents[1]
     code = "import sconvex, sys; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True,
-                   env={"PYTHONPATH": str(src)})
+                   env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"})
 
 
 # every public name of the package, module by module, so that adding or
