@@ -37,14 +37,14 @@ class Dfa:
         alphabet: ordered tuple of distinct letter names.
         delta: delta[k][q] is the target of state q under letter alphabet[k].
         finals: the accepting states.
-        initial: always 0.
+
+    The initial state is always 0.
     """
 
     n: int
     alphabet: tuple[str, ...]
     delta: tuple[tuple[int, ...], ...]
     finals: frozenset[int]
-    initial: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
@@ -52,8 +52,6 @@ class Dfa:
         object.__setattr__(self, "finals", frozenset(self.finals))
         if self.n < 1:
             raise FormatError("a DFA needs at least one state")
-        if self.initial != 0:
-            raise FormatError("the initial state is always 0")
         _check_alphabet(self.alphabet)
         if len(self.delta) != len(self.alphabet):
             raise FormatError("delta must have one row per letter")
@@ -89,7 +87,7 @@ class Dfa:
 
     def reachable(self) -> list[int]:
         '''Reachable states in breadth-first discovery order over the alphabet order.'''
-        return _table_walk(0, list(zip(*self.delta)).__getitem__)[0]
+        return _table_walk((0,), list(zip(*self.delta)).__getitem__)[0]
 
     def to_text(self) -> str:
         lines = [f"states {self.n}",
@@ -238,7 +236,7 @@ def _parse_dfa(text):
 # DOT export
 
 def _quote(s):
-    return '"' + str(s).replace('"', '\\"') + '"'
+    return '"' + str(s).replace('\\', '\\\\').replace('"', '\\"') + '"'
 
 
 _DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
@@ -272,19 +270,21 @@ def _dfa_dot(d, name):
 # ---------------------------------------------------------------------------
 # core constructions
 
-def _table_walk(start, step, cap=None):
-    """The nodes reachable from `start`, where step(node) gives a node's
-    targets in letter order: states, subsets and state pairs alike.
+def _table_walk(starts, step, cap=None, refusal=None):
+    """The nodes reachable from `starts`, where step(node) gives a node's
+    targets in letter order: states, subsets, state pairs and image sets.
 
-    Returns (order, flat): the nodes in breadth-first discovery order,
-    `start` first, then each node's new targets in letter order; and the
-    state-major table, in which node i goes to node flat[i*k + j] under
-    letter j.  With a cap, which only the subset construction passes,
-    raises ResourceCap, saying how many subsets were fully expanded, when
-    more than cap subsets are discovered.
+    Returns (order, flat): the nodes in breadth-first discovery order, the
+    starts first, in order and without repeats, then each node's new
+    targets in letter order; and the state-major table, in which node i
+    goes to node flat[i*k + j] under letter j.  With a cap, a node found
+    past the first cap (never a start) raises ResourceCap with
+    refusal.format(cap=cap, i=i), i the index of the node being expanded.
     """
-    order = [start]
-    index = {start: 0}
+    index = {}
+    for node in starts:
+        index.setdefault(node, len(index))
+    order = list(index)
     flat = []
     (get, append, record) = (index.get, order.append, flat.append)
     # the loop reads each node appended while it runs
@@ -294,8 +294,7 @@ def _table_walk(start, step, cap=None):
             if j is None:
                 j = index[t] = len(order)
                 if cap is not None and j >= cap:
-                    raise ResourceCap(f"subset construction exceeded {cap} subsets "
-                                      f"({i} expanded)")
+                    raise ResourceCap(refusal.format(cap=cap, i=i))
                 append(t)
             record(j)
     return order, flat
@@ -309,7 +308,7 @@ def _refine(d: Dfa):
     state q's targets are flat[q*k:(q+1)*k]; and the Nerode block of each
     state, blocks numbered 0, 1, ... by first appearance in that order.
     """
-    reach, flat = _table_walk(0, list(zip(*d.delta)).__getitem__)
+    reach, flat = _table_walk((0,), list(zip(*d.delta)).__getitem__)
     return reach, flat, _moore(flat, len(d.alphabet), [int(q in d.finals) for q in reach])
 
 
@@ -412,7 +411,8 @@ def _subset_walk(succ, start, k):
             targets = vec if targets is empty else tuple(map(or_, targets, vec))
         return targets
 
-    return _table_walk(start, step, SUBSET_CAP)
+    return _table_walk((start,), step, SUBSET_CAP,
+                       "subset construction exceeded {cap} subsets ({i} expanded)")
 
 
 def determinize(m: Nfa) -> Dfa:
@@ -522,7 +522,7 @@ def _pair_walk(d1: Dfa, d2: Dfa):
     """
     one = list(zip(*d1.delta))
     two = list(zip(*map(d2.action, d1.alphabet)))
-    return _table_walk((0, 0), lambda pq: zip(one[pq[0]], two[pq[1]]))
+    return _table_walk(((0, 0),), lambda pq: zip(one[pq[0]], two[pq[1]]))
 
 
 def _boolean_op(op: str):

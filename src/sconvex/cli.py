@@ -15,12 +15,12 @@ from pathlib import Path
 
 from .automata import (Dfa, complete_to, complexity, determinize,
                        direct_product, minimize, product_nfa, star_nfa,
-                       union_alphabet, _complexity_and_atoms)
+                       union_alphabet, _BOOLEAN_OPS, _complexity_and_atoms)
 from .classify import classify
 from .errors import ResourceCap, SconvexError
 from .harness import (DEFAULT_SEED, SUITES, probe_conjecture,
                       random_suffix_convex, reports_to_json)
-from .transformations import (CLOSURE_CAP, Transformation, semigroup_size,
+from .transformations import (CLOSURE_CAP, _letters, semigroup_size,
                               transition_semigroup)
 from .triples import canonical_system, preorder_of
 from .witnesses import (LetterMap, dialect, reversal_system, reversal_witness,
@@ -119,8 +119,7 @@ def _cmd_semigroup(args):
         raise SconvexError(f"--cap must be at least 1, got {args.cap}")
     d = _read_dfa(args.input)
     if args.count_only:
-        letters = [Transformation(d.n, row) for row in d.delta]
-        print(semigroup_size(letters, args.cap))
+        print(semigroup_size(_letters(d), args.cap))
     else:
         _emit(transition_semigroup(d, args.cap).dump(), args.output)
     return 0
@@ -227,7 +226,7 @@ def build_parser():
 
     p = add("combine", _cmd_combine, "star/product/boolean operation, minimized")
     p.add_argument("--op", required=True,
-                   choices=["star", "product", "union", "xor", "diff", "intersect"])
+                   choices=["star", "product", *_BOOLEAN_OPS])
     p.add_argument("--complete-missing", action="store_true",
                    help="extend both alphabets with self-loop letters")
     p.add_argument("inputs", nargs="+")

@@ -17,7 +17,8 @@ from itertools import groupby, permutations, product
 from operator import itemgetter
 
 from .automata import (Dfa, atom_count, nfa_complexity, product_nfa, star_nfa,
-                       _complexity_and_atoms, _mask, _pair_complexity, _pair_walk)
+                       _BOOLEAN_OPS, _complexity_and_atoms, _mask, _pair_complexity,
+                       _pair_walk)
 from .errors import BadSize, ResourceCap
 from .transformations import CLOSURE_CAP, syntactic_complexity
 from .triples import (Preorder, TripleSystem, _bits, _convex_violation,
@@ -140,7 +141,7 @@ def verify_product(ms=PRODUCT_RANGE, ns=PRODUCT_RANGE):
     return reports
 
 
-BOOLEAN_OPS = ("union", "xor", "diff", "intersect")
+BOOLEAN_OPS = tuple(_BOOLEAN_OPS)
 
 
 def verify_boolean(ms=BOOLEAN_RANGE, ns=BOOLEAN_RANGE):

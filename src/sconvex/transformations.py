@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .automata import Dfa, minimize
+from .automata import Dfa, _table_walk, minimize
 from .errors import NotationError, ResourceCap, SizeMismatch, StateOutOfRange
 
 CLOSURE_CAP = 2_000_000
@@ -327,35 +327,20 @@ def _image_key(x: bytes, n: int) -> bytes:
 
 
 def _image_orbit(gen_bytes, tables, cap):
-    '''The image sets of the semigroup's elements, each as sorted bytes, with
-    their index by `_image_key` and each one's successors under the
-    generators.'''
+    '''The image sets of the semigroup's elements, each as its `_image_key`,
+    in the order _table_walk discovers them from the generators' own, with
+    the table of their successors under the generators.'''
     n = len(gen_bytes[0])
-    points: list[bytes] = []
-    index: dict[bytes, int] = {}
-    for g in gen_bytes:
-        key = _image_key(g, n)
-        if key not in index:
-            index[key] = len(points)
-            points.append(bytes(sorted(set(g))))
-    succ = []
-    maketrans = bytes.maketrans
-    for P in points:  # grows while it is walked
-        row = []
+    (ident, maketrans) = (_IDENTITY[:n], bytes.maketrans)
+
+    def step(key):
+        P = ident.translate(None, key)  # the members, sorted
         mark = _MARK[:len(P)]
-        for table in tables:
-            image = P.translate(table)
-            key = maketrans(image, mark)[:n]  # _image_key(image, n), inlined
-            j = index.get(key)
-            if j is None:
-                if len(points) >= cap:
-                    raise ResourceCap(f"semigroup count exceeded {cap} image sets "
-                                      f"({len(succ)} of them expanded)")
-                j = index[key] = len(points)
-                points.append(bytes(sorted(set(image))))
-            row.append(j)
-        succ.append(row)
-    return points, index, succ
+        # _image_key(P.translate(table), n), inlined
+        return [maketrans(P.translate(table), mark)[:n] for table in tables]
+
+    return _table_walk([_image_key(g, n) for g in gen_bytes], step, cap,
+                       "semigroup count exceeded {cap} image sets ({i} of them expanded)")
 
 
 def _components(succ):
@@ -417,8 +402,8 @@ class _Component:
     (None when trivial) and, per kernel, the representatives stored so far.
     """
 
-    def __init__(self, c, root, size, component_of, points, succ, tables, norm):
-        R = points[root]
+    def __init__(self, c, root, size, component_of, keys, succ, tables, norm):
+        R = _IDENTITY[:len(keys[root])].translate(None, keys[root])
         norm[root] = _IDENTITY
         path = {root: R}  # where R's points go along the Schreier tree
         group = None
@@ -463,10 +448,13 @@ def semigroup_size(generators, cap: int = CLOSURE_CAP) -> int:
     n = len(gen_bytes[0])
     pad = _IDENTITY[n:]
     tables = [g + pad for g in gen_bytes]
-    points, index, succ = _image_orbit(gen_bytes, tables, cap)
+    keys, flat = _image_orbit(gen_bytes, tables, cap)
+    index = {key: i for i, key in enumerate(keys)}
+    k = len(tables)
+    succ = [flat[i:i + k] for i in range(0, len(flat), k)]
     mark, maketrans = _MARK[:n], bytes.maketrans
     component_of, roots, sizes = _components(succ)
-    norm: list = [None] * len(points)
+    norm: list = [None] * len(keys)
     built: list = [None] * len(roots)
     seen: set[bytes] = set()
     reps: list[bytes] = []
@@ -482,7 +470,7 @@ def semigroup_size(generators, cap: int = CLOSURE_CAP) -> int:
             comp = built[c]
             if comp is None:
                 comp = built[c] = _Component(c, roots[c], sizes[c], component_of,
-                                             points, succ, tables, norm)
+                                             keys, succ, tables, norm)
             x = x.translate(norm[p])
             if x in seen:
                 continue
@@ -497,7 +485,7 @@ def semigroup_size(generators, cap: int = CLOSURE_CAP) -> int:
                 bucket.append(x)
             if expanded and len(reps) >= cap:
                 raise ResourceCap(f"semigroup count exceeded {cap} R-classes "
-                                  f"({len(points)} image sets, {expanded} "
+                                  f"({len(keys)} image sets, {expanded} "
                                   f"R-classes expanded)")
             reps.append(x)
             total += comp.weight

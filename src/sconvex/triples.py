@@ -27,7 +27,7 @@ from .classify import _chain
 from .errors import (AxiomViolation, FormatError, NonConvexFinals, NotMinimal,
                      NotPartialOrder, NotSuffixConvex, ResourceCap,
                      SizeMismatch, StateOutOfRange)
-from .transformations import CLOSURE_CAP, Semigroup, Transformation
+from .transformations import CLOSURE_CAP, Semigroup, Transformation, _letters
 
 Triple = tuple[int, int, int]
 
@@ -211,7 +211,7 @@ def dfa_respects(d: Dfa, s: TripleSystem) -> bool:
     '''Whether every letter of d respects s; enough, by composition closure.'''
     if d.n != s.n:
         raise SizeMismatch(f"DFA on {d.n} states, system on {s.n}")
-    return all(respects(Transformation(d.n, row), s) for row in d.delta)
+    return all(respects(t, s) for t in _letters(d))
 
 
 # ---------------------------------------------------------------------------

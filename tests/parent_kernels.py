@@ -332,7 +332,7 @@ def parent_to_text(d: Dfa) -> str:
 
 
 def _quote(s):
-    return '"' + str(s).replace('"', '\\"') + '"'
+    return '"' + str(s).replace('\\', '\\\\').replace('"', '\\"') + '"'
 
 
 def parent_dfa_dot(d, name):

@@ -49,7 +49,8 @@ def test_construction_rejects_bad_tables():
         Dfa(2, ("a",), ((1, 0),), frozenset({5}))
     with pytest.raises(FormatError):
         Dfa(0, ("a",), (), frozenset())
-    with pytest.raises(FormatError):
+    # the initial state is always 0, so there is no field to set it
+    with pytest.raises(TypeError):
         Dfa(2, ("a",), ((1, 0),), frozenset(), initial=1)
 
 

@@ -6,6 +6,7 @@ file, quickly; and a bound on the memory that parsing a big DFA takes."""
 
 import io
 import random
+import re
 import tempfile
 import time
 import tracemalloc
@@ -149,6 +150,26 @@ def test_text_and_dot_writers_match_the_parent():
         assert Dfa.from_text(text) == d
         assert d.to_dot() == parent_dfa_dot(d, "dfa")
         assert d.to_dot("W") == parent_dfa_dot(d, "W")
+
+
+EDGE = re.compile(r'  (\d+) -> (\d+) \[label="((?:[^"\\]|\\.)*)"\];')
+
+
+def test_dot_labels_read_back_to_their_letters():
+    # a name may end in a backslash or hold a quote; each label must still
+    # close where it should, and unescape to its letters joined by commas
+    for d in [*_writer_inputs(), Dfa(1, ["a\\"], [[0]], []),
+              Dfa(2, ['\\"', "\\\\", "b"], [[1, 0], [1, 1], [0, 0]], [1])]:
+        want = {}
+        for letter, row in zip(d.alphabet, d.delta):
+            for q, dst in enumerate(row):
+                want.setdefault((q, dst), []).append(letter)
+        got = {}
+        for line in d.to_dot().splitlines():
+            if re.match(r"  \d+ -> ", line):
+                src, dst, label = EDGE.fullmatch(line).groups()
+                got[int(src), int(dst)] = re.sub(r"\\(.)", r"\1", label)
+        assert got == {edge: ",".join(letters) for edge, letters in want.items()}
 
 
 def test_parsing_the_big_star_closure_peaks_under_4_mb():

@@ -11,7 +11,7 @@ from sconvex import (NotationError, ResourceCap, SizeMismatch, Semigroup,
                      reversal_witness, semigroup_size,
                      star_witness, syntactic_complexity, syntactic_witness,
                      total_order, transition_semigroup)
-from sconvex.transformations import _Sims
+from sconvex.transformations import _IDENTITY, _Sims, _image_orbit
 
 from oracles import naive_closure
 
@@ -263,13 +263,38 @@ def test_semigroup_size_of_a_constant_and_a_cycle():
 def test_semigroup_size_caps_what_it_stores():
     # T_5 has 31 image sets and 52 kernels, one R-class for each kernel
     _, full = _full_monoid_generators(5)
-    with pytest.raises(ResourceCap, match="exceeded 30 image sets"):
+    with pytest.raises(ResourceCap) as refused:
         semigroup_size(full, cap=30)
-    with pytest.raises(ResourceCap, match="exceeded 51 R-classes"):
+    assert str(refused.value) == ("semigroup count exceeded 30 image sets "
+                                  "(29 of them expanded)")
+    with pytest.raises(ResourceCap) as refused:
         semigroup_size(full, cap=51)
+    assert str(refused.value) == ("semigroup count exceeded 51 R-classes "
+                                  "(31 image sets, 49 R-classes expanded)")
     assert semigroup_size(full, cap=52) == 5 ** 5
     with pytest.raises(ResourceCap, match="at most 255 states"):
         semigroup_size([identity(256)])
+
+
+def test_image_orbit_against_the_naive_closure():
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        gens = [tuple(rng.randrange(n) for _ in range(n))
+                for _ in range(rng.randint(1, 4))]
+        gen_bytes = [bytes(g) for g in gens]
+        keys, flat = _image_orbit(gen_bytes, [g + _IDENTITY[n:] for g in gen_bytes],
+                                  10 ** 6)
+        # a key marks each member with 255
+        sets = [frozenset(q for q in range(n) if key[q] == 255) for key in keys]
+        assert len(set(sets)) == len(sets)
+        elements = naive_closure([Transformation(n, g) for g in gens])
+        assert set(sets) == {frozenset(e) for e in elements}, gens
+        starts = list(dict.fromkeys(frozenset(g) for g in gens))
+        assert sets[:len(starts)] == starts, gens
+        # flat[i*k + j] is image set i under generator j
+        assert flat == [sets.index(frozenset(g[q] for q in P))
+                        for P in sets for g in gens], gens
 
 
 def test_sims_table_order_and_membership():
