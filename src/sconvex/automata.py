@@ -586,10 +586,7 @@ def reachable_tuples(rows, seeds, parent=None):
             parent[seed] = None
             order.append(seed)
             yield seed
-    i = 0
-    while i < len(order):
-        node = order[i]
-        i += 1
+    for node in order:  # grows while it is walked
         for k, t in enumerate(zip(*map(column, node))):
             if t not in parent:
                 parent[t] = (node, k)

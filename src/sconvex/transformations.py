@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 from .automata import Dfa, _table_walk, minimize
 from .errors import NotationError, ResourceCap, SizeMismatch, StateOutOfRange
@@ -209,25 +210,16 @@ def closure(generators, cap: int = CLOSURE_CAP) -> Semigroup:
     n = len(gen_bytes[0])
     # translate tables must cover all 256 byte values; the tail is never hit
     tables = [gb + bytes(256 - n) for gb in gen_bytes]
-    order: list[bytes] = []
-    seen: set[bytes] = set()
-    for gb in gen_bytes:
-        if gb not in seen:
-            seen.add(gb)
-            order.append(gb)
-    frontier = list(order)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for table in tables:
-                w = u.translate(table)
-                if w not in seen:
-                    if len(seen) >= cap:
-                        raise ResourceCap(f"semigroup closure exceeded {cap} elements")
-                    seen.add(w)
-                    order.append(w)
-                    nxt.append(w)
-        frontier = nxt
+    order = list(dict.fromkeys(gen_bytes))
+    seen = set(order)
+    for u in order:  # grows while it is walked
+        for table in tables:
+            w = u.translate(table)
+            if w not in seen:
+                if len(seen) >= cap:
+                    raise ResourceCap(f"semigroup closure exceeded {cap} elements")
+                seen.add(w)
+                order.append(w)
     return Semigroup(n, tuple(order))
 
 
@@ -239,10 +231,12 @@ def closure(generators, cap: int = CLOSURE_CAP) -> Semigroup:
 # elements are R-related when each is the other times an element of S^1.
 # The elements of one R-class share a kernel, and their image sets fill one
 # strongly connected component of the orbit of image sets under the
-# generators.  With R the component's first image set, the elements of the
-# class with image set R are one coset of the component's Schutzenberger
-# group: the permutations of R that elements of S^1 mapping R onto R
-# induce.  So the class has |component| * |group| elements.  Left
+# generators.  With R any image set of the component, the elements of the
+# class with image set R are one coset of R's Schutzenberger group: the
+# permutations of R that elements of S^1 mapping R onto R induce.  The
+# groups of one component are conjugate, so the class has
+# |component| * |group| elements whichever R is taken; the count takes the
+# image set where it first lands in the component.  Left
 # multiplication maps R-classes onto R-classes, so a breadth-first walk
 # from the generators meets them all, storing one representative of each.
 # Every element met is first moved, inside its R-class, onto one with image
@@ -345,14 +339,12 @@ def _image_orbit(gen_bytes, tables, cap):
 
 def _components(succ):
     '''Strongly connected components of the graph with these successor
-    lists, by an iterative Tarjan: the component of each node, and the
-    first node and the size of each component.'''
+    lists, by an iterative Tarjan: the component of each node, named by
+    the node where the search closes it.'''
     count = len(succ)
     number = [-1] * count
     low = [0] * count
     component_of = [-1] * count
-    roots: list[int] = []
-    sizes: list[int] = []
     stack: list[int] = []
     counter = 0
     for root in range(count):
@@ -378,31 +370,27 @@ def _components(succ):
                 if work and low[v] < low[work[-1][0]]:
                     low[work[-1][0]] = low[v]
                 if low[v] == number[v]:
-                    c = len(roots)
-                    first, size = v, 0
-                    while True:
+                    w = -1
+                    while w != v:
                         w = stack.pop()
-                        component_of[w] = c
-                        size += 1
-                        first = min(first, w)
-                        if w == v:
-                            break
-                    roots.append(first)
-                    sizes.append(size)
-    return component_of, roots, sizes
+                        component_of[w] = v
+    return component_of
 
 
 class _Component:
-    """One strongly connected component of the image orbit, built when an
-    element first lands in it.
+    """The strongly connected component of the image orbit that holds
+    `root`, built when an element first lands in it, at `root`.
 
     It fills in `norm[p]` for each of its image sets p: a translate table
     that takes an element with image set p to an R-related element with
-    the component's first image set R.  It keeps its Schutzenberger group
-    (None when trivial) and, per kernel, the representatives stored so far.
+    root's image set R.  It keeps R's Schutzenberger group (None when
+    trivial) and, per kernel, the representatives stored so far.  The walk
+    from root reaches the whole component without leaving it, so its length
+    is the component's size.
     """
 
-    def __init__(self, c, root, size, component_of, keys, succ, tables, norm):
+    def __init__(self, root, component_of, keys, succ, tables, norm):
+        c = component_of[root]
         R = _IDENTITY[:len(keys[root])].translate(None, keys[root])
         norm[root] = _IDENTITY
         path = {root: R}  # where R's points go along the Schreier tree
@@ -425,7 +413,7 @@ class _Component:
                         group = _Sims(R)
                     group.add(bytes.maketrans(R, back))
         self.group = group
-        self.weight = size * (1 if group is None else group.order())
+        self.weight = len(queue) * (1 if group is None else group.order())
         self.reps: dict[bytes, list[bytes]] = {}
 
 
@@ -453,24 +441,23 @@ def semigroup_size(generators, cap: int = CLOSURE_CAP) -> int:
     k = len(tables)
     succ = [flat[i:i + k] for i in range(0, len(flat), k)]
     mark, maketrans = _MARK[:n], bytes.maketrans
-    component_of, roots, sizes = _components(succ)
+    component_of = _components(succ)
     norm: list = [None] * len(keys)
-    built: list = [None] * len(roots)
+    built: list = [None] * len(keys)
     seen: set[bytes] = set()
     reps: list[bytes] = []
     total = 0
     # left multiplication maps R-classes onto R-classes; the identity's
     # products are the generators, whose R-classes the walk starts from
-    expanded, table = 0, _IDENTITY
-    while True:
+    for expanded, rep in enumerate(chain((_IDENTITY[:n],), reps)):
+        table = rep + pad
         for g in gen_bytes:
             x = g.translate(table)
             p = index[maketrans(x, mark)[:n]]  # _image_key(x, n), inlined
             c = component_of[p]
             comp = built[c]
             if comp is None:
-                comp = built[c] = _Component(c, roots[c], sizes[c], component_of,
-                                             keys, succ, tables, norm)
+                comp = built[c] = _Component(p, component_of, keys, succ, tables, norm)
             x = x.translate(norm[p])
             if x in seen:
                 continue
@@ -489,10 +476,7 @@ def semigroup_size(generators, cap: int = CLOSURE_CAP) -> int:
                                   f"R-classes expanded)")
             reps.append(x)
             total += comp.weight
-        if expanded == len(reps):
-            return total
-        table = reps[expanded] + pad
-        expanded += 1
+    return total
 
 
 def _letters(d: Dfa) -> list[Transformation]:

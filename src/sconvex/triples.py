@@ -147,14 +147,20 @@ class TripleSystem:
                 listed.append(tuple(map(int, toks)))
             except ValueError:
                 raise FormatError(f"line {where(i)}: triples must be integers") from None
-        if 2 * n * n - n > CLOSURE_CAP:
-            raise ResourceCap(f"a system on {n} states has {2 * n * n - n} "
-                              f"mandatory triples, over the cap {CLOSURE_CAP}")
+        _check_system_size(n, CLOSURE_CAP)
         # the mandatory triples (p, q, p) and (p, q, q), then the listed ones
         # and their mirrors
         mandatory = [1 << p | 1 << q for p in range(n) for q in range(n)]
         mirrors = [(q, p, r) for (p, q, r) in listed]
         return cls(n, finals, _set_bits(mandatory, n, listed + mirrors))
+
+
+def _check_system_size(n: int, cap: int) -> None:
+    '''Refuse a system on n states with more than cap mandatory triples,
+    before anything of size n is built.'''
+    if 2 * n * n - n > cap:
+        raise ResourceCap(f"a system on {n} states has {2 * n * n - n} "
+                          f"mandatory triples, over the cap {cap}")
 
 
 def _set_bits(masks: list, n: int, triples) -> list:

@@ -10,9 +10,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import Dfa
-from .errors import AlphabetMismatch, BadSize, NotInjective
-from .transformations import parse_transformation
-from .triples import Preorder, TripleSystem, order_system, total_order
+from .errors import AlphabetMismatch, BadSize, NotInjective, ResourceCap
+from .transformations import CLOSURE_CAP, parse_transformation
+from .triples import (Preorder, TripleSystem, _check_system_size,
+                      order_system, total_order)
+
+
+def _check_witness_size(n, letters):
+    '''Refuse a witness whose n*letters table entries pass CLOSURE_CAP, the
+    rule random_suffix_convex keeps, before anything of size n is built.'''
+    if n * letters > CLOSURE_CAP:
+        raise ResourceCap(f"a witness on {n} states with {letters} letters "
+                          f"needs n*letters at most {CLOSURE_CAP}")
 
 
 def _witness(n, finals, letter_specs):
@@ -29,6 +38,7 @@ def star_witness(n: int) -> Dfa:
     """
     if n < 3:
         raise BadSize(f"star family needs n >= 3, got {n}")
+    _check_witness_size(n, 6)
     return _witness(n, {n - 2}, [
         ("a", f"(_0^{n - 2} q->q+1)"),
         ("b", f"(_1^{n - 1} q->q-1)"),
@@ -48,6 +58,7 @@ def reversal_witness(n: int) -> Dfa:
     if n < 4:
         raise BadSize(f"reversal family needs n >= 4, got {n}: "
                       "its letters refer to state 3")
+    _check_witness_size(n, 8)
     cycle = "(" + ",".join(str(q) for q in range(3, n)) + ")"
     return _witness(n, {1}, [
         ("a", cycle),
@@ -70,6 +81,7 @@ def syntactic_witness(n: int) -> Dfa:
     """
     if n < 3:
         raise BadSize(f"syntactic family needs n >= 3, got {n}")
+    _check_witness_size(n, 8)
     cycle = "(" + ",".join(str(q) for q in range(1, n - 1)) + ")"
     # at n = 3 letter b must degenerate to the identity: swapping 1 and 2
     # would map the lone middle state onto n-1 and change the semigroup
@@ -99,11 +111,13 @@ def star_system(n: int) -> TripleSystem:
     '''Triple system of the star family: the total order with final n-2.'''
     if n < 3:
         raise BadSize(f"star system needs n >= 3, got {n}")
+    _check_system_size(n, CLOSURE_CAP)
     return order_system(total_order(n), {n - 2})
 
 
 def reversal_system(n: int) -> TripleSystem:
     '''Triple system of the reversal family: its order with final 1.'''
+    _check_system_size(n, CLOSURE_CAP)
     return order_system(reversal_order(n), {1})
 
 
@@ -116,6 +130,7 @@ def syntactic_system(n: int) -> TripleSystem:
     """
     if n < 3:
         raise BadSize(f"syntactic system needs n >= 3, got {n}")
+    _check_system_size(n, CLOSURE_CAP)
     pod = (1 << n - 1) - 1
     return TripleSystem(n, {n - 2}, [1 << p | 1 << q | (pod if 0 in (p, q) else 0)
                                      for p in range(n) for q in range(n)])

@@ -21,6 +21,8 @@ And `reverse_nfa`, the reversal NFA that `sconvex.automata` built before
 atom counting walked the reversal of its refinement's table: the reference
 for atom counts past the signature oracle's reach and for the Brzozowski
 property tests.
+And `parent_closure`, `sconvex.transformations.closure` from when it walked
+the semigroup one breadth-first layer at a time with frontier lists.
 
 This is not an independent oracle: it shares the algorithms it checks.
 The oracles in oracles.py avoid subset construction and refinement.
@@ -28,6 +30,7 @@ The oracles in oracles.py avoid subset construction and refinement.
 
 from sconvex.automata import SUBSET_CAP, Dfa, Nfa, _check_alphabet
 from sconvex.errors import AlphabetMismatch, FormatError, ResourceCap
+from sconvex.transformations import Semigroup, _image_bytes
 from sconvex.triples import CLOSURE_CAP, TripleSystem, _set_bits
 
 
@@ -392,3 +395,31 @@ def parent_triple_system_from_text(text: str) -> TripleSystem:
     mandatory = [1 << p | 1 << q for p in range(n) for q in range(n)]
     mirrors = [(q, p, r) for (p, q, r) in listed]
     return TripleSystem(n, finals, _set_bits(mandatory, n, listed + mirrors))
+
+
+def parent_closure(generators, cap: int = CLOSURE_CAP) -> Semigroup:
+    '''Close a list of transformations under composition.'''
+    gen_bytes = _image_bytes(generators)
+    n = len(gen_bytes[0])
+    # translate tables must cover all 256 byte values; the tail is never hit
+    tables = [gb + bytes(256 - n) for gb in gen_bytes]
+    order: list[bytes] = []
+    seen: set[bytes] = set()
+    for gb in gen_bytes:
+        if gb not in seen:
+            seen.add(gb)
+            order.append(gb)
+    frontier = list(order)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for table in tables:
+                w = u.translate(table)
+                if w not in seen:
+                    if len(seen) >= cap:
+                        raise ResourceCap(f"semigroup closure exceeded {cap} elements")
+                    seen.add(w)
+                    order.append(w)
+                    nxt.append(w)
+        frontier = nxt
+    return Semigroup(n, tuple(order))

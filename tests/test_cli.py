@@ -311,6 +311,29 @@ def test_random_refuses_oversized_requests_fast(args, capsys):
     assert "at most 2000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["witness", "--family", "star", "--n", "20000000"],
+     "a witness on 20000000 states with 6 letters needs n*letters at most 2000000"),
+    (["witness", "--family", "star", "--n", "333334"],
+     "a witness on 333334 states with 6 letters needs n*letters at most 2000000"),
+    (["witness", "--family", "reversal", "--n", "250001"],
+     "a witness on 250001 states with 8 letters needs n*letters at most 2000000"),
+    (["witness", "--family", "syntactic", "--n", "250001"],
+     "a witness on 250001 states with 8 letters needs n*letters at most 2000000"),
+    (["triples", "--family", "star", "--n", "30000"],
+     "a system on 30000 states has 1799970000 mandatory triples, over the cap 2000000"),
+    (["triples", "--family", "reversal", "--n", "1001"],
+     "a system on 1001 states has 2003001 mandatory triples, over the cap 2000000"),
+    (["triples", "--family", "syntactic", "--n", "1001", "--preorder"],
+     "a system on 1001 states has 2003001 mandatory triples, over the cap 2000000"),
+])
+def test_oversized_family_requests_exit_3_at_once(args, message, capsys):
+    start = time.process_time()
+    assert main(args) == 3
+    assert time.process_time() - start < 0.1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_random_refuses_a_runaway_walk(capsys):
     # the walk for the second letter backtracks out of dead ends without
     # end; it is refused past n + CLOSURE_CAP // n levels, about 0.5 s

@@ -1,8 +1,9 @@
-"""Cross-checks of the subset-construction, pair-walk, minimization and
-respecting-map kernels against the loops they replaced (parent_kernels.py):
-same DFA, same numbering, same ResourceCap and errors, the same state counts
-from complexity, is_minimal, nfa_complexity and the boolean suite's shared
-walk; same maps in the same order, and the same random draws."""
+"""Cross-checks of the subset-construction, pair-walk, minimization,
+respecting-map and semigroup-closure kernels against the loops they replaced
+(parent_kernels.py): same DFA, same numbering, same ResourceCap and errors,
+the same state counts from complexity, is_minimal, nfa_complexity and the
+boolean suite's shared walk; same maps and elements in the same order, and
+the same random draws."""
 
 import hashlib
 import random
@@ -13,10 +14,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sconvex import (AlphabetMismatch, Dfa, Nfa, ResourceCap, canonical_system,
-                     complexity, determinize, direct_product, is_minimal,
-                     maximal_semigroup, minimize, nfa_complexity, order_system,
-                     preorder_of, product_nfa, random_suffix_convex, star_nfa)
+from sconvex import (AlphabetMismatch, Dfa, Nfa, ResourceCap, Transformation,
+                     canonical_system, closure, complexity, determinize,
+                     direct_product, is_minimal, maximal_semigroup, minimize,
+                     nfa_complexity, order_system, preorder_of, product_nfa,
+                     random_suffix_convex, star_nfa)
 from sconvex import automata
 from sconvex.automata import _pair_complexity, _pair_walk
 from sconvex.harness import (BOOLEAN_OPS, _random_convex_finals, _random_order,
@@ -27,9 +29,9 @@ from sconvex.witnesses import (reversal_system, reversal_witness, star_system,
                                syntactic_witness)
 
 from oracles import matrix_of
-from parent_kernels import (parent_determinize, parent_direct_product,
-                            parent_minimize, parent_respecting_maps,
-                            reverse_nfa)
+from parent_kernels import (parent_closure, parent_determinize,
+                            parent_direct_product, parent_minimize,
+                            parent_respecting_maps, reverse_nfa)
 
 WITNESSES = (star_witness, reversal_witness, syntactic_witness)
 
@@ -416,6 +418,41 @@ def test_random_order_edge_draws_as_random_sample(m):
         q = (mask & ~(1 | 1 << p)).bit_length() - 1
         assert [p, q] == theirs.sample(range(1, m + 1), 2)
         assert ours.getstate() == theirs.getstate()
+
+
+def _closure_outcome(close, gens, cap):
+    try:
+        return close(gens, cap).images
+    except ResourceCap as exc:
+        return str(exc)
+
+
+def test_closure_matches_parent():
+    # the same elements in the same order, and the same refusal text, on
+    # seeded lists of 1-4 generators on 1-7 points, some of them repeated,
+    # the identity or a permutation
+    rng = random.Random(30)
+    outcomes = []
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(6)
+            if kind == 0:
+                image = list(range(n))
+            elif kind == 1:
+                image = rng.sample(range(n), n)
+            elif kind == 2 and gens:
+                image = rng.choice(gens).image
+            else:
+                image = [rng.randrange(n) for _ in range(n)]
+            gens.append(Transformation(n, image))
+        for cap in [*range(1, 41), 5000]:
+            got = _closure_outcome(closure, gens, cap)
+            assert got == _closure_outcome(parent_closure, gens, cap), (gens, cap)
+            outcomes.append(isinstance(got, str))
+    # both the refusals and the full closures are reached
+    assert 0.1 < sum(outcomes) / len(outcomes) < 0.9
 
 
 def test_maximal_semigroup_of_the_syntactic_system_at_seven_is_pinned():

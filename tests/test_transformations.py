@@ -11,7 +11,7 @@ from sconvex import (NotationError, ResourceCap, SizeMismatch, Semigroup,
                      reversal_witness, semigroup_size,
                      star_witness, syntactic_complexity, syntactic_witness,
                      total_order, transition_semigroup)
-from sconvex.transformations import _IDENTITY, _Sims, _image_orbit
+from sconvex.transformations import _IDENTITY, _Sims, _components, _image_orbit
 
 from oracles import naive_closure
 
@@ -295,6 +295,48 @@ def test_image_orbit_against_the_naive_closure():
         # flat[i*k + j] is image set i under generator j
         assert flat == [sets.index(frozenset(g[q] for q in P))
                         for P in sets for g in gens], gens
+
+
+def _reach(succ, v):
+    seen, todo = {v}, [v]
+    while todo:
+        for w in succ[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def test_components_against_mutual_reachability():
+    rng = random.Random(30)
+    for _ in range(300):
+        count = rng.randint(1, 30)
+        k = rng.randint(1, 4)
+        succ = [[rng.randrange(count) for _ in range(k)] for _ in range(count)]
+        component_of = _components(succ)
+        reach = [_reach(succ, v) for v in range(count)]
+        naive = {frozenset(w for w in reach[v] if v in reach[w]) for v in range(count)}
+        named = {}
+        for v, c in enumerate(component_of):
+            named.setdefault(c, set()).add(v)
+        assert set(map(frozenset, named.values())) == naive, succ
+        # each component is named by one of its own nodes
+        assert all(c in members for c, members in named.items()), succ
+
+
+def test_semigroup_size_does_not_depend_on_generator_order():
+    # reversing the generators moves where the count first lands in each
+    # orbit component, and so where that component is rooted
+    rng = random.Random(30)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        gens = [Transformation(n, rng.sample(range(n), n) if rng.randrange(3) == 0
+                               else [rng.randrange(n) for _ in range(n)])
+                for _ in range(rng.randint(2, 4))]
+        size = semigroup_size(gens)
+        assert semigroup_size(gens[::-1]) == size, gens
+        if n <= 5:
+            assert len(closure(gens)) == size, gens
 
 
 def test_sims_table_order_and_membership():

@@ -1,12 +1,15 @@
+import time
+
 import pytest
 
 from sconvex import (AlphabetMismatch, BadSize, LetterMap, NotInjective,
-                     TripleSystem, base_triples, canonical_system,
+                     ResourceCap, TripleSystem, base_triples, canonical_system,
                      complexity, dfa_respects, dialect, identity, is_minimal,
                      order_properties, preorder_of,
                      reversal_order, reversal_system, reversal_witness,
                      star_system, star_witness, syntactic_system,
                      syntactic_witness, total_order, Transformation)
+from sconvex import triples, witnesses
 
 from oracles import matrix_of
 
@@ -90,6 +93,46 @@ def test_reversal_order_shape():
     props = order_properties(po)
     assert props.is_partial_order
     assert props.comparable_nonzero_pairs == {(2, 1)}
+
+
+@pytest.mark.parametrize("family, letters", [
+    (star_witness, 6), (reversal_witness, 8), (syntactic_witness, 8),
+])
+def test_witnesses_refuse_more_than_closure_cap_table_entries(family, letters,
+                                                               monkeypatch):
+    # the rule random_suffix_convex keeps: n * letters at most CLOSURE_CAP
+    with monkeypatch.context() as m:
+        m.setattr(witnesses, "CLOSURE_CAP", 10 * letters)
+        assert len(family(10).alphabet) == letters
+        with pytest.raises(ResourceCap) as refused:
+            family(11)
+    assert str(refused.value) == (f"a witness on 11 states with {letters} "
+                                  f"letters needs n*letters at most {10 * letters}")
+    # refused before anything of size n is built
+    start = time.process_time()
+    with pytest.raises(ResourceCap):
+        family(20_000_000)
+    assert time.process_time() - start < 0.1
+
+
+@pytest.mark.parametrize("family", [star_system, reversal_system, syntactic_system])
+def test_systems_refuse_what_from_text_refuses(family, monkeypatch):
+    # 2n^2 - n mandatory triples at most CLOSURE_CAP, the one rule that
+    # TripleSystem.from_text keeps, so every system built reads back
+    with monkeypatch.context() as m:
+        m.setattr(witnesses, "CLOSURE_CAP", 2 * 10 * 10 - 10)
+        m.setattr(triples, "CLOSURE_CAP", 2 * 10 * 10 - 10)
+        assert TripleSystem.from_text(family(10).to_text()) == family(10)
+        with pytest.raises(ResourceCap) as refused:
+            family(11)
+        with pytest.raises(ResourceCap) as read:
+            TripleSystem.from_text("states 11\nfinal 1\n")
+    assert str(refused.value) == str(read.value) == (
+        "a system on 11 states has 231 mandatory triples, over the cap 190")
+    start = time.process_time()
+    with pytest.raises(ResourceCap):
+        family(30000)
+    assert time.process_time() - start < 0.1
 
 
 def test_designed_systems_match_their_orders():
