@@ -20,10 +20,10 @@ from .harness import (ProbeResult, Report, monotone_reversal_count,
 from .transformations import (Semigroup, Transformation, closure, compose,
                               identity, parse_transformation, semigroup_size,
                               syntactic_complexity, transition_semigroup)
-from .triples import (OrderProperties, Preorder, RespectCheck, TripleSystem,
+from .triples import (Preorder, RespectCheck, TripleSystem,
                       antichain_order, base_triples, canonical_system,
                       dfa_respects, make_triple_system, maximal_semigroup,
-                      monotone_maps, order_properties, order_system,
+                      monotone_maps, order_system,
                       preorder_of, respects, total_order)
 from .witnesses import (LetterMap, dialect, reversal_order, reversal_system,
                         reversal_witness, star_system, star_witness,

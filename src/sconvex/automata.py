@@ -604,9 +604,9 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
 
 
 def is_minimal(d: Dfa) -> bool:
-    '''Whether d has no unreachable state and no two equivalent ones,
-    counted like complexity, without building the quotient.'''
-    return max(_refine(d)[2]) + 1 == d.n
+    '''Whether d has no unreachable state and no two equivalent ones: its
+    complexity is its number of states.'''
+    return complexity(d) == d.n
 
 
 def _atoms(d: Dfa, reach, flat) -> int:

@@ -41,10 +41,10 @@ class AxiomViolation(SconvexError):
         triple: the offending or missing triple.
     """
 
-    def __init__(self, axiom, triple, message=None):
+    def __init__(self, axiom, triple):
         self.axiom = axiom
         self.triple = tuple(triple)
-        super().__init__(message or f"axiom ({axiom}) fails at {self.triple}")
+        super().__init__(f"axiom ({axiom}) fails at {self.triple}")
 
 
 class NotPartialOrder(SconvexError):

@@ -332,43 +332,15 @@ class Preorder:
                          for m in self.up) + "\n"
 
 
-@dataclass(frozen=True)
-class OrderProperties:
-    is_partial_order: bool
-    is_total_comparability: bool
-    symmetric_pairs: frozenset[tuple[int, int]]
-    comparable_nonzero_pairs: frozenset[tuple[int, int]]
-
-
 def preorder_of(s: TripleSystem) -> Preorder:
     '''The derived relation: p below q exactly when (0, p, q) is in R.'''
     return Preorder(s.n, s.masks[:s.n])
 
 
-def order_properties(po: Preorder) -> OrderProperties:
-    """Shape summary of a preorder.
-
-    symmetric_pairs lists unordered pairs p < q that are equivalent;
-    comparable_nonzero_pairs lists ordered pairs (p, q) of distinct
-    non-zero states with p below q.
-    """
-    (n, up, down) = (po.n, po.up, po.down)
-    full = (1 << n) - 1
-    sym = frozenset((p, q) for p in range(n)
-                    for q in _bits(up[p] & down[p]) if q > p)
-    return OrderProperties(
-        is_partial_order=not sym,
-        is_total_comparability=all(up[p] | down[p] == full for p in range(n)),
-        symmetric_pairs=sym,
-        comparable_nonzero_pairs=frozenset(
-            (p, q) for p in range(1, n) for q in _bits(up[p] & ~(1 | 1 << p))),
-    )
-
-
 def _require_partial_order(po: Preorder):
-    """NotPartialOrder naming the first equivalent pair p < q, least p
-    first, then least q, as min(order_properties(po).symmetric_pairs):
-    the states equivalent to p are one AND of its masks."""
+    """NotPartialOrder naming the first equivalent pair p < q: the least
+    p, then the least q.  The states equivalent to p are one AND of its
+    masks."""
     for p in range(po.n):
         later = (po.up[p] & po.down[p]) >> p + 1
         if later:

@@ -326,6 +326,13 @@ def test_random_refuses_oversized_requests_fast(args, capsys):
      "a system on 1001 states has 2003001 mandatory triples, over the cap 2000000"),
     (["triples", "--family", "syntactic", "--n", "1001", "--preorder"],
      "a system on 1001 states has 2003001 mandatory triples, over the cap 2000000"),
+    # the star walk at n=23 spends 11-15 s CPU and 600 MB before its own refusal
+    (["verify", "--suite", "star", "--min-n", "23", "--max-n", "23"],
+     "the star suite at n=23 expects 6291456 states, over the subset cap 4194304"),
+    (["verify", "--suite", "reversal", "--min-n", "23", "--max-n", "23"],
+     "the reversal suite at n=23 expects 7340032 states, over the subset cap 4194304"),
+    (["verify", "--suite", "product", "--min-n", "18", "--max-n", "18"],
+     "the product suite at n=18 m=18 expects 4587520 states, over the subset cap 4194304"),
 ])
 def test_oversized_family_requests_exit_3_at_once(args, message, capsys):
     start = time.process_time()

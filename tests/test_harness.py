@@ -1,5 +1,6 @@
 import json
 import random
+import time
 import tracemalloc
 from itertools import permutations
 
@@ -13,7 +14,7 @@ from sconvex import (BadSize, Dfa, Report, ResourceCap, atom_count, classify,
                      verify_exclusions, verify_monotone_counts,
                      verify_product, verify_reversal, verify_star,
                      verify_syntactic)
-from sconvex import triples
+from sconvex import automata, triples
 from sconvex.automata import _complexity_and_atoms
 from sconvex.triples import (_bits, _convex_violation, letter_names,
                              monotone_count, monotone_maps)
@@ -475,3 +476,43 @@ def test_bound_violations_match_minimized_atom_counts(seed):
 def test_reversal_refuses_negative_samples():
     with pytest.raises(BadSize, match="samples must be at least 0, got -3"):
         verify_reversal([], samples=-3)
+
+
+@pytest.mark.parametrize("suite, args, where, bound", [
+    (verify_star, ([23],), "star suite at n=23", 6291456),
+    # a range to 10^9 is not listed: the first point past the cap ends it
+    (verify_star, (range(3, 10 ** 9),), "star suite at n=23", 6291456),
+    (verify_reversal, ([4, 23],), "reversal suite at n=23", 7340032),
+    (verify_product, ([18], [18]), "product suite at n=18 m=18", 4587520),
+    (verify_product, (range(3, 19), range(3, 19)),
+     "product suite at n=18 m=17", 4325376),
+])
+def test_subset_suites_refuse_past_the_subset_cap_before_building(suite, args,
+                                                                  where, bound):
+    # the walk at star n=23 would spend 11-15 s CPU and 600 MB before its
+    # own refusal; every point is checked before the first input is built
+    message = f"the {where} expects {bound} states, over the subset cap 4194304"
+    tracemalloc.start()
+    start = time.process_time()
+    try:
+        with pytest.raises(ResourceCap, match=f"^{message}$"):
+            suite(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.process_time() - start < 0.1
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("suite, kwargs, bound, where", [
+    (verify_star, {}, star_bound(5), "star suite at n=6"),
+    (verify_reversal, {"samples": 0}, reversal_bound(5), "reversal suite at n=6"),
+    (verify_product, {"ms": [5]}, product_bound(5, 5), "product suite at n=6 m=5"),
+])
+def test_subset_suites_read_the_cap_at_call_time(suite, kwargs, bound, where,
+                                                 monkeypatch):
+    # the walks reach exactly the bound, so a bound equal to the cap passes
+    monkeypatch.setattr(automata, "SUBSET_CAP", bound)
+    assert all(r.passed for r in suite(ns=[5], **kwargs))
+    with pytest.raises(ResourceCap, match=f"^the {where} expects .* cap {bound}$"):
+        suite(ns=[5, 6], **kwargs)

@@ -17,7 +17,7 @@ from sconvex import (AxiomViolation, Dfa, FormatError, NonConvexFinals,
                      TripleSystem, antichain_order, base_triples,
                      canonical_system, classify, dfa_respects, is_minimal,
                      make_triple_system, maximal_semigroup, minimize,
-                     order_properties, order_system, preorder_of,
+                     order_system, preorder_of,
                      random_suffix_convex, respects, reversal_order,
                      reversal_system, reversal_witness, star_system,
                      star_witness, syntactic_system, syntactic_witness,
@@ -305,7 +305,7 @@ def test_preorder_relations():
     assert po.dump() == "1 0 0\n1 1 0\n1 1 1\n"
     rng = random.Random(77)
     mixed = _random_preorder(rng, 7)
-    while not order_properties(mixed).symmetric_pairs:
+    while not naive_order_properties(matrix_of(mixed))[2]:
         mixed = _random_preorder(rng, 7)
     for po, leq in ((reversal_order(5), reversal_order_matrix(5)),
                     (antichain_order(4), antichain_order_matrix(4)),
@@ -337,28 +337,11 @@ def test_random_order_draws_the_parent_masks():
         assert ours.random() == parent.random()
 
 
-def test_order_properties_of_named_orders():
-    chain = order_properties(total_order(4))
-    assert chain.is_partial_order
-    assert chain.is_total_comparability
-    assert chain.comparable_nonzero_pairs == {(2, 1), (3, 1), (3, 2)}
-    assert chain.symmetric_pairs == frozenset()
-
-    flat = order_properties(antichain_order(4))
-    assert flat.is_partial_order
-    assert not flat.is_total_comparability
-    assert flat.comparable_nonzero_pairs == frozenset()
-
-    rev = order_properties(reversal_order(5))
-    assert rev.is_partial_order
-    assert not rev.is_total_comparability
-    assert rev.comparable_nonzero_pairs == {(2, 1)}
-
-
 def test_syntactic_system_preorder_has_pods():
-    props = order_properties(preorder_of(syntactic_system(4)))
-    assert not props.is_partial_order
-    assert props.symmetric_pairs == {(0, 1), (0, 2), (1, 2)}
+    (is_partial, _, symmetric, _) = \
+        naive_order_properties(matrix_of(preorder_of(syntactic_system(4))))
+    assert not is_partial
+    assert symmetric == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_preorder_of_inverts_order_system():
@@ -402,7 +385,7 @@ def _random_preorder(rng, n):
     return preorder_from_matrix(leq)
 
 
-def test_require_partial_order_names_the_pair_order_properties_names():
+def test_require_partial_order_names_the_least_equivalent_pair():
     rng = random.Random(4242)
     partial = 0
     for _ in range(600):
@@ -420,15 +403,42 @@ def test_require_partial_order_names_the_pair_order_properties_names():
     assert 50 < partial < 550
 
 
+def _exclusion_order_reads(po):
+    # the two order facts verify_exclusions reads off the masks: totality as
+    # up | down full on every row, and the reversal witness's shape (a
+    # partial order whose only comparable distinct non-zero pair is 2 below
+    # 1) as equality with reversal_order
+    full = (1 << po.n) - 1
+    return (all(u | d == full for u, d in zip(po.up, po.down)),
+            po == reversal_order(po.n))
+
+
+def test_order_properties_of_named_orders():
+    assert _exclusion_order_reads(total_order(4)) == (True, False)
+    assert _exclusion_order_reads(antichain_order(4)) == (False, False)
+    assert _exclusion_order_reads(reversal_order(5)) == (False, True)
+    chain = naive_order_properties(matrix_of(total_order(4)))
+    assert chain == (True, True, frozenset(), {(2, 1), (3, 1), (3, 2)})
+    flat = naive_order_properties(matrix_of(antichain_order(4)))
+    assert flat == (True, False, frozenset(), frozenset())
+    rev = naive_order_properties(matrix_of(reversal_order(5)))
+    assert rev == (True, False, frozenset(), {(2, 1)})
+
+
 def test_order_properties_match_the_pair_loop():
     rng = random.Random(5151)
-    orders = [_random_preorder(rng, rng.randint(0, 9)) for _ in range(300)]
-    orders += [_random_order(rng, rng.randint(0, 9)) for _ in range(300)]
+    orders = [_random_preorder(rng, rng.randint(3, 9)) for _ in range(300)]
+    orders += [_random_order(rng, rng.randint(3, 9)) for _ in range(300)]
+    orders += [named(n) for n in range(3, 10)
+               for named in (reversal_order, total_order, antichain_order)]
+    seen = set()
     for po in orders:
-        props = order_properties(po)
-        assert (props.is_partial_order, props.is_total_comparability,
-                props.symmetric_pairs, props.comparable_nonzero_pairs) == \
-            naive_order_properties(matrix_of(po))
+        (is_partial, total, _, nonzero) = naive_order_properties(matrix_of(po))
+        reads = _exclusion_order_reads(po)
+        assert reads == (total, is_partial and nonzero == {(2, 1)})
+        seen.add(reads)
+    # every combination was drawn: reversal_order(3) is the chain on 3 states
+    assert len(seen) == 4
 
 
 def test_convex_violation_names_the_triple_of_the_loop():
@@ -650,11 +660,10 @@ PUBLIC = {
     "parse_transformation", "semigroup_size", "syntactic_complexity",
     "transition_semigroup",
     # triples
-    "OrderProperties", "Preorder", "RespectCheck", "TripleSystem",
-    "antichain_order", "base_triples", "canonical_system", "dfa_respects",
-    "make_triple_system", "maximal_semigroup", "monotone_maps",
-    "order_properties", "order_system", "preorder_of", "respects",
-    "total_order",
+    "Preorder", "RespectCheck", "TripleSystem", "antichain_order",
+    "base_triples", "canonical_system", "dfa_respects", "make_triple_system",
+    "maximal_semigroup", "monotone_maps", "order_system", "preorder_of",
+    "respects", "total_order",
     # witnesses
     "LetterMap", "dialect", "reversal_order", "reversal_system",
     "reversal_witness", "star_system", "star_witness", "syntactic_system",
