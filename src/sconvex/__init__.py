@@ -2,9 +2,8 @@
 classification, and exact verification of the operation bounds."""
 
 from .automata import (Dfa, Nfa, atom_count, complete_to, complexity,
-                       determinize, direct_product, equivalent, is_minimal,
-                       minimize, nfa_complexity, product_nfa, star_nfa,
-                       union_alphabet)
+                       determinize, direct_product, is_minimal, minimize,
+                       nfa_complexity, product_nfa, star_nfa, union_alphabet)
 from .classify import Classification, classify
 from .errors import (AlphabetMismatch, AxiomViolation, BadSize, FormatError,
                      NonConvexFinals, NotInjective, NotMinimal, NotPartialOrder,
@@ -20,11 +19,9 @@ from .harness import (ProbeResult, Report, monotone_reversal_count,
 from .transformations import (Semigroup, Transformation, closure, compose,
                               identity, parse_transformation, semigroup_size,
                               syntactic_complexity, transition_semigroup)
-from .triples import (Preorder, RespectCheck, TripleSystem,
-                      antichain_order, base_triples, canonical_system,
-                      dfa_respects, make_triple_system, maximal_semigroup,
-                      monotone_maps, order_system,
-                      preorder_of, respects, total_order)
+from .triples import (Preorder, TripleSystem, antichain_order,
+                      canonical_system, maximal_semigroup, order_system,
+                      preorder_of, total_order)
 from .witnesses import (LetterMap, dialect, reversal_order, reversal_system,
                         reversal_witness, star_system, star_witness,
                         syntactic_system, syntactic_witness)

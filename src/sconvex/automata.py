@@ -594,15 +594,6 @@ def reachable_tuples(rows, seeds, parent=None):
                 yield t
 
 
-def equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """Whether L(d1) = L(d2): no pair that _pair_walk(d1, d2) reaches
-    disagrees on finality.  Alphabets must match."""
-    if set(d1.alphabet) != set(d2.alphabet):
-        raise AlphabetMismatch("cannot compare languages over different alphabets")
-    (f1, f2) = (d1.finals, d2.finals)
-    return all((p in f1) == (q in f2) for p, q in _pair_walk(d1, d2)[0])
-
-
 def is_minimal(d: Dfa) -> bool:
     '''Whether d has no unreachable state and no two equivalent ones: its
     complexity is its number of states.'''

@@ -168,6 +168,8 @@ def verify_boolean(ms=BOOLEAN_RANGE, ns=BOOLEAN_RANGE):
     The four share one product walk, made before their checks, so each
     `ms` covers counting its operation's Nerode blocks on that walk alone.
     '''
+    _refuse_past_subset_cap("boolean", (([("n", n), ("m", m)], m * n)
+                                        for m in ms for n in ns))
     reports = []
     for m in ms:
         left = _star_dialect(m, ("a", "b", None, None, "e", "f"))
@@ -227,7 +229,6 @@ def verify_monotone_counts(ns=MONOTONE_RANGE):
     '''Monotone-map counts, by dynamic programming with none of the maps
     produced, match the formulas.'''
     # before the orders, whose construction grows with n^2
-    ns = list(ns)
     for n in ns:
         if n < 3:
             raise BadSize(f"the monotone counts need n >= 3, got {n}")

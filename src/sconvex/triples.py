@@ -1,4 +1,4 @@
-"""Suffix-convex triple systems, the respect relation, and derived orders.
+"""Suffix-convex triple systems and derived orders.
 
 A triple system over Q_n = {0, ..., n-1} carries a final set F and a
 relation R of state triples subject to four axioms:
@@ -11,8 +11,9 @@ relation R of state triples subject to four axioms:
 A transformation t respects the system when triples are preserved
 pointwise (Condition 1) and triples anchored at the initial state stay
 anchored (Condition 2: (0, q, r) in R forces (0, qt, rt) in R).  Both
-conditions survive composition, so a DFA respects a system exactly when
-its letters do.
+conditions survive composition.  They define the maps that
+maximal_semigroup lists and the system that canonical_system returns,
+the largest one a DFA's letters respect.
 """
 
 from __future__ import annotations
@@ -26,20 +27,10 @@ from .automata import Dfa, _mask, _text_rows, is_minimal, reachable_tuples
 from .classify import _chain
 from .errors import (AxiomViolation, FormatError, NonConvexFinals, NotMinimal,
                      NotPartialOrder, NotSuffixConvex, ResourceCap,
-                     SizeMismatch, StateOutOfRange)
-from .transformations import CLOSURE_CAP, Semigroup, Transformation, _letters
+                     StateOutOfRange)
+from .transformations import CLOSURE_CAP, Semigroup
 
 Triple = tuple[int, int, int]
-
-
-def base_triples(n: int) -> set[Triple]:
-    '''The triples every system must contain: third coordinate in {p, q}.'''
-    out = set()
-    for p in range(n):
-        for q in range(n):
-            out.add((p, q, p))
-            out.add((p, q, q))
-    return out
 
 
 def _bits(mask: int):
@@ -165,59 +156,13 @@ def _check_system_size(n: int, cap: int) -> None:
 
 def _set_bits(masks: list, n: int, triples) -> list:
     '''masks with the bit of each triple set, each range-checked before its bit.'''
-    for t in map(tuple, triples):
-        if len(t) != 3:
-            raise FormatError(f"not a triple: {t}")
+    for t in triples:
         for q in t:
             if not 0 <= q < n:
                 raise StateOutOfRange(f"state {q} outside 0..{n - 1}")
         (p, q, r) = t
         masks[p * n + q] |= 1 << r
     return masks
-
-
-def make_triple_system(n: int, finals, triples) -> TripleSystem:
-    '''The system holding these triples, each range-checked before its bit.'''
-    return TripleSystem(n, finals, _set_bits([0] * (n * n), n, triples))
-
-
-# ---------------------------------------------------------------------------
-# the respect relation
-
-@dataclass(frozen=True)
-class RespectCheck:
-    ok: bool
-    condition: int | None = None
-    triple: Triple | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def respects(t: Transformation, s: TripleSystem) -> RespectCheck:
-    """Check Conditions 1 and 2 for one transformation.
-
-    On failure the result carries the condition number and the
-    lexicographically first triple of R whose image escapes.
-    """
-    if t.n != s.n:
-        raise SizeMismatch(f"transformation on {t.n} states, system on {s.n}")
-    img = t.image
-    for (p, q, r) in s.scan_triples():
-        if not s.contains(img[p], img[q], img[r]):
-            return RespectCheck(False, 1, (p, q, r))
-    for q in range(s.n):
-        for r in _bits(s.masks[q]):
-            if not s.contains(0, img[q], img[r]):
-                return RespectCheck(False, 2, (0, q, r))
-    return RespectCheck(True)
-
-
-def dfa_respects(d: Dfa, s: TripleSystem) -> bool:
-    '''Whether every letter of d respects s; enough, by composition closure.'''
-    if d.n != s.n:
-        raise SizeMismatch(f"DFA on {d.n} states, system on {s.n}")
-    return all(respects(t, s) for t in _letters(d))
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +319,9 @@ def _check_convex_finals(po: Preorder, finals):
 # ---------------------------------------------------------------------------
 # monotone transformations and the order construction
 
-# An enumeration costs time in proportion to cap * n before it hits the cap
-# (and memory too when it stores the maps), so it refuses more states than
-# this at once: at 13 even a total order has 5,200,300 maps, over the
-# default cap.
+# maximal_semigroup costs time and memory in proportion to cap * n before
+# it hits the cap, so it refuses more states than this at once: at 13 even
+# a total order has 5,200,300 monotone maps, over the default cap.
 ENUM_MAX_STATES = 12
 
 # The mask bits one count may handle, about 1.5 s of CPU: total_order(n)
@@ -499,40 +443,6 @@ def _respecting_walk(po: Preorder, scan=(), masks=()):
     return walk
 
 
-def _enumeration(n: int, walk):
-    """The maps that walk() yields, a walk on n states, passed on lazily.
-
-    ResourceCap is raised at once for more than ENUM_MAX_STATES states,
-    before walk() builds any table, and once more than CLOSURE_CAP maps
-    have come, the cap as it is at this call.
-    """
-    if n > ENUM_MAX_STATES:
-        raise ResourceCap(f"map enumeration supports at most {ENUM_MAX_STATES} "
-                          f"states, got {n}")
-    (cap, maps) = (CLOSURE_CAP, walk())
-
-    def capped():
-        yield from islice(maps, cap)  # islice counts the maps in C
-        if next(maps, None) is not None:
-            raise ResourceCap(f"enumeration on {n} states reached {cap + 1} "
-                              f"maps, over the cap {cap}")
-
-    return capped()
-
-
-def monotone_maps(po: Preorder):
-    """An iterator over the maps monotone for a partial order, lexicographic,
-    as image bytes, so they can be counted without being stored.
-
-    Monotone means p below q forces pt below qt.  The order must be
-    antisymmetric with maximum 0.  ResourceCap is raised once more than
-    CLOSURE_CAP maps have been produced, and at once for more than
-    ENUM_MAX_STATES states.
-    """
-    _require_partial_order(po)
-    return _enumeration(po.n, lambda: _respecting_walk(po)())
-
-
 def monotone_count(po: Preorder) -> int:
     """The number of maps monotone for a partial order, by dynamic
     programming, none of the maps produced (see _count_monotone).  The
@@ -547,7 +457,7 @@ def _count_monotone(n, up, down, floor=0):
     up and down masks, if it is at least floor; otherwise some number
     below floor, perhaps found before the count is done.
 
-    States get their images in the order 0..n-1, as in monotone_maps.
+    States get their images in the order 0..n-1.
     The maps that agree on 0..q-1 leave each later state r a candidate
     mask, the AND of up[image[p]] and down[image[p]] over the earlier p
     below, resp. above, r; how such a map can go on depends only on those
@@ -610,12 +520,22 @@ def maximal_semigroup(s: TripleSystem) -> Semigroup:
     Condition 2 is monotonicity for the derived preorder, so the maps are
     enumerated state by state as monotone maps, and each scan triple of
     Condition 1 narrows the candidate mask of its largest state.
-    ResourceCap is raised once more than CLOSURE_CAP maps have been
-    produced, and at once for more than ENUM_MAX_STATES states.
+    ResourceCap is raised at once for more than ENUM_MAX_STATES states,
+    before the walk builds any table.  The maps are taken through islice
+    up to CLOSURE_CAP, read at this call, and one map more raises
+    ResourceCap.
     """
-    maps = _enumeration(s.n, lambda: _respecting_walk(
-        preorder_of(s), s.scan_triples(), s.masks)())
-    return Semigroup(s.n, tuple(maps))
+    n = s.n
+    if n > ENUM_MAX_STATES:
+        raise ResourceCap(f"map enumeration supports at most {ENUM_MAX_STATES} "
+                          f"states, got {n}")
+    cap = CLOSURE_CAP
+    maps = _respecting_walk(preorder_of(s), s.scan_triples(), s.masks)()
+    images = tuple(islice(maps, cap))  # islice counts the maps in C
+    if next(maps, None) is not None:
+        raise ResourceCap(f"enumeration on {n} states reached {cap + 1} "
+                          f"maps, over the cap {cap}")
+    return Semigroup(n, images)
 
 
 def order_system(po: Preorder, finals) -> TripleSystem:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from sconvex import Preorder
+from sconvex import AlphabetMismatch, Preorder, TripleSystem
 
 
 def accepts(d, word):
@@ -181,18 +181,69 @@ def naive_monotone_maps(po):
     return out
 
 
-def naive_respecting_maps(s):
-    """All self-maps t respecting a triple system, lexicographic, straight
-    from the definition: (pt, qt, rt) is in R for every (p, q, r) in R
-    (Condition 1), and (0, qt, rt) is in R for every (0, q, r) in R
-    (Condition 2)."""
+def _respects(image, R):
+    """Whether the map with this image respects the relation R, a set of
+    triples, straight from the definition: (pt, qt, rt) is in R for every
+    (p, q, r) in R (Condition 1), and (0, qt, rt) is in R for every
+    (0, q, r) in R (Condition 2)."""
+    return all((image[p], image[q], image[r]) in R for (p, q, r) in R) and \
+        all((0, image[q], image[r]) in R for (z, q, r) in R if z == 0)
+
+
+def respects(image, s):
+    """Whether the map with this image respects the triple system s."""
+    return _respects(image, s.triples)
+
+
+def dfa_respects(d, s):
+    """Whether every letter of d respects s, each checked on its own."""
     R = s.triples
-    out = []
-    for image in product(range(s.n), repeat=s.n):
-        if all((image[p], image[q], image[r]) in R for (p, q, r) in R) and \
-                all((0, image[q], image[r]) in R for (z, q, r) in R if z == 0):
-            out.append(image)
-    return out
+    return all(_respects(row, R) for row in d.delta)
+
+
+def naive_respecting_maps(s):
+    """All self-maps respecting a triple system, lexicographic, each tested
+    against the definition."""
+    R = s.triples
+    return [image for image in product(range(s.n), repeat=s.n)
+            if _respects(image, R)]
+
+
+def base_triples(n):
+    """The triples every system must contain: third coordinate in {p, q}."""
+    return {t for p in range(n) for q in range(n) for t in ((p, q, p), (p, q, q))}
+
+
+def make_triple_system(n, finals, triples):
+    """The TripleSystem holding exactly these triples: bit r of mask
+    p * n + q set for each (p, q, r), the axioms left to the constructor."""
+    masks = [0] * (n * n)
+    for (p, q, r) in triples:
+        masks[p * n + q] |= 1 << r
+    return TripleSystem(n, finals, masks)
+
+
+def equivalent(d1, d2):
+    """Whether L(d1) = L(d2): a plain worklist over the state pairs that
+    the words reach, d2's letters matched to d1's by name, and no pair
+    reached may disagree on finality.  The alphabets must be equal as
+    sets."""
+    if set(d1.alphabet) != set(d2.alphabet):
+        raise AlphabetMismatch("cannot compare languages over different alphabets")
+    rows = [(row, d2.delta[d2.alphabet.index(a)])
+            for a, row in zip(d1.alphabet, d1.delta)]
+    seen = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        (p, q) = frontier.pop()
+        if (p in d1.finals) != (q in d2.finals):
+            return False
+        for (one, two) in rows:
+            nxt = (one[p], two[q])
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return True
 
 
 def naive_closure(generators):

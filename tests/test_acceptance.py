@@ -9,18 +9,16 @@ import tracemalloc
 
 import pytest
 
-from sconvex import (atom_count, canonical_system, classify, dfa_respects,
-                     maximal_semigroup, minimize, preorder_of,
-                     reversal_witness,
-                     star_witness, syntactic_bound, syntactic_complexity,
-                     syntactic_system, syntactic_witness, transition_semigroup,
-                     verify_boolean, verify_exclusions,
-                     verify_monotone_counts, verify_product, verify_reversal,
-                     verify_star, verify_syntactic)
+from sconvex import (atom_count, canonical_system, classify, maximal_semigroup,
+                     minimize, preorder_of, reversal_witness, star_witness,
+                     syntactic_bound, syntactic_complexity, syntactic_system,
+                     syntactic_witness, transition_semigroup, verify_boolean,
+                     verify_exclusions, verify_monotone_counts, verify_product,
+                     verify_reversal, verify_star, verify_syntactic)
 
 from conftest import random_dfa
-from oracles import (accepts, brute_force_suffix_convex, matrix_of,
-                     naive_order_properties, signature_atom_count)
+from oracles import (accepts, brute_force_suffix_convex, dfa_respects,
+                     matrix_of, naive_order_properties, signature_atom_count)
 
 
 def _conclude(label, reports):

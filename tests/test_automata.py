@@ -7,15 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from sconvex import (AlphabetMismatch, Dfa, FormatError, Nfa, NotMinimal,
                      ResourceCap, atom_count, complete_to, complexity,
-                     determinize, direct_product, equivalent, is_minimal,
-                     minimize, product_nfa, star_nfa, union_alphabet)
+                     determinize, direct_product, is_minimal, minimize,
+                     product_nfa, star_nfa, union_alphabet)
 from sconvex import automata
 from sconvex.automata import _complexity_and_atoms, reachable_tuples
 from sconvex.witnesses import reversal_witness, star_witness
 
 from conftest import random_dfa
-from oracles import (accepts_concat, accepts_star, quotient_contains,
-                     signature_atom_count, table_filling_complexity)
+from oracles import (accepts_concat, accepts_star, equivalent,
+                     quotient_contains, signature_atom_count,
+                     table_filling_complexity)
 from parent_kernels import parent_determinize, reverse_nfa
 
 ODD_A = Dfa(2, ("a",), ((1, 0),), frozenset({1}))

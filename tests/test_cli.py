@@ -333,6 +333,11 @@ def test_random_refuses_oversized_requests_fast(args, capsys):
      "the reversal suite at n=23 expects 7340032 states, over the subset cap 4194304"),
     (["verify", "--suite", "product", "--min-n", "18", "--max-n", "18"],
      "the product suite at n=18 m=18 expects 4587520 states, over the subset cap 4194304"),
+    (["verify", "--suite", "boolean", "--min-n", "2049", "--max-n", "2049"],
+     "the boolean suite at n=2049 m=2049 expects 4198401 states, over the subset cap 4194304"),
+    # the range is not listed: the check loop stops at n=101
+    (["verify", "--suite", "monotone", "--max-n", "1000000000"],
+     "the monotone counts support at most 100 states, got 101"),
 ])
 def test_oversized_family_requests_exit_3_at_once(args, message, capsys):
     start = time.process_time()

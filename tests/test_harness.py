@@ -16,9 +16,9 @@ from sconvex import (BadSize, Dfa, Report, ResourceCap, atom_count, classify,
                      verify_syntactic)
 from sconvex import automata, triples
 from sconvex.automata import _complexity_and_atoms
-from sconvex.triples import (_bits, _convex_violation, letter_names,
-                             monotone_count, monotone_maps)
+from sconvex.triples import _bits, _convex_violation, letter_names, monotone_count
 
+from conftest import monotone_walk
 from oracles import (matrix_of, naive_class_key, naive_nonzero_posets,
                      signature_atom_count)
 
@@ -363,7 +363,7 @@ def test_closed_form_matches_classify(n):
     # is_minimal judge the DFA with every monotone map as a letter
     proper_count = 0
     for po in _probe_orders(n):
-        maps = tuple(monotone_maps(po))
+        maps = tuple(monotone_walk(po))
         names = letter_names(len(maps))
         leq = matrix_of(po)
         for bits in [f for f in range(1, (1 << n) - 1)
@@ -410,6 +410,22 @@ def test_monotone_counts_refuse_before_building_orders():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_monotone_counts_refuse_a_huge_range_without_listing_it():
+    # listing range(3, 10**9) first would take gigabytes; the check loop
+    # stops at n=101
+    tracemalloc.start()
+    start = time.process_time()
+    try:
+        with pytest.raises(ResourceCap, match="^the monotone counts support at "
+                                              "most 100 states, got 101$"):
+            verify_monotone_counts(range(3, 10 ** 9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.process_time() - start < 0.1
     assert peak < 1 << 20
 
 
@@ -486,11 +502,19 @@ def test_reversal_refuses_negative_samples():
     (verify_product, ([18], [18]), "product suite at n=18 m=18", 4587520),
     (verify_product, (range(3, 19), range(3, 19)),
      "product suite at n=18 m=17", 4325376),
+    # the pair walk alone took about 6 s and 715 MB at m = n = 2000
+    (verify_boolean, ([2049], [2049]), "boolean suite at n=2049 m=2049", 4198401),
 ])
 def test_subset_suites_refuse_past_the_subset_cap_before_building(suite, args,
-                                                                  where, bound):
+                                                                  where, bound,
+                                                                  monkeypatch):
     # the walk at star n=23 would spend 11-15 s CPU and 600 MB before its
     # own refusal; every point is checked before the first input is built
+    def no_input(*args):
+        raise AssertionError("an input was built")
+
+    monkeypatch.setattr(harness, "_star_dialect", no_input)
+    monkeypatch.setattr(harness, "reversal_witness", no_input)
     message = f"the {where} expects {bound} states, over the subset cap 4194304"
     tracemalloc.start()
     start = time.process_time()
@@ -508,6 +532,7 @@ def test_subset_suites_refuse_past_the_subset_cap_before_building(suite, args,
     (verify_star, {}, star_bound(5), "star suite at n=6"),
     (verify_reversal, {"samples": 0}, reversal_bound(5), "reversal suite at n=6"),
     (verify_product, {"ms": [5]}, product_bound(5, 5), "product suite at n=6 m=5"),
+    (verify_boolean, {"ms": [5]}, 25, "boolean suite at n=6 m=5"),
 ])
 def test_subset_suites_read_the_cap_at_call_time(suite, kwargs, bound, where,
                                                  monkeypatch):

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from sconvex import (NotationError, ResourceCap, SizeMismatch, Semigroup,
                      Transformation, closure, compose, identity,
-                     monotone_maps, parse_transformation,
+                     parse_transformation,
                      reversal_witness, semigroup_size,
                      star_witness, syntactic_complexity, syntactic_witness,
                      total_order, transition_semigroup)
 from sconvex.transformations import _IDENTITY, _Sims, _components, _image_orbit
 
+from conftest import monotone_walk
 from oracles import naive_closure
 
 
@@ -247,7 +248,7 @@ def test_semigroup_size_of_full_and_symmetric_monoids(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_semigroup_size_of_the_chains_monotone_monoid(n):
-    gens = [Transformation(n, img) for img in monotone_maps(total_order(n))]
+    gens = [Transformation(n, img) for img in monotone_walk(total_order(n))]
     assert semigroup_size(gens) == math.comb(2 * n - 1, n)
     if n <= 6:
         assert semigroup_size(gens) == len(naive_closure(gens))

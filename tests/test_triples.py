@@ -13,29 +13,27 @@ from hypothesis import given, settings, strategies as st
 import sconvex
 from sconvex import (AxiomViolation, Dfa, FormatError, NonConvexFinals,
                      NotMinimal, NotPartialOrder, NotSuffixConvex, Preorder,
-                     ResourceCap, StateOutOfRange, Transformation,
-                     TripleSystem, antichain_order, base_triples,
-                     canonical_system, classify, dfa_respects, is_minimal,
-                     make_triple_system, maximal_semigroup, minimize,
-                     order_system, preorder_of,
-                     random_suffix_convex, respects, reversal_order,
-                     reversal_system, reversal_witness, star_system,
-                     star_witness, syntactic_system, syntactic_witness,
-                     total_order)
+                     ResourceCap, StateOutOfRange, TripleSystem,
+                     antichain_order, canonical_system, classify, is_minimal,
+                     maximal_semigroup, minimize, order_system, preorder_of,
+                     random_suffix_convex, reversal_order, reversal_system,
+                     reversal_witness, star_system, star_witness,
+                     syntactic_system, syntactic_witness, total_order)
 from sconvex import harness, triples
 from sconvex.harness import (_random_convex_finals, _random_order,
                              monotone_reversal_count, monotone_total_count)
 from sconvex.triples import (_convex_violation, _count_monotone,
                              _require_partial_order, _respecting_walk,
-                             letter_names, monotone_count, monotone_maps)
+                             letter_names, monotone_count)
 
-from conftest import random_dfa
-from oracles import (antichain_order_matrix, first_convexity_violation,
-                     first_transitivity_violation, matrix_of, naive_axiom_c,
+from conftest import monotone_walk, random_dfa
+from oracles import (antichain_order_matrix, base_triples, dfa_respects,
+                     first_convexity_violation, first_transitivity_violation,
+                     make_triple_system, matrix_of, naive_axiom_c,
                      naive_canonical_triples, naive_monotone_maps,
                      naive_order_properties, naive_respecting_maps,
                      preorder_from_matrix, preorder_of_matrix,
-                     quotient_contains, reversal_order_matrix,
+                     quotient_contains, respects, reversal_order_matrix,
                      total_order_matrix)
 from parent_kernels import parent_random_order
 
@@ -86,11 +84,12 @@ def test_axioms_are_checked_in_order():
 
 
 @pytest.mark.parametrize("state", [10 ** 12, -1])
-def test_make_triple_system_checks_range_before_setting_bits(state):
+def test_triple_from_text_checks_range_before_setting_bits(state):
+    # a bit set first would be a 10^12-bit mask, or a negative shift
     tracemalloc.start()
     try:
         with pytest.raises(StateOutOfRange):
-            make_triple_system(3, {1}, base_triples(3) | {(0, 1, state)})
+            TripleSystem.from_text(f"states 3\nfinal 1\n0 1 {state}\n")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -231,13 +230,9 @@ def test_cube_and_scan_agree_with_membership():
 def test_respects_reports_the_escaping_triple():
     s = star_system(4)
     # reversing the chain 3 <= 2 <= 1 lets the images of (0, 2, 1),
-    # (0, 3, 1) and (0, 3, 2) escape; the lexicographically first is named
-    bad = Transformation(4, (0, 3, 2, 1))
-    check = respects(bad, s)
-    assert not check
-    assert (check.condition, check.triple) == (1, (0, 2, 1))
-    good = Transformation(4, (0, 1, 2, 2))
-    assert respects(good, s)
+    # (0, 3, 1) and (0, 3, 2) escape
+    assert not respects((0, 3, 2, 1), s)
+    assert respects((0, 1, 2, 2), s)
 
 
 def test_dfa_respects():
@@ -466,26 +461,38 @@ def test_monotone_maps_match_naive_filter():
     for po in (total_order(3), total_order(4), antichain_order(3),
                reversal_order(4), *seeded):
         # same maps, in the same lexicographic order
-        assert list(map(tuple, monotone_maps(po))) == naive_monotone_maps(po)
+        assert list(map(tuple, monotone_walk(po))) == naive_monotone_maps(po)
 
 
 def test_monotone_counts_small():
-    assert len(list(monotone_maps(total_order(3)))) == 10
-    assert len(list(monotone_maps(antichain_order(3)))) == 11
-    assert len(list(monotone_maps(reversal_order(4)))) == 40
+    assert len(list(monotone_walk(total_order(3)))) == 10
+    assert len(list(monotone_walk(antichain_order(3)))) == 11
+    assert len(list(monotone_walk(reversal_order(4)))) == 40
 
 
 def test_monotone_cap(monkeypatch):
-    monkeypatch.setattr(triples, "CLOSURE_CAP", 100)
+    # the chain's system on 8 states is respected by its 6,435 monotone maps
     produced = []
+
+    def counted(*args):
+        walk = _respecting_walk(*args)
+
+        def maps():
+            for image in walk():
+                produced.append(image)
+                yield image
+        return maps
+
+    monkeypatch.setattr(triples, "_respecting_walk", counted)
+    monkeypatch.setattr(triples, "CLOSURE_CAP", 100)
     with pytest.raises(ResourceCap, match="^enumeration on 8 states reached "
                                           "101 maps, over the cap 100$"):
-        produced.extend(monotone_maps(total_order(8)))
-    # the first 100 come before the refusal
-    assert len(produced) == 100
+        maximal_semigroup(star_system(8))
+    # the first 100 come, then one more that is refused, and no others
+    assert len(produced) == 101
     # the cap bounds the maps produced, not the n^n candidates
     monkeypatch.setattr(triples, "CLOSURE_CAP", 6435)
-    assert len(list(monotone_maps(total_order(8)))) == 6435
+    assert len(maximal_semigroup(star_system(8))) == 6435
     monkeypatch.setattr(triples, "CLOSURE_CAP", 54467)
     with pytest.raises(ResourceCap, match="reached 54468 maps, over the cap 54467"):
         maximal_semigroup(syntactic_system(7))
@@ -495,14 +502,14 @@ def test_monotone_count_matches_enumeration_on_probe_orders():
     for n in range(2, 7):
         for up in harness._nonzero_posets(n):
             po = harness._probe_order(n, up)
-            assert monotone_count(po) == sum(1 for _ in monotone_maps(po))
+            assert monotone_count(po) == sum(1 for _ in monotone_walk(po))
 
 
 def test_monotone_count_matches_enumeration_on_random_orders():
     rng = random.Random(7070)
     for _ in range(300):
         po = _random_order(rng, rng.randint(0, 7))
-        assert monotone_count(po) == sum(1 for _ in monotone_maps(po))
+        assert monotone_count(po) == sum(1 for _ in monotone_walk(po))
 
 
 def test_monotone_count_meets_both_closed_forms():
@@ -522,10 +529,8 @@ def test_monotone_count_refuses_what_enumeration_refuses():
             refused += 1
             with pytest.raises(NotPartialOrder, match=f"^{e}$"):
                 monotone_count(po)
-            with pytest.raises(NotPartialOrder, match=f"^{e}$"):
-                monotone_maps(po)
         else:
-            assert monotone_count(po) == sum(1 for _ in monotone_maps(po))
+            assert monotone_count(po) == sum(1 for _ in monotone_walk(po))
     assert 0 < refused < 200
 
 
@@ -581,23 +586,20 @@ def test_count_refuses_past_its_work_cap(monkeypatch):
 
 
 def test_enumeration_refuses_too_many_states_before_producing_maps(monkeypatch):
-    # the refusal comes at the call, before any map is asked for, and with
-    # the cap at 10 a late size check would show as the cap message instead
+    # the refusal comes before the walk builds any table, and with the cap
+    # at 10 a late size check would show as the cap message instead
+    def no_walk(*args):
+        raise AssertionError("the walk was built")
+
+    monkeypatch.setattr(triples, "_respecting_walk", no_walk)
     monkeypatch.setattr(triples, "CLOSURE_CAP", 10)
-    po = total_order(1000)
-    start = time.process_time()
-    with pytest.raises(ResourceCap, match="at most 12 states, got 1000"):
-        monotone_maps(po)
-    # the partial-order check before it reads one row and one column mask
-    # per state; an n^2 scan of every pair took about 0.4 s of CPU on a
-    # 2 vCPU host
-    assert time.process_time() - start < 0.2
-    with pytest.raises(ResourceCap, match="at most 12 states, got 13"):
+    with pytest.raises(ResourceCap, match="^map enumeration supports at most "
+                                          "12 states, got 13$"):
         maximal_semigroup(star_system(13))
 
 
 def test_monotone_maps_of_empty_order():
-    assert list(monotone_maps(total_order(0))) == [b""]
+    assert list(monotone_walk(total_order(0))) == [b""]
 
 
 def test_random_walk_beyond_byte_images():
@@ -639,7 +641,7 @@ def test_library_imports_without_numpy():
 PUBLIC = {
     # automata
     "Dfa", "Nfa", "atom_count", "complete_to", "complexity", "determinize",
-    "direct_product", "equivalent", "is_minimal", "minimize",
+    "direct_product", "is_minimal", "minimize",
     "nfa_complexity", "product_nfa", "star_nfa", "union_alphabet",
     # classify
     "Classification", "classify",
@@ -660,10 +662,8 @@ PUBLIC = {
     "parse_transformation", "semigroup_size", "syntactic_complexity",
     "transition_semigroup",
     # triples
-    "Preorder", "RespectCheck", "TripleSystem", "antichain_order",
-    "base_triples", "canonical_system", "dfa_respects", "make_triple_system",
-    "maximal_semigroup", "monotone_maps", "order_system", "preorder_of",
-    "respects", "total_order",
+    "Preorder", "TripleSystem", "antichain_order", "canonical_system",
+    "maximal_semigroup", "order_system", "preorder_of", "total_order",
     # witnesses
     "LetterMap", "dialect", "reversal_order", "reversal_system",
     "reversal_witness", "star_system", "star_witness", "syntactic_system",
@@ -684,12 +684,12 @@ def test_maximal_semigroup_of_bare_system():
 
 def test_maximal_semigroup_of_chain_system_is_monotone_set():
     s = star_system(3)
-    assert maximal_semigroup(s).images == tuple(monotone_maps(total_order(3)))
+    assert _images(maximal_semigroup(s)) == naive_monotone_maps(total_order(3))
 
 
 def test_monotone_dfa_shape():
     # one letter per monotone map, as the probe's configurations are built
-    maps = tuple(monotone_maps(total_order(3)))
+    maps = tuple(naive_monotone_maps(total_order(3)))
     d = Dfa(3, letter_names(len(maps)), maps, {1})
     assert len(d.alphabet) == 10
     assert d.alphabet[0] == "t000"

@@ -3,15 +3,16 @@ import time
 import pytest
 
 from sconvex import (AlphabetMismatch, BadSize, LetterMap, NotInjective,
-                     ResourceCap, TripleSystem, base_triples, canonical_system,
-                     complexity, dfa_respects, dialect, identity, is_minimal,
+                     ResourceCap, TripleSystem, canonical_system, complexity,
+                     dialect, identity, is_minimal,
                      preorder_of, reversal_order, reversal_system,
                      reversal_witness, star_system, star_witness,
                      syntactic_system, syntactic_witness, total_order,
                      Transformation)
 from sconvex import triples, witnesses
 
-from oracles import matrix_of, naive_order_properties
+from oracles import (base_triples, dfa_respects, matrix_of,
+                     naive_order_properties)
 
 
 def test_star_witness_letters_at_four():
