@@ -12,6 +12,7 @@ import json
 import math
 import random
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby, permutations, product
 from operator import itemgetter
@@ -116,6 +117,13 @@ def monotone_reversal_count(n: int) -> int:
 # ---------------------------------------------------------------------------
 # verification suites
 
+def _points(values):
+    """values as given when a Sequence, else listed once: the suites walk
+    their ranges twice, for the refusal checks and for the reports, so a
+    one-shot iterator would pass the checks and leave no reports."""
+    return values if isinstance(values, Sequence) else tuple(values)
+
+
 def _refuse_past_subset_cap(suite, points):
     """ResourceCap at the first (params, bound) point whose bound is over
     SUBSET_CAP, read at call time.  A suite calls this before it builds any
@@ -137,6 +145,7 @@ def _star_dialect(n, images):
 
 def verify_star(ns=STAR_RANGE):
     '''Star of the a,b,c,d dialect of the star witness hits its bound.'''
+    ns = _points(ns)
     _refuse_past_subset_cap("star", (([("n", n)], star_bound(n)) for n in ns))
     four = ("a", "b", "c", "d", None, None)
     return [_check("star", [("n", n)], star_bound(n),
@@ -146,6 +155,7 @@ def verify_star(ns=STAR_RANGE):
 
 def verify_product(ms=PRODUCT_RANGE, ns=PRODUCT_RANGE):
     '''Concatenating the two star-witness dialects hits the product bound.'''
+    (ms, ns) = (_points(ms), _points(ns))
     _refuse_past_subset_cap("product", (([("n", n), ("m", m)], product_bound(m, n))
                                         for m in ms for n in ns))
     reports = []
@@ -168,6 +178,7 @@ def verify_boolean(ms=BOOLEAN_RANGE, ns=BOOLEAN_RANGE):
     The four share one product walk, made before their checks, so each
     `ms` covers counting its operation's Nerode blocks on that walk alone.
     '''
+    (ms, ns) = (_points(ms), _points(ns))
     _refuse_past_subset_cap("boolean", (([("n", n), ("m", m)], m * n)
                                         for m in ms for n in ns))
     reports = []
@@ -207,6 +218,7 @@ def verify_reversal(ns=REVERSAL_RANGE, samples=500, seed=DEFAULT_SEED):
     """
     if samples < 0:
         raise BadSize(f"samples must be at least 0, got {samples}")
+    ns = _points(ns)
     _refuse_past_subset_cap("reversal", (([("n", n)], reversal_bound(n)) for n in ns))
     reports = [_check("reversal", [("n", n)], reversal_bound(n),
                       lambda: atom_count(reversal_witness(n)))
@@ -228,6 +240,7 @@ def verify_syntactic(ns=SYNTACTIC_RANGE):
 def verify_monotone_counts(ns=MONOTONE_RANGE):
     '''Monotone-map counts, by dynamic programming with none of the maps
     produced, match the formulas.'''
+    ns = _points(ns)
     # before the orders, whose construction grows with n^2
     for n in ns:
         if n < 3:

@@ -240,7 +240,8 @@ def closure(generators, cap: int = CLOSURE_CAP) -> Semigroup:
 # multiplication maps R-classes onto R-classes, so a breadth-first walk
 # from the generators meets them all, storing one representative of each.
 # Every element met is first moved, inside its R-class, onto one with image
-# set R; one set lookup then finds most of the elements met before.
+# set R; a set of these normal forms, at most one per R-class and
+# generator, then finds most of the elements met before with one lookup.
 
 _IDENTITY = bytes(range(256))
 _MARK = b"\xff" * 256
@@ -253,12 +254,16 @@ class _Sims:
     `base`.  Level j keeps the orbit of base[j] under the strong generators
     that fix base[:j]; each orbit point x holds a group element taking
     base[j] to x, and its inverse, so sifting is one translate per level.
+    `moving` lists (base point, orbit) for the levels whose orbit has more
+    than one point; a membership test sifts through those alone, since a
+    one-point orbit leaves every group element as it is.
     """
 
     def __init__(self, base: bytes):
         self.base = base
         self.strong = [[] for _ in base]
         self.orbits = [{b: (_IDENTITY, _IDENTITY)} for b in base]
+        self.moving: list = []
 
     def order(self) -> int:
         return math.prod(len(orbit) for orbit in self.orbits)
@@ -273,7 +278,12 @@ class _Sims:
         return len(self.base), p
 
     def __contains__(self, p: bytes) -> bool:
-        return self._sift(p, 0)[0] == len(self.base)
+        for b, orbit in self.moving:
+            known = orbit.get(p[b])
+            if known is None:
+                return False
+            p = p.translate(known[1])
+        return p == _IDENTITY
 
     def add(self, p: bytes) -> None:
         '''Extend the group by the permutation p.
@@ -300,6 +310,8 @@ class _Sims:
                 pending[j].extend((y, g, g_inv) for g, g_inv in self.strong[j])
             else:
                 j = max(j, self._insert(u.translate(known[1]), j + 1, pending))
+        self.moving = [(b, orbit) for b, orbit in zip(self.base, self.orbits)
+                       if len(orbit) > 1]
 
     def _insert(self, p: bytes, level: int, pending: list) -> int:
         '''Sift p from level on; store what is left of it as a strong
@@ -426,11 +438,13 @@ def _kernel(x: bytes) -> bytes:
 def semigroup_size(generators, cap: int = CLOSURE_CAP) -> int:
     '''The number of elements of the semigroup the transformations generate.
 
-    Counts R-class by R-class and stores one representative of each, never
-    the elements.  Raises ResourceCap once more than `cap` image sets, or
-    more than `cap` R-class representatives, are stored.  The generators'
-    own image sets and R-classes are stored regardless, so the count goes
-    through whenever `closure` with the same cap would.
+    Counts R-class by R-class, never storing the elements: it keeps one
+    representative of each R-class and the normal forms of the products
+    met, at most one per R-class and generator.  Raises ResourceCap once
+    more than `cap` image sets, or more than `cap` R-class representatives,
+    are stored.  The generators' own image sets and R-classes are stored
+    regardless, so the count goes through whenever `closure` with the same
+    cap would.
     '''
     gen_bytes = _image_bytes(generators)
     n = len(gen_bytes[0])
@@ -453,6 +467,10 @@ def semigroup_size(generators, cap: int = CLOSURE_CAP) -> int:
         table = rep + pad
         for g in gen_bytes:
             x = g.translate(table)
+            # seen holds elements with their component's root image set,
+            # where norm is the identity: such an x is its own normal form
+            if x in seen:
+                continue
             p = index[maketrans(x, mark)[:n]]  # _image_key(x, n), inlined
             c = component_of[p]
             comp = built[c]

@@ -79,6 +79,23 @@ def test_verify_syntactic_small():
     assert [r.actual for r in reports] == [10, 45]
 
 
+@pytest.mark.parametrize("suite, lists", [
+    (verify_star, {"ns": [3, 4]}),
+    (verify_product, {"ms": [3, 4], "ns": [3, 4]}),
+    (verify_boolean, {"ms": [3, 4], "ns": [3, 4]}),
+    (verify_reversal, {"ns": [4, 5]}),
+    (verify_monotone_counts, {"ns": [3, 4]}),
+])
+def test_suites_take_one_shot_iterators(suite, lists):
+    # each suite walks its ranges for the refusal checks before the reports
+    def rows(reports):
+        return [{k: v for k, v in r.to_json().items() if k != "ms"} for r in reports]
+
+    expected = rows(suite(**lists))
+    assert expected
+    assert rows(suite(**{k: iter(v) for k, v in lists.items()})) == expected
+
+
 def test_verify_exclusions_suite_names():
     reports = verify_exclusions([4])
     names = [r.suite for r in reports]

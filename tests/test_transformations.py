@@ -342,20 +342,40 @@ def test_semigroup_size_does_not_depend_on_generator_order():
 
 def test_sims_table_order_and_membership():
     rng = random.Random(2024)
-    for _ in range(200):
+    for _ in range(300):
         n = rng.randint(1, 7)
+        # half the groups move only some points, so that base points ahead
+        # of moved ones stay fixed and their one-point levels are skipped
+        moved = sorted(rng.sample(range(n), rng.randint(1, n)) if rng.randrange(2)
+                       else range(n))
         perms = []
         for _ in range(rng.randint(1, 3)):
             image = list(range(n))
-            rng.shuffle(image)
+            for p, q in zip(moved, rng.sample(moved, len(moved))):
+                image[p] = q
             perms.append(tuple(image))
-        group = naive_closure([Transformation(n, p) for p in perms])
         table = _Sims(bytes(range(n)))
-        for p in perms:
+        for i, p in enumerate(perms):
             table.add(bytes(p) + bytes(range(n, 256)))
-        assert table.order() == len(group), perms
-        for _ in range(10):
-            image = list(range(n))
-            rng.shuffle(image)
-            member = bytes(image) + bytes(range(n, 256)) in table
-            assert member == (tuple(image) in group), (perms, image)
+            # asked between adds, the table answers for the group so far
+            group = naive_closure([Transformation(n, q) for q in perms[:i + 1]])
+            assert table.order() == len(group), perms
+            members = sorted(group)
+            for _ in range(10):
+                image = list(rng.choice(members))
+                if rng.randrange(2):
+                    # a member with two entries swapped, at times two that
+                    # the group fixes
+                    a, b = rng.randrange(n), rng.randrange(n)
+                    image[a], image[b] = image[b], image[a]
+                elif rng.randrange(2):
+                    rng.shuffle(image)
+                member = bytes(image) + bytes(range(n, 256)) in table
+                assert member == (tuple(image) in group), (perms, image)
+
+
+def test_semigroup_size_when_a_group_refuses_a_representative():
+    # one component has a Schutzenberger group of order 3 and two R-classes
+    # under each kernel, so some membership test in it must answer no
+    gens = [t(5, 3, 2, 4, 0, 4), t(5, 1, 1, 3, 0, 0), t(5, 0, 1, 4, 2, 3)]
+    assert semigroup_size(gens) == len(naive_closure(gens)) == 695
