@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 from .automata import Dfa, _table_walk, minimize
 from .errors import NotationError, ResourceCap, SizeMismatch, StateOutOfRange
@@ -170,23 +170,45 @@ def parse_transformation(text: str, n: int) -> Transformation:
 class Semigroup:
     """A transformation semigroup with every element.
 
-    `images` lists the image vectors in the order their builder met them.
-    From `closure` that is breadth-first by product length, ties broken by
-    generator order, so generators appear first, whether or not the
-    identity is among them.  `maximal_semigroup` lists its maps
-    lexicographically.
+    `elements` holds the image vectors back to back, n bytes per element,
+    in the order their builder met them; iteration yields each as a bytes
+    slice.  (A tuple of bytes objects would take 41 + n bytes per element:
+    33 for each object's header and 8 for its slot.)  From `closure` the
+    order is breadth-first by product length, ties broken by generator
+    order, so generators appear first, whether or not the identity is
+    among them.  `maximal_semigroup` lists its maps lexicographically.
     """
 
     n: int
-    images: tuple[bytes, ...]
+    elements: bytes
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("domain must be nonempty")
 
     def __len__(self):
-        return len(self.images)
+        return len(self.elements) // self.n
+
+    def __iter__(self):
+        (n, elements) = (self.n, self.elements)
+        return (elements[i:i + n] for i in range(0, len(elements), n))
 
     def dump(self) -> str:
         '''One image vector per line, entries space-separated, sorted.'''
-        lines = [" ".join(str(q) for q in img) for img in sorted(self.images)]
-        return "\n".join(lines) + "\n"
+        lines = (" ".join(map(str, x)) + "\n" for x in sorted(self))
+        return _chunked_join(lines, "")
+
+
+# A join lists all of its items first, and a bytes join also allocates an
+# 80-byte buffer view per item, more than a short item itself.  So a long
+# sequence is joined this many items at a time, and then the chunks.
+_CHUNK = 4096
+
+
+def _chunked_join(pieces, empty):
+    '''empty.join(pieces), for pieces none of which is empty.'''
+    it = iter(pieces)
+    return empty.join(iter(lambda: empty.join(islice(it, _CHUNK)), empty))
 
 
 def _image_bytes(generators):
@@ -220,7 +242,8 @@ def closure(generators, cap: int = CLOSURE_CAP) -> Semigroup:
                     raise ResourceCap(f"semigroup closure exceeded {cap} elements")
                 seen.add(w)
                 order.append(w)
-    return Semigroup(n, tuple(order))
+    del seen  # before the packing, so that the two never coexist
+    return Semigroup(n, _chunked_join(order, b""))
 
 
 # ---------------------------------------------------------------------------

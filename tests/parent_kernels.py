@@ -22,7 +22,9 @@ atom counting walked the reversal of its refinement's table: the reference
 for atom counts past the signature oracle's reach and for the Brzozowski
 property tests.
 And `parent_closure`, `sconvex.transformations.closure` from when it walked
-the semigroup one breadth-first layer at a time with frontier lists.
+the semigroup one breadth-first layer at a time with frontier lists (it
+packs its elements with one join), and `parent_dump`, `Semigroup.dump`
+from when a semigroup held a tuple of one bytes object per element.
 
 This is not an independent oracle: it shares the algorithms it checks.
 The oracles in oracles.py avoid subset construction and refinement.
@@ -422,4 +424,10 @@ def parent_closure(generators, cap: int = CLOSURE_CAP) -> Semigroup:
                     order.append(w)
                     nxt.append(w)
         frontier = nxt
-    return Semigroup(n, tuple(order))
+    return Semigroup(n, b"".join(order))
+
+
+def parent_dump(images) -> str:
+    '''One image vector per line, entries space-separated, sorted.'''
+    lines = [" ".join(str(q) for q in img) for img in sorted(images)]
+    return "\n".join(lines) + "\n"

@@ -84,7 +84,7 @@ def test_exhaustive_filter_matches_generated_semigroup():
     for n in range(3, 7):
         filtered = maximal_semigroup(syntactic_system(n))
         generated = transition_semigroup(syntactic_witness(n))
-        if set(filtered.images) != set(generated.images):
+        if set(filtered) != set(generated):
             mismatches.append(n)
     _conclude_flag("respecting-filter-equals-closure n=3..6", not mismatches,
                    f"diverges at n={mismatches}")

@@ -7,6 +7,7 @@ the same random draws."""
 
 import hashlib
 import random
+import tracemalloc
 from functools import partial
 from itertools import islice
 from types import SimpleNamespace
@@ -15,10 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sconvex import (AlphabetMismatch, Dfa, Nfa, ResourceCap, Transformation,
-                     canonical_system, closure, complexity, determinize,
-                     direct_product, is_minimal, maximal_semigroup, minimize,
-                     nfa_complexity, order_system, preorder_of, product_nfa,
-                     random_suffix_convex, star_nfa)
+                     TripleSystem, canonical_system, closure, complexity,
+                     determinize, direct_product, is_minimal,
+                     maximal_semigroup, minimize, nfa_complexity,
+                     order_system, preorder_of, product_nfa,
+                     random_suffix_convex, star_nfa, transition_semigroup)
 from sconvex import automata
 from sconvex.automata import _pair_complexity, _pair_walk
 from sconvex.harness import (BOOLEAN_OPS, _random_convex_finals, _random_order,
@@ -30,8 +32,9 @@ from sconvex.witnesses import (reversal_system, reversal_witness, star_system,
 
 from oracles import matrix_of
 from parent_kernels import (parent_closure, parent_determinize,
-                            parent_direct_product, parent_minimize,
-                            parent_respecting_maps, reverse_nfa)
+                            parent_direct_product, parent_dump,
+                            parent_minimize, parent_respecting_maps,
+                            reverse_nfa)
 
 WITNESSES = (star_witness, reversal_witness, syntactic_witness)
 
@@ -422,7 +425,7 @@ def test_random_order_edge_draws_as_random_sample(m):
 
 def _closure_outcome(close, gens, cap):
     try:
-        return close(gens, cap).images
+        return list(close(gens, cap))
     except ResourceCap as exc:
         return str(exc)
 
@@ -455,14 +458,54 @@ def test_closure_matches_parent():
     assert 0.1 < sum(outcomes) / len(outcomes) < 0.9
 
 
+def test_dump_matches_parent():
+    # one chunk of 4,096 elements and many, and entries of two digits
+    semigroups = [maximal_semigroup(syntactic_system(n)) for n in (3, 6)]
+    semigroups += [transition_semigroup(d) for d in
+                   (syntactic_witness(7), star_witness(12), star_witness(16))]
+    assert list(map(len, semigroups)) == [10, 3775, 54468, 2443, 7836]
+    for sg in semigroups:
+        assert sg.dump() == parent_dump(list(sg))
+
+
+def test_semigroup_iterates_its_packed_elements():
+    sg = closure([Transformation(3, (1, 2, 0)), Transformation(3, (0, 0, 2))])
+    assert list(sg) == [sg.elements[i:i + 3] for i in range(0, 3 * len(sg), 3)]
+    assert len(sg.elements) == 3 * len(sg)
+    # the one map of no states has no bytes to pack
+    with pytest.raises(ValueError, match="domain must be nonempty"):
+        maximal_semigroup(TripleSystem(0, frozenset(), ()))
+
+
 def test_maximal_semigroup_of_the_syntactic_system_at_seven_is_pinned():
-    images = maximal_semigroup(syntactic_system(7)).images
-    digest = hashlib.sha256()
-    for image in images:
-        digest.update(image)
-    assert len(images) == 54468
-    assert digest.hexdigest() == \
+    sg = maximal_semigroup(syntactic_system(7))
+    assert len(sg) == 54468
+    assert hashlib.sha256(sg.elements).hexdigest() == \
         "aae18094a317f5346722ea3b6a5ae0938174ac609a7edd6a9b21d45eac01175e"
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_maximal_semigroup_memory_is_its_packed_maps():
+    # 54,468 maps of 7 bytes are 381,276 bytes packed; a tuple of one bytes
+    # object per map peaked at 2,661,612 bytes
+    assert _traced_peak(lambda: maximal_semigroup(syntactic_system(7))) \
+        < 1_500_000
+
+
+def test_closure_packs_its_elements_under_its_walks_peak():
+    # the walk's set and list of 54,468 elements peak at about 4,730,000
+    # bytes, and a tuple of them on top at 5,159,912; one join over all of
+    # them at once would take 80 bytes per element more
+    d = syntactic_witness(7)
+    assert _traced_peak(lambda: transition_semigroup(d)) < 5_100_000
 
 
 def test_random_suffix_convex_is_pinned():

@@ -452,7 +452,7 @@ def test_convex_violation_names_the_triple_of_the_loop():
 
 
 def _images(sg):
-    return [tuple(img) for img in sg.images]
+    return [tuple(img) for img in sg]
 
 
 def test_monotone_maps_match_naive_filter():
@@ -792,6 +792,24 @@ def test_canonical_system_of_a_convex_dfa_runs_no_triple_walk(monkeypatch):
         for family in (star_witness, reversal_witness, syntactic_witness):
             canonical_system(family(n))
     assert calls == []
+
+
+def test_canonical_system_refuses_past_the_system_cap_at_once(monkeypatch):
+    # a triple system on 1001 states would have 2,003,001 mandatory triples;
+    # the refusal comes before the minimality check and the n^2 tables
+    d = star_witness(1001)
+    monkeypatch.setattr(triples, "is_minimal",
+                        lambda d: pytest.fail("is_minimal was called"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCap) as info:
+            canonical_system(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == ("a system on 1001 states has 2003001 "
+                               "mandatory triples, over the cap 2000000")
+    assert peak < 1 << 16
 
 
 def test_canonical_system_memory_is_its_masks():
