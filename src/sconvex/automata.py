@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import itemgetter, or_
+from itertools import chain, islice
+from operator import itemgetter, length_hint, or_
 
 from .errors import AlphabetMismatch, FormatError, NotMinimal, ResourceCap
 
@@ -90,13 +91,16 @@ class Dfa:
         return _table_walk((0,), list(zip(*self.delta)).__getitem__)[0]
 
     def to_text(self) -> str:
-        lines = [f"states {self.n}",
-                 "alphabet " + " ".join(self.alphabet),
-                 "initial 0",
-                 "final" + "".join(f" {q}" for q in sorted(self.finals))]
-        lines += [f"{q} {letter} {t}" for q, targets in enumerate(zip(*self.delta))
-                  for letter, t in zip(self.alphabet, targets)]
-        return "\n".join(lines) + "\n"
+        """The text format: the header, then one transition line per state
+        and letter, in state order.  One format string writes each state's
+        lines, and the states are joined a chunk at a time, so beside the
+        table it holds the text and one chunk."""
+        head = (f"states {self.n}\nalphabet {' '.join(self.alphabet)}\ninitial 0\n"
+                f"final{''.join(f' {q}' for q in sorted(self.finals))}\n")
+        # "{0} a {1}\n{0} b {2}\n...", braces in letter names doubled
+        state = "".join(f"{{0}} {letter.replace('{', '{{').replace('}', '}}')} {{{k}}}\n"
+                        for k, letter in enumerate(self.alphabet, 1))
+        return _chunked_join(chain((head,), map(state.format, range(self.n), *self.delta)), "")
 
     @classmethod
     def from_text(cls, text: str) -> "Dfa":
@@ -107,7 +111,7 @@ class Dfa:
         edge per state and target, labelled with its letters in alphabet
         order; each distinct label is quoted once.  The graph's name must
         be a plain DOT identifier and not a DOT keyword, or FormatError
-        is raised."""
+        is raised.  It holds the text and one chunk of lines at once."""
         return _dfa_dot(self, name)
 
 
@@ -144,91 +148,194 @@ class Nfa:
 
 # ---------------------------------------------------------------------------
 # text format
+#
+# The readers and writers hold the text, what they build from it or write
+# it from, and one chunk: the rows of about _TEXT_CHUNK characters of the
+# text, or _CHUNK pieces of it, each a line or one state's lines.  No list
+# of every line is made.
+
+_TEXT_CHUNK = 1 << 14
+
+# A join lists all of its items first, and a bytes join also allocates an
+# 80-byte buffer view per item, more than a short item itself.  So a long
+# sequence is joined this many items at a time, and then the chunks.
+_CHUNK = 4096
+
+
+def _chunked_join(pieces, empty):
+    '''empty.join(pieces), _CHUNK pieces at a time and then the chunks.'''
+    it = iter(pieces)
+    chunks = []
+    while True:
+        chunk = list(islice(it, _CHUNK))
+        size = len(chunk)
+        chunks.append(empty.join(chunk))
+        del chunk  # before the next chunk is listed
+        if size < _CHUNK:
+            return empty.join(chunks)
+
+
+def _pieces(text):
+    """text cut just after a "\n" about every _TEXT_CHUNK characters.  A
+    "\n" always ends a line for str.splitlines, so the lines of the pieces
+    are the lines of the text.  A text shorter than a chunk is one piece,
+    the text itself."""
+    (start, size) = (0, len(text))
+    while start < size:
+        end = text.find("\n", start + _TEXT_CHUNK - 1) + 1 or size
+        yield text[start:end]
+        start = end
+
+
+def _stripped(piece):
+    '''The lines of a piece of text, comments cut and whitespace stripped.'''
+    lines = piece.splitlines()
+    if "#" in piece:
+        lines = [line.partition("#")[0] for line in lines]
+    return list(map(str.strip, lines))
+
+
+def _rows(piece):
+    return list(filter(None, _stripped(piece)))
+
 
 def _text_rows(text):
-    """The non-empty lines of a text file, comments cut and whitespace
-    stripped, and where(i): the 1-based line number of row i.
+    """The row reader: an iterator over the rows of a text file, one list
+    per chunk of about _TEXT_CHUNK characters.  The rows are the non-empty
+    lines, comments cut and whitespace stripped.  Beside the text it holds
+    the rows of one chunk at a time."""
+    return map(_rows, _pieces(text))
 
-    Line numbers are only needed for an error, so where(i) finds them by
-    scanning the lines again instead of storing one per row.
-    """
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.partition("#")[0] for line in lines]
-    stripped = list(map(str.strip, lines))
-    rows = list(filter(None, stripped))
 
-    def where(i):
-        return [lineno for lineno, line in enumerate(stripped, start=1) if line][i]
+def _head(chunks, k):
+    '''The rows of the first chunks of a row reader: k rows or more,
+    unless the text has fewer.'''
+    rows = next(chunks, [])
+    while len(rows) < k:
+        more = next(chunks, None)
+        if more is None:
+            break
+        rows += more
+    return rows
 
-    return rows, where
+
+def _where(text, i):
+    """The 1-based line number of row i of text.  Line numbers are needed
+    only for an error, so they are found by reading the text again, piece
+    by piece, instead of being stored per row."""
+    lineno = 0
+    for piece in _pieces(text):
+        for line in _stripped(piece):
+            lineno += 1
+            if line:
+                if not i:
+                    return lineno
+                i -= 1
+
+
+def _line_error(text, start, rows, it, exc):
+    """exc with the line number of the row just read from it, an iterator
+    over rows whose first row is row start of text: a list iterator knows
+    how many rows it has left."""
+    i = start + len(rows) - length_hint(it) - 1
+    return FormatError(f"line {_where(text, i)}: {exc}")
+
+
+def _short_table(text, cells):
+    """The refusal of a DFA text with fewer transition lines than cells, or
+    None.  Rows are counted, by reading the text again, only for this
+    refusal, which ranks before any bad transition line."""
+    count = sum(map(len, _text_rows(text))) - 4
+    if count < cells:
+        return FormatError(f"incomplete transition table: {count} "
+                           f"transition lines, need {cells}")
+    return None
 
 
 def _parse_dfa(text):
     """The Dfa a text file describes, or FormatError naming the first bad line.
 
-    Each transition line is split as it is read, so no token list outlives
-    its line, and a line number is worked out only for an error.
+    It holds the text, the table and the rows of one chunk at once.  Each
+    transition line is split as it is read, so no token list outlives its
+    line, and a line number is worked out only for an error.  Every target
+    is one shared int object per state.
     """
-    rows, where = _text_rows(text)
+    chunks = _text_rows(text)
+    rows = _head(chunks, 4)
     if len(rows) < 4:
         raise FormatError("file too short: need states, alphabet, initial, final")
 
     head = rows[0].split()
     if head[0] != "states" or len(head) != 2:
-        raise FormatError(f"line {where(0)}: expected 'states <n>'")
+        raise FormatError(f"line {_where(text, 0)}: expected 'states <n>'")
     try:
         n = int(head[1])
     except ValueError:
-        raise FormatError(f"line {where(0)}: state count must be an integer") from None
+        raise FormatError(f"line {_where(text, 0)}: state count must be an integer") from None
     if n < 1:
-        raise FormatError(f"line {where(0)}: state count must be positive")
+        raise FormatError(f"line {_where(text, 0)}: state count must be positive")
 
     head = rows[1].split()
     if head[0] != "alphabet" or len(head) < 2:
-        raise FormatError(f"line {where(1)}: expected 'alphabet <l1> <l2> ...'")
+        raise FormatError(f"line {_where(text, 1)}: expected 'alphabet <l1> <l2> ...'")
     alphabet = tuple(head[1:])
     _check_alphabet(alphabet)
 
     if rows[2].split() != ["initial", "0"]:
-        raise FormatError(f"line {where(2)}: expected 'initial 0'")
+        raise FormatError(f"line {_where(text, 2)}: expected 'initial 0'")
 
     head = rows[3].split()
     if head[0] != "final":
-        raise FormatError(f"line {where(3)}: expected 'final ...'")
+        raise FormatError(f"line {_where(text, 3)}: expected 'final ...'")
     try:
         finals = frozenset(int(tok) for tok in head[1:])
     except ValueError:
-        raise FormatError(f"line {where(3)}: final states must be integers") from None
+        raise FormatError(f"line {_where(text, 3)}: final states must be integers") from None
     for q in finals:
         if not 0 <= q < n:
-            raise FormatError(f"line {where(3)}: final state {q} out of range")
+            raise FormatError(f"line {_where(text, 3)}: final state {q} out of range")
 
-    # a full table needs a line per cell; checking first keeps a huge
-    # declared size from allocating a table its file cannot fill
+    # a full table needs a line per cell, and a transition line takes at
+    # least five characters and a line break; a text too short for that
+    # has its rows counted, so that a huge declared size allocates no table
+    # its file cannot fill
     cells = n * len(alphabet)
-    if len(rows) - 4 < cells:
-        raise FormatError(f"incomplete transition table: {len(rows) - 4} "
-                          f"transition lines, need {cells}")
+    if cells > (len(text) + 1) // 6:
+        refusal = _short_table(text, cells)
+        if refusal is not None:
+            raise refusal
     column = {letter: [None] * n for letter in alphabet}
-    for i in range(4, len(rows)):
-        toks = rows[i].split()
-        if len(toks) != 3:
-            raise FormatError(f"line {where(i)}: expected '<state> <letter> <state>'")
-        src_s, letter, dst_s = toks
+    state = list(range(n))
+    del rows[:4]
+    start = 4  # the row index of the chunk's first row
+    for rows in chain((rows,), chunks):
+        it = iter(rows)
         try:
-            src, dst = int(src_s), int(dst_s)
-        except ValueError:
-            raise FormatError(f"line {where(i)}: states must be integers") from None
-        row = column.get(letter)
-        if row is None:
-            raise FormatError(f"line {where(i)}: unknown letter {letter!r}")
-        if not 0 <= src < n or not 0 <= dst < n:
-            raise FormatError(f"line {where(i)}: state out of range")
-        if row[src] is not None:
-            raise FormatError(f"line {where(i)}: duplicate transition for ({src}, {letter})")
-        row[src] = dst
-    # at least one line per cell and no cell twice: the table is full
+            for line in it:
+                toks = line.split()
+                if len(toks) != 3:
+                    raise FormatError("expected '<state> <letter> <state>'")
+                src_s, letter, dst_s = toks
+                try:
+                    src, dst = int(src_s), int(dst_s)
+                except ValueError:
+                    raise FormatError("states must be integers") from None
+                row = column.get(letter)
+                if row is None:
+                    raise FormatError(f"unknown letter {letter!r}")
+                if not 0 <= src < n or not 0 <= dst < n:
+                    raise FormatError("state out of range")
+                if row[src] is not None:
+                    raise FormatError(f"duplicate transition for ({src}, {letter})")
+                row[src] = state[dst]
+        except FormatError as exc:
+            raise (_short_table(text, cells)
+                   or _line_error(text, start, rows, it, exc)) from None
+        start += len(rows)
+    # no cell twice, so the table is full when there are enough lines
+    if start - 4 < cells:
+        raise FormatError(f"incomplete transition table: {start - 4} "
+                          f"transition lines, need {cells}")
     return Dfa(n, alphabet, list(column.values()), finals)
 
 
@@ -246,11 +353,14 @@ def _dfa_dot(d, name):
     if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name.lower() in _DOT_KEYWORDS:
         raise FormatError(f"graph name {name!r} must be a DOT identifier "
                           "([A-Za-z_][A-Za-z0-9_]*) and not a DOT keyword")
-    lines = [f"digraph {name} {{", "  rankdir=LR;",
-             '  __start [shape=point, label=""];']
-    lines += [f"  {q} [shape={'doublecircle' if q in d.finals else 'circle'}];"
-              for q in range(d.n)]
-    lines.append("  __start -> 0;")
+    return _chunked_join(_dot_lines(d, name), "")
+
+
+def _dot_lines(d, name):
+    yield f'digraph {name} {{\n  rankdir=LR;\n  __start [shape=point, label=""];\n'
+    for q in range(d.n):
+        yield f"  {q} [shape={'doublecircle' if q in d.finals else 'circle'}];\n"
+    yield "  __start -> 0;\n"
     # one edge per target, its letters merged in alphabet order; a label
     # recurs on many states, so each is quoted once
     quoted = {}
@@ -262,9 +372,8 @@ def _dfa_dot(d, name):
             letters = grouped[dst]
             if letters not in quoted:
                 quoted[letters] = _quote(letters)
-            lines.append(f"  {q} -> {dst} [label={quoted[letters]}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f"  {q} -> {dst} [label={quoted[letters]}];\n"
+    yield "}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from .automata import (Dfa, complete_to, complexity, determinize,
                        direct_product, minimize, product_nfa, star_nfa,
                        union_alphabet, _BOOLEAN_OPS, _complexity_and_atoms)
 from .classify import classify
-from .errors import ResourceCap, SconvexError
+from .errors import FormatError, ResourceCap, SconvexError
 from .harness import (DEFAULT_SEED, SUITES, probe_conjecture,
                       random_suffix_convex, reports_to_json)
 from .transformations import (CLOSURE_CAP, _letters, semigroup_size,
@@ -34,9 +34,15 @@ SYSTEMS = {"star": star_system, "reversal": reversal_system,
 
 
 def _read_text(path):
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    """The text of a file, or of standard input for "-", decoded as strict
+    UTF-8 whatever the locale; FormatError names the first bad byte."""
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        source = "standard input" if path == "-" else path
+        raise FormatError(f"{source} is not UTF-8: {exc.reason} at byte offset "
+                          f"{exc.start}") from None
 
 
 def _read_dfa(path):

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
-from .automata import Dfa, _table_walk, minimize
+from .automata import Dfa, _chunked_join, _table_walk, minimize
 from .errors import NotationError, ResourceCap, SizeMismatch, StateOutOfRange
 
 CLOSURE_CAP = 2_000_000
@@ -197,18 +197,6 @@ class Semigroup:
         '''One image vector per line, entries space-separated, sorted.'''
         lines = (" ".join(map(str, x)) + "\n" for x in sorted(self))
         return _chunked_join(lines, "")
-
-
-# A join lists all of its items first, and a bytes join also allocates an
-# 80-byte buffer view per item, more than a short item itself.  So a long
-# sequence is joined this many items at a time, and then the chunks.
-_CHUNK = 4096
-
-
-def _chunked_join(pieces, empty):
-    '''empty.join(pieces), for pieces none of which is empty.'''
-    it = iter(pieces)
-    return empty.join(iter(lambda: empty.join(islice(it, _CHUNK)), empty))
 
 
 def _image_bytes(generators):

@@ -20,15 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from operator import or_
 
-from .automata import Dfa, _mask, _text_rows, is_minimal, reachable_tuples
+from .automata import (Dfa, _chunked_join, _head, _line_error, _mask, _text_rows,
+                       _where, is_minimal, reachable_tuples)
 from .classify import _chain
 from .errors import (AxiomViolation, FormatError, NonConvexFinals, NotMinimal,
                      NotPartialOrder, NotSuffixConvex, ResourceCap,
                      StateOutOfRange)
-from .transformations import CLOSURE_CAP, Semigroup, _chunked_join
+from .transformations import CLOSURE_CAP, Semigroup
 
 Triple = tuple[int, int, int]
 
@@ -98,52 +99,84 @@ class TripleSystem:
         (A) and (B), and (B) pairs (p,q,r) with (q,p,r), so the scan keeps
         one representative with p <= q and a third coordinate outside {p,q}.
         """
+        return tuple(self._scan())
+
+    def _scan(self):
+        '''Yield scan_triples() one at a time.'''
         n = self.n
-        return tuple((p, q, r) for p in range(n) for q in range(p, n)
-                     for r in _bits(self.masks[p * n + q] & ~(1 << p | 1 << q)))
+        for p in range(n):
+            for q in range(p, n):
+                for r in _bits(self.masks[p * n + q] & ~(1 << p | 1 << q)):
+                    yield (p, q, r)
 
     def to_text(self) -> str:
-        lines = [f"states {self.n}",
-                 "final" + "".join(f" {q}" for q in sorted(self.finals))]
-        lines.extend(f"{p} {q} {r}" for (p, q, r) in self.scan_triples())
-        return "\n".join(lines) + "\n"
+        """The text format: 'states n', 'final ...', then one line per
+        scan triple; a reader adds the mandatory triples and the mirrors.
+        It holds the masks, the text and one chunk of lines at once."""
+        head = f"states {self.n}\nfinal{''.join(f' {q}' for q in sorted(self.finals))}\n"
+        lines = (f"{p} {q} {r}\n" for (p, q, r) in self._scan())
+        return _chunked_join(chain((head,), lines), "")
 
     @classmethod
     def from_text(cls, text: str) -> "TripleSystem":
-        rows, where = _text_rows(text)
+        """The system a text file describes, or FormatError naming the first
+        bad line.  It holds the text, the masks and the rows of one chunk
+        at once: each triple sets its bits as it is read.  Every line is
+        checked for its form before the system's size, and the size before
+        the first state out of range."""
+        chunks = _text_rows(text)
+        rows = _head(chunks, 2)
         if not rows:
             raise FormatError("file too short: need 'states' and 'final' lines")
         toks = rows[0].split()
         # isdecimal, not isdigit: int() refuses digits such as "²"
         if toks[0] != "states" or len(toks) != 2 or not toks[1].isdecimal():
-            raise FormatError(f"line {where(0)}: expected 'states <n>'")
+            raise FormatError(f"line {_where(text, 0)}: expected 'states <n>'")
         n = int(toks[1])
         if n < 1:
-            raise FormatError(f"line {where(0)}: state count must be positive")
+            raise FormatError(f"line {_where(text, 0)}: state count must be positive")
         if len(rows) < 2:
             raise FormatError("file too short: need 'states' and 'final' lines")
         toks = rows[1].split()
         if toks[0] != "final":
-            raise FormatError(f"line {where(1)}: expected 'final ...'")
+            raise FormatError(f"line {_where(text, 1)}: expected 'final ...'")
         try:
             finals = frozenset(int(t) for t in toks[1:])
         except ValueError:
-            raise FormatError(f"line {where(1)}: final states must be integers") from None
-        listed = []
-        for i in range(2, len(rows)):
-            toks = rows[i].split()
-            if len(toks) != 3:
-                raise FormatError(f"line {where(i)}: expected 'p q r'")
+            raise FormatError(f"line {_where(text, 1)}: final states must be integers") from None
+        # the mandatory triples (p, q, p) and (p, q, q), when the system is
+        # within the cap; then each listed triple and its mirror
+        fits = 2 * n * n - n <= CLOSURE_CAP
+        masks = [1 << p | 1 << q for p in range(n) for q in range(n)] if fits else None
+        outside = None  # the first listed triple with a state out of range
+        del rows[:2]
+        start = 2  # the row index of the chunk's first row
+        for rows in chain((rows,), chunks):
+            it = iter(rows)
             try:
-                listed.append(tuple(map(int, toks)))
-            except ValueError:
-                raise FormatError(f"line {where(i)}: triples must be integers") from None
+                for line in it:
+                    toks = line.split()
+                    if len(toks) != 3:
+                        raise FormatError("expected 'p q r'")
+                    try:
+                        (p, q, r) = map(int, toks)
+                    except ValueError:
+                        raise FormatError("triples must be integers") from None
+                    if not fits or outside is not None:
+                        continue
+                    if 0 <= p < n and 0 <= q < n and 0 <= r < n:
+                        masks[p * n + q] |= 1 << r
+                        masks[q * n + p] |= 1 << r
+                    else:
+                        outside = (p, q, r)
+            except FormatError as exc:
+                raise _line_error(text, start, rows, it, exc) from None
+            start += len(rows)
         _check_system_size(n, CLOSURE_CAP)
-        # the mandatory triples (p, q, p) and (p, q, q), then the listed ones
-        # and their mirrors
-        mandatory = [1 << p | 1 << q for p in range(n) for q in range(n)]
-        mirrors = [(q, p, r) for (p, q, r) in listed]
-        return cls(n, finals, _set_bits(mandatory, n, listed + mirrors))
+        for q in outside or ():
+            if not 0 <= q < n:
+                raise StateOutOfRange(f"state {q} outside 0..{n - 1}")
+        return cls(n, finals, masks)
 
 
 def _check_system_size(n: int, cap: int) -> None:
@@ -152,17 +185,6 @@ def _check_system_size(n: int, cap: int) -> None:
     if 2 * n * n - n > cap:
         raise ResourceCap(f"a system on {n} states has {2 * n * n - n} "
                           f"mandatory triples, over the cap {cap}")
-
-
-def _set_bits(masks: list, n: int, triples) -> list:
-    '''masks with the bit of each triple set, each range-checked before its bit.'''
-    for t in triples:
-        for q in t:
-            if not 0 <= q < n:
-                raise StateOutOfRange(f"state {q} outside 0..{n - 1}")
-        (p, q, r) = t
-        masks[p * n + q] |= 1 << r
-    return masks
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ parsers and writers from before the text layer read its lines without
 storing a token list per line: `parent_parse_dfa`, `parent_to_text` and
 `parent_dfa_dot` are `sconvex.automata`'s `_parse_dfa`, `Dfa.to_text` and
 `_dfa_dot`, and
-`parent_triple_system_from_text` is `TripleSystem.from_text`, with the
-helpers they used.  And `parent_random_order`, the random partial order of
+`parent_triple_system_from_text` and `parent_triple_to_text` are
+`TripleSystem.from_text` and `TripleSystem.to_text`, with the helpers they
+used; the writers are from before they joined their lines a chunk at a
+time.  And `parent_random_order`, the random partial order of
 `sconvex.harness._random_order` from when it built its order's matrix.
 And `parent_direct_product`, `sconvex.automata.direct_product` from before
 it was built on the pair walk that the boolean suite shares.
@@ -31,9 +33,10 @@ The oracles in oracles.py avoid subset construction and refinement.
 """
 
 from sconvex.automata import SUBSET_CAP, Dfa, Nfa, _check_alphabet
-from sconvex.errors import AlphabetMismatch, FormatError, ResourceCap
+from sconvex.errors import (AlphabetMismatch, FormatError, ResourceCap,
+                            StateOutOfRange)
 from sconvex.transformations import Semigroup, _image_bytes
-from sconvex.triples import CLOSURE_CAP, TripleSystem, _set_bits
+from sconvex.triples import CLOSURE_CAP, TripleSystem
 
 
 def parent_minimize(d: Dfa) -> Dfa:
@@ -358,6 +361,17 @@ def parent_dfa_dot(d, name):
     return "\n".join(lines) + "\n"
 
 
+def _set_bits(masks: list, n: int, triples) -> list:
+    '''masks with the bit of each triple set, each range-checked before its bit.'''
+    for t in triples:
+        for q in t:
+            if not 0 <= q < n:
+                raise StateOutOfRange(f"state {q} outside 0..{n - 1}")
+        (p, q, r) = t
+        masks[p * n + q] |= 1 << r
+    return masks
+
+
 def parent_triple_system_from_text(text: str) -> TripleSystem:
     n = None
     finals = None
@@ -397,6 +411,13 @@ def parent_triple_system_from_text(text: str) -> TripleSystem:
     mandatory = [1 << p | 1 << q for p in range(n) for q in range(n)]
     mirrors = [(q, p, r) for (p, q, r) in listed]
     return TripleSystem(n, finals, _set_bits(mandatory, n, listed + mirrors))
+
+
+def parent_triple_to_text(system: TripleSystem) -> str:
+    lines = [f"states {system.n}",
+             "final" + "".join(f" {q}" for q in sorted(system.finals))]
+    lines.extend(f"{p} {q} {r}" for (p, q, r) in system.scan_triples())
+    return "\n".join(lines) + "\n"
 
 
 def parent_closure(generators, cap: int = CLOSURE_CAP) -> Semigroup:

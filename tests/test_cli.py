@@ -16,6 +16,13 @@ from sconvex.cli import main
 from sconvex.harness import SUITES
 
 
+def _stdin(data):
+    '''A standard input that holds data, str or bytes, as a terminal's does.'''
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 @pytest.fixture
 def star4_file(tmp_path):
     path = tmp_path / "star4.txt"
@@ -88,7 +95,7 @@ def test_dialect_roundtrip(star4_file, capsys):
 def test_combine_star_pipeline(star4_file, capsys, monkeypatch):
     assert main(["combine", "--op", "star", star4_file]) == 0
     starred = capsys.readouterr().out
-    monkeypatch.setattr("sys.stdin", io.StringIO(starred))
+    monkeypatch.setattr("sys.stdin", _stdin(starred))
     assert main(["complexity", "-"]) == 0
     assert capsys.readouterr().out.strip() == "12"
 
@@ -102,7 +109,7 @@ def test_combine_star_pipeline(star4_file, capsys, monkeypatch):
 def test_combine_boolean_output_is_pinned(star4_file, tmp_path, capsys, monkeypatch,
                                           op, digest):
     assert main(["witness", "--family", "syntactic", "--n", "5"]) == 0
-    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    monkeypatch.setattr("sys.stdin", _stdin(capsys.readouterr().out))
     assert main(["dialect", "--map", "a=a,b=b,c=c,d=d,e=e,f=f,g=-,h=-", "-"]) == 0
     right = tmp_path / "syntactic5.txt"
     right.write_text(capsys.readouterr().out, encoding="utf-8")
@@ -179,7 +186,7 @@ def test_triples_canonical_refuses_a_non_convex_dfa(monkeypatch, capsys):
     # the 5-state DFA of a + baa that the console-script check feeds on stdin
     text = ("states 5\nalphabet a b\ninitial 0\nfinal 1\n0 a 1\n0 b 2\n"
             "1 a 4\n1 b 4\n2 a 3\n2 b 4\n3 a 1\n3 b 4\n4 a 4\n4 b 4\n")
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", _stdin(text))
     assert main(["triples", "--canonical", "-"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -393,6 +400,35 @@ def test_huge_declared_size_exits_2(tmp_path, capsys):
                     "0 a 1\n0 b 0\n0 c 2\n1 a 10\n", encoding="utf-8")
     assert main(["classify", str(path)]) == 2
     assert "incomplete transition table" in capsys.readouterr().err
+
+
+# the 0xff at byte offset 42 can start no UTF-8 character
+NOT_UTF8 = b"states 1\nalphabet a\ninitial 0\nfinal 0\n0 a \xff\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"], ["complexity"], ["complexity", "--reverse"],
+    ["dialect", "--map", "a=b"], ["combine", "--op", "star"], ["semigroup"],
+    ["semigroup", "--count-only"], ["triples", "--canonical"], ["export-dot"]])
+def test_input_that_is_not_utf8_exits_2_naming_the_byte(argv, tmp_path, capsys,
+                                                        monkeypatch):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(NOT_UTF8)
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr() == \
+        ("", f"error: {path} is not UTF-8: invalid start byte at byte offset 42\n")
+    monkeypatch.setattr("sys.stdin", _stdin(NOT_UTF8))
+    assert main([*argv, "-"]) == 2
+    assert capsys.readouterr() == \
+        ("", "error: standard input is not UTF-8: invalid start byte at byte offset 42\n")
+
+
+def test_input_cut_inside_a_character_exits_2(capsys, monkeypatch):
+    # the first two bytes of the three of U+20AC
+    monkeypatch.setattr("sys.stdin", _stdin(b"states 1\n\xe2\x82"))
+    assert main(["classify", "-"]) == 2
+    assert capsys.readouterr().err == \
+        "error: standard input is not UTF-8: unexpected end of data at byte offset 9\n"
 
 
 def test_unknown_subcommand_exits_2(capsys):
